@@ -22,8 +22,8 @@ from typing import Iterable, Optional, Sequence
 
 from . import cores
 from .gatekeeper import blowup_mode, check_gatekeeper, has_fixing_operation
-from .graphs import (EDGE, NONEDGE, Graph, Graph6Error, complement,
-                     graph6_label, is_isomorphic, is_k_connected, parse_graph6)
+from .graphs import (EDGE, NONEDGE, Graph, Graph6Error, _k_connected_within,
+                     complement, graph6_label, is_isomorphic, parse_graph6)
 from .recognizers import (PERMUTATION_BUDGET, TRIVIAL_NONE, classify_trivial,
                           close_to_permutation, forest_unique_max, is_bull_or_p4,
                           is_permutation_graph, is_3conn_nonclique, match_k2p_k11p)
@@ -61,25 +61,24 @@ _SPECIAL_TABLE = (
 REPLAY_GRAPHS = ("E?qw", "F?rLw", "F?S|w")
 
 
+# (key, case, graph, complement of graph), parsed once at import.
+_SPECIAL_GRAPHS = tuple((key, case, parse_graph6(key), complement(parse_graph6(key)))
+                        for key, case in _SPECIAL_TABLE)
+
+
 def special_base_graphs(tag: str = "") -> dict[str, Graph]:
     """Parsed replay-orientation special graphs, optionally filtered by
     construction tag ("rational_geometric" or "z3")."""
-    out = {}
-    for key, case in _SPECIAL_TABLE:
-        if key not in REPLAY_GRAPHS and key != "F?q~w":
-            continue
-        if not tag or case.endswith(tag):
-            out[key] = parse_graph6(key)
-    return out
+    return {key: g for key, case, g, _ in _SPECIAL_GRAPHS
+            if (key in REPLAY_GRAPHS or key == "F?q~w") and case.endswith(tag)}
 
 
 def special_table(h: Graph) -> Optional[tuple[str, str, bool]]:
     """(key, case, complemented) if h is one of the special graphs."""
-    for key, case in _SPECIAL_TABLE:
-        base = parse_graph6(key)
+    for key, case, base, base_complement in _SPECIAL_GRAPHS:
         if is_isomorphic(h, base):
             return key, case, False
-        if is_isomorphic(h, complement(base)):
+        if is_isomorphic(h, base_complement):
             return key, case, True
     return None
 
@@ -355,8 +354,8 @@ def _has_3conn_subset(g: Graph) -> bool:
     """Search vertex subsets in decreasing size for a 3-connected induced
     subgraph on at least 5 vertices."""
     for size in range(g.n, 4, -1):
-        for subset in combinations(range(g.n), size):
-            if is_k_connected(g.induced(subset), 3):
+        for subset in combinations([1 << v for v in range(g.n)], size):
+            if _k_connected_within(g, sum(subset), 3):
                 return True
     return False
 

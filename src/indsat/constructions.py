@@ -14,12 +14,16 @@ from typing import Optional, Sequence
 
 from .gatekeeper import (CLIQUE_MODE, INDEP_MODE, GatekeeperResult,
                          has_fixing_operation)
-from .graphs import MAX_VERTICES, Graph, _bits, complement, find_induced
+from .graphs import Graph, _bits, clique_cover_at_most, complement, find_induced
 from .recognizers import is_3conn_nonclique, match_k2p_k11p
 
 
+# Prefix budget: the desk-scale cap on every graph this module constructs.
+MAX_VERTICES = 64
+
+
 class CapacityError(ValueError):
-    """The requested prefix would exceed the 64-vertex cap."""
+    """The requested prefix would exceed MAX_VERTICES."""
 
 
 class PreconditionError(ValueError):
@@ -259,32 +263,6 @@ def _add_block(g: Graph, size: int, attach_mask: int, clique: bool) -> tuple[Gra
     return _grow(g, rows), list(range(base, base + size))
 
 
-def _clique_cover_at_most(g: Graph, vertices: list[int], budget: int) -> bool:
-    """Can g[vertices] be covered by at most `budget` cliques?  Equivalent to
-    coloring the complement of g[vertices] with `budget` colors."""
-    if not vertices:
-        return True
-    if budget <= 0:
-        return False
-    sub = g.induced(vertices)
-    n = sub.n
-    colors = [-1] * n
-
-    def assign(v: int, used: int) -> bool:
-        if v == n:
-            return True
-        for c in range(min(used + 1, budget)):
-            # Clique cover: same color requires adjacency in sub.
-            if all(colors[w] != c or sub.has_edge(v, w) for w in range(v)):
-                colors[v] = c
-                if assign(v + 1, max(used, c + 1)):
-                    return True
-        colors[v] = -1
-        return False
-
-    return assign(0, 0)
-
-
 def _gatekeeper_fix(g: Graph, pair: tuple[int, int], h: Graph, m: int,
                     gatekeepers: Optional[GatekeeperResult]) -> Graph:
     """Glue a blown-up copy of h, perturbed at a gatekeeper pair of the
@@ -327,7 +305,7 @@ def _k11p_edge_fix(g: Graph, pair: tuple[int, int], p: int, m: int, depth: int) 
             raise PreconditionError(
                 "K_{1,1,2} edge fix needs the endpoints to share no neighbor")
         return _add_block(g, m, _mask([x, y]), clique=True)[0]
-    if not _clique_cover_at_most(g, common, p - 2):
+    if not clique_cover_at_most(g, common, p - 2):
         raise PreconditionError(
             f"common neighborhood not coverable by {p - 2} cliques")
     if depth < 2:
@@ -520,9 +498,3 @@ def schedule_fixes(seed: Graph, h: Graph, steps: int, m: int, family: str,
             break
     return states
 
-
-def dequeue_order(state: PrefixState, count: int) -> list[tuple[int, int]]:
-    """First `count` (i, j) labels in priority order among queued entries,
-    ignoring fixed status (the raw enumeration prefix)."""
-    entries = sorted(state.queue, key=lambda e: e.position)
-    return [(e.i, e.j) for e in entries[:count]]

@@ -159,15 +159,8 @@ def has_fixing_operation(h: Graph) -> GatekeeperResult:
                             diagnostics=tuple(diags))
 
 
-def glue_gadget_graph(h: Graph, pair: tuple[int, int]) -> Graph:
-    """h with the designated pair perturbed: the plain (un-blown-up) gadget
-    whose pair status then matches the host pair it gets glued onto."""
-    return h.toggled(*pair)
-
-
 __all__ = [
     "CLIQUE_MODE", "INDEP_MODE", "NOT_2CONNECTED", "COMPLETE_GRAPH",
     "TWIN_CONFLICT", "FRAGMENT_FOUND", "PairDiagnostic", "GatekeeperResult",
     "blowup_mode", "check_gatekeeper", "has_fixing_operation",
-    "glue_gadget_graph",
 ]

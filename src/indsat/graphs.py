@@ -1,18 +1,18 @@
-"""Finite simple graphs on at most 64 vertices, stored as bitset adjacency rows.
+"""Finite simple graphs stored as bitset adjacency rows (Python ints, so the
+vertex count is unbounded; only construction prefixes are capped, in
+`constructions`).
 
 This is the kernel every other module builds on: graph6 I/O, complementation,
 induced-embedding search (plain, anchored and colored), connectivity, 2-cut
-enumeration and twin detection.  All values are immutable after construction
-and every operation is a pure function, so graphs can be shared freely
-between threads or worker processes.
+enumeration, clique covers and twin detection.  All values are immutable
+after construction and every operation is a pure function, so graphs can be
+shared freely between threads or worker processes.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
-
-MAX_VERTICES = 64
 
 # graph6 uses printable ASCII 63..126; a single header byte covers n <= 62.
 _G6_HEADER = b">>graph6<<"
@@ -33,8 +33,6 @@ class Graph:
     __slots__ = ("n", "adj")
 
     def __init__(self, n: int, adj: Sequence[int]):
-        if not 0 <= n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
         if len(adj) != n:
             raise ValueError("adjacency row count does not match n")
         full = (1 << n) - 1
@@ -155,8 +153,6 @@ def parse_graph6(text: "str | bytes") -> Graph:
             raise Graph6Error("header byte outside graph6 range", 0)
         n = data[0] - 63
         body_start = 1
-    if n > MAX_VERTICES:
-        raise Graph6Error(f"vertex count {n} exceeds cap {MAX_VERTICES}", 0)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     body = data[body_start:]
@@ -204,6 +200,8 @@ def graph6_label(g: Graph) -> str:
     """graph6 for any supported size, using the long-form header above 62."""
     if g.n <= _G6_MAX_SHORT:
         return emit_graph6(g)
+    if g.n > 258047:
+        raise ValueError(f"graph6 four-byte header supports n <= 258047, got {g.n}")
     header = chr(126) + "".join(chr((g.n >> shift & 0x3F) + 63)
                                 for shift in (12, 6, 0))
     return header + _graph6_body(g)
@@ -361,7 +359,7 @@ def colored_fragment_occurs(host: MarkedPair, fragment: MarkedPair) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Connectivity, cuts, twins.
+# Connectivity, cuts, clique covers, twins.
 
 
 def is_connected(g: Graph) -> bool:
@@ -405,15 +403,20 @@ def is_k_connected(g: Graph, k: int) -> bool:
     """True iff |V| >= k+1 and no vertex set of size <= k-1 disconnects g."""
     if k < 1:
         raise ValueError("k must be positive")
-    if g.n < k + 1:
+    return _k_connected_within(g, (1 << g.n) - 1, k)
+
+
+def _k_connected_within(g: Graph, allowed: int, k: int) -> bool:
+    """is_k_connected for the subgraph induced by the vertex mask `allowed`."""
+    vertices = _bits(allowed)
+    if len(vertices) < k + 1:
         return False
-    full = (1 << g.n) - 1
     for size in range(k):
-        for cut in combinations(range(g.n), size):
+        for cut in combinations(vertices, size):
             mask = 0
             for v in cut:
                 mask |= 1 << v
-            if not _connected_within(g, full & ~mask):
+            if not _connected_within(g, allowed & ~mask):
                 return False
     return True
 
@@ -436,6 +439,31 @@ def enumerate_2cuts(g: Graph) -> list[tuple[tuple[int, int], bool, list[list[int
             comps = components_within(g, allowed)
             out.append(((u, v), g.has_edge(u, v), comps))
     return out
+
+
+def clique_cover_at_most(g: Graph, vertices: Sequence[int], budget: int) -> bool:
+    """Can g[vertices] be covered by at most `budget` cliques?  Equivalent to
+    coloring the complement of g[vertices] with `budget` colors."""
+    cliques: list[int] = []  # vertex mask of each clique opened so far
+
+    def place(i: int) -> bool:
+        if i == len(vertices):
+            return True
+        v = vertices[i]
+        for c, members in enumerate(cliques):
+            if members & ~g.adj[v] == 0:
+                cliques[c] = members | 1 << v
+                if place(i + 1):
+                    return True
+                cliques[c] = members
+        if len(cliques) < budget:
+            cliques.append(1 << v)
+            if place(i + 1):
+                return True
+            cliques.pop()
+        return False
+
+    return place(0)
 
 
 def twins(g: Graph, v: int) -> tuple[list[int], list[int]]:
@@ -491,10 +519,6 @@ def complete_multipartite(*sizes: int) -> Graph:
         part.extend([i] * s)
     return Graph.from_edges(n, [(u, v) for u, v in combinations(range(n), 2)
                                 if part[u] != part[v]])
-
-
-def complete_bipartite(a: int, b: int) -> Graph:
-    return complete_multipartite(a, b)
 
 
 def bull_graph() -> Graph:

@@ -2,13 +2,14 @@
 
 Vertices are symbolic (rationals, rational pairs, integer tuples); adjacency
 is decided exactly, never through floating point.  sqrt(2) comparisons go
-through quadratic-field sign computation, and pi comparisons walk a table of
-continued-fraction enclosures until one side is certain (any rational input
-differs from pi, so a deep enough table always decides).
+through quadratic-field sign computation, and pi comparisons through nested
+rational enclosures from Machin's formula, tightened until one side is
+certain (any rational input differs from pi, so every comparison decides).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -95,53 +96,41 @@ class QuadValue:
         return f"QuadValue({self.a}, {self.b})"
 
 
-# Continued-fraction coefficients of pi; enough terms to separate pi from any
-# rational with denominator below ~1e20.
-_PI_CF = (3, 7, 15, 1, 292, 1, 1, 1, 2, 1, 3, 1, 14, 2, 1, 1, 2, 2, 2, 2,
-          1, 84, 2, 1, 1, 15, 3, 13, 1, 4, 2, 6, 6, 99, 1, 2, 2, 6, 3, 5, 1, 1)
+def _atan_inverse_bounds(x: int, terms: int) -> tuple[Fraction, Fraction]:
+    """(lo, hi) around atan(1/x): the partial sums of the alternating series
+    after an even number of terms (below) and one term more (above)."""
+    total = Fraction(0)
+    for k in range(terms):
+        total += Fraction((-1) ** k, (2 * k + 1) * x ** (2 * k + 1))
+    return total, total + Fraction(1, (2 * terms + 1) * x ** (2 * terms + 1))
 
 
-def _convergents() -> list[Fraction]:
-    out = []
-    p0, q0, p1, q1 = 1, 0, _PI_CF[0], 1
-    out.append(Fraction(p1, q1))
-    for a in _PI_CF[1:]:
-        p0, p1 = p1, a * p1 + p0
-        q0, q1 = q1, a * q1 + q0
-        out.append(Fraction(p1, q1))
-    return out
-
-
-_PI_CONVERGENTS = _convergents()
-
-
-class PiComparisonExhausted(ArithmeticError):
-    """The fixed convergent table could not separate the input from pi."""
-
-
+@functools.lru_cache(maxsize=None)
 def pi_bounds(depth: int = 3) -> tuple[Fraction, Fraction]:
     """Rational (lo, hi) with lo < pi < hi; deeper means tighter.
 
-    depth=0 gives (3, 22/7); depth grows two convergents at a time.
+    Machin's formula pi = 16 atan(1/5) - 4 atan(1/239) with 2 * 2**depth
+    series terms per arctangent.  The enclosures nest, because the brackets
+    of an alternating series with decreasing terms do; depth 1 already lies
+    inside [333/106, 355/113].
     """
-    idx = 2 * depth
-    if idx + 1 >= len(_PI_CONVERGENTS):
-        raise PiComparisonExhausted(f"no enclosure at depth {depth}")
-    return _PI_CONVERGENTS[idx], _PI_CONVERGENTS[idx + 1]
+    lo5, hi5 = _atan_inverse_bounds(5, 2 << depth)
+    lo239, hi239 = _atan_inverse_bounds(239, 2 << depth)
+    return 16 * lo5 - 4 * hi239, 16 * hi5 - 4 * lo239
 
 
 def compare_to_pi(q: Fraction) -> int:
-    """-1 if q < pi, +1 if q > pi.  Exact; rational q never equals pi."""
+    """-1 if q < pi, +1 if q > pi.  Exact: the enclosure of pi tightens until
+    it excludes q, which always happens because rational q never equals pi."""
     q = Fraction(q)
-    # Even-indexed convergents sit below pi, odd-indexed above.
-    for i, c in enumerate(_PI_CONVERGENTS):
-        if i % 2 == 0:
-            if q <= c:
-                return -1
-        else:
-            if q >= c:
-                return 1
-    raise PiComparisonExhausted(f"convergent table exhausted for {q}")
+    depth = 0
+    while True:
+        lo, hi = pi_bounds(depth)
+        if q <= lo:
+            return -1
+        if q >= hi:
+            return 1
+        depth += 1
 
 
 def _check_vertex(kind: OracleKind, v: OracleVertex) -> None:

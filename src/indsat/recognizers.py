@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Graph, bull_graph, is_isomorphic, is_k_connected, path_graph
+from .graphs import (Graph, bull_graph, components_within, is_isomorphic,
+                     is_k_connected, path_graph)
 
 PERMUTATION_BUDGET = 13
 
@@ -36,32 +37,8 @@ def classify_trivial(g: Graph) -> str:
     return TRIVIAL_NONE
 
 
-def is_trivial(g: Graph) -> bool:
-    return classify_trivial(g) != TRIVIAL_NONE
-
-
-def _component_count(g: Graph) -> int:
-    seen = 0
-    count = 0
-    for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        count += 1
-        frontier = 1 << v
-        while frontier:
-            seen |= frontier
-            nxt = 0
-            mask = frontier
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                nxt |= g.adj[low.bit_length() - 1]
-            frontier = nxt & ~seen
-    return count
-
-
 def is_forest(g: Graph) -> bool:
-    return g.edge_count() == g.n - _component_count(g)
+    return g.edge_count() == g.n - len(components_within(g, (1 << g.n) - 1))
 
 
 def forest_unique_max(g: Graph) -> Optional[tuple[int, int]]:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .graphs import Graph, bull_graph, find_induced
+from .graphs import Graph, bull_graph, clique_cover_at_most, find_induced
 from .oracles import (GRID_CLIQUE, RATIONAL_GEOMETRIC, RATIONAL_GEOMETRIC_KIND,
                       TORERO, TORERO_KIND, UP_RIGHT, Z3_AGREE, Z3_AGREE_KIND,
                       OracleKind, compare_to_pi, oracle_window)
@@ -165,26 +165,8 @@ def sample_window(kind: OracleKind, size: int, rng: random.Random):
 
 
 def neighborhood_two_clique_cover(g: Graph, v: int) -> bool:
-    """Can N(v) be covered by two cliques?  Checked as bipartiteness of the
-    complement of the neighborhood subgraph."""
-    nbrs = g.neighbors(v)
-    sub = g.induced(nbrs)
-    color = [-1] * sub.n
-    for start in range(sub.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            a = stack.pop()
-            for b in range(sub.n):
-                if a != b and not sub.has_edge(a, b):  # complement edge
-                    if color[b] == -1:
-                        color[b] = 1 - color[a]
-                        stack.append(b)
-                    elif color[b] == color[a]:
-                        return False
-    return True
+    """Can N(v) be covered by two cliques?"""
+    return clique_cover_at_most(g, g.neighbors(v), 2)
 
 
 def max_independent_in_neighborhood(g: Graph, v: int) -> int:
@@ -360,47 +342,16 @@ def _rg_witness_at(pattern: Graph, add: bool, r: Fraction):
             if adj:
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
-    full = (1 << npool) - 1
-
-    want_edge = add  # status of the pattern pair landing on (0, r) afterwards
-    n = pattern.n
-    for pu in range(n):
-        for pv in range(n):
-            if pu == pv or pattern.has_edge(pu, pv) != want_edge:
+    host = Graph(npool, masks)
+    for pu in range(pattern.n):
+        for pv in range(pattern.n):
+            # The pattern pair landing on (0, r) must have the perturbed status.
+            if pu == pv or pattern.has_edge(pu, pv) != add:
                 continue
-            order = [pu, pv]
-            remaining = set(range(n)) - {pu, pv}
-            while remaining:
-                nxt = max(remaining,
-                          key=lambda p: (sum(pattern.has_edge(p, q) for q in order), -p))
-                order.append(nxt)
-                remaining.discard(nxt)
-            assign = [-1] * n
-            assign[pu], assign[pv] = 0, 1
-
-            def backtrack(depth: int, used: int) -> bool:
-                if depth == n:
-                    return True
-                p = order[depth]
-                cand = full & ~used
-                for q in order[:depth]:
-                    if pattern.has_edge(p, q):
-                        cand &= masks[assign[q]]
-                    else:
-                        cand &= ~masks[assign[q]]
-                while cand:
-                    low = cand & -cand
-                    cand ^= low
-                    assign[p] = low.bit_length() - 1
-                    if backtrack(depth + 1, used | low):
-                        return True
-                assign[p] = -1
-                return False
-
-            if backtrack(2, 0b11):
-                values = [pool_vals[assign[p]] for p in range(n)]
-                anchors = {p: p for p in range(n)}
-                return values, (pu, pv), anchors
+            found = find_induced(host, pattern, {pu: 0, pv: 1})
+            if found is not None:
+                values = [pool_vals[i] for i in found]
+                return values, (pu, pv), {p: p for p in range(pattern.n)}
     return None
 
 

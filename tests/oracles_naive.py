@@ -6,14 +6,20 @@ dict adjacency) and stays independent of the bitset code paths it checks.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from indsat.graphs import Graph
 
 
-def naive_find_induced(host: Graph, pattern: Graph):
-    """Try every injection pattern -> host; return one induced embedding."""
-    for image in permutations(range(host.n), pattern.n):
+def naive_find_induced(host: Graph, pattern: Graph, anchors=None):
+    """Try every injection pattern -> host extending the `anchors` dict;
+    return one induced embedding."""
+    anchors = anchors or {}
+    free = [p for p in range(pattern.n) if p not in anchors]
+    spare = [v for v in range(host.n) if v not in anchors.values()]
+    for picked in permutations(spare, len(free)):
+        where = {**anchors, **dict(zip(free, picked))}
+        image = tuple(where[p] for p in range(pattern.n))
         if all(pattern.has_edge(p, q) == host.has_edge(image[p], image[q])
                for p, q in combinations(range(pattern.n), 2)):
             return image
@@ -82,6 +88,16 @@ def naive_has_cycle(g: Graph) -> bool:
                     return True
                 seen.add(w)
                 stack.append((w, v))
+    return False
+
+
+def naive_clique_cover_at_most(g: Graph, vertices, budget: int) -> bool:
+    """Try every labeling of `vertices` by `budget` labels; a cover exists
+    when some labeling makes each label class a clique."""
+    for labels in product(range(budget), repeat=len(vertices)):
+        if all(labels[i] != labels[j] or g.has_edge(vertices[i], vertices[j])
+               for i, j in combinations(range(len(vertices)), 2)):
+            return True
     return False
 
 

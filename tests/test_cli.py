@@ -9,6 +9,7 @@ from indsat.graphs import (bull_graph, complete_graph, cycle_graph, emit_graph6,
                            icosahedron_complement, path_graph)
 
 SCHEMA = json.loads(Path("src/indsat/schema.json").read_text())
+GOLDEN = Path(__file__).with_name("golden")
 
 
 def run_json(capsys, argv):
@@ -122,6 +123,14 @@ class TestOtherCommands:
         assert payload["labels"] == ["1/5", "2/5", "4/5"]
         validate(payload)
 
+    def test_oracle_decides_a_fifty_digit_pi_approximation(self, capsys):
+        near_pi = "3.14159265358979323846264338327950288419716939937510"
+        code, payload = run_json(capsys, ["oracle", "--kind", "rational_geometric",
+                                          "--vertices", json.dumps(["0", near_pi])])
+        assert code == EXIT_OK
+        assert payload["graph"] == "A_"  # the distance is just below pi: an edge
+        validate(payload)
+
     def test_replay(self, capsys):
         code, payload = run_json(capsys, ["replay"])
         assert code == EXIT_OK and payload["all_passed"]
@@ -150,3 +159,15 @@ class TestDocs:
         out = tmp_path / "examples.md"
         assert main(["docs", "--out", str(out)]) == EXIT_OK
         assert out.read_text().startswith("# Worked certificates")
+
+
+class TestGolden:
+    """The docs fragment and the replay report, byte for byte as committed."""
+
+    def test_docs_output(self, capsys):
+        assert main(["docs"]) == EXIT_OK
+        assert capsys.readouterr().out == (GOLDEN / "docs.md").read_text()
+
+    def test_replay_output(self, capsys):
+        assert main(["replay"]) == EXIT_OK
+        assert capsys.readouterr().out == (GOLDEN / "replay.json").read_text()

@@ -3,7 +3,7 @@ import pytest
 from indsat.constructions import (CapacityError, GATEKEEPER_GLUE, K2P_EDGE,
                                   K2P_NONEDGE, K11P_EDGE, K11P_NONEDGE,
                                   PreconditionError, TWIN_DUPLICATE, blowup_graph,
-                                  core_extension_step, dequeue_order, fix_pair,
+                                  core_extension_step, fix_pair,
                                   glue, glue_with_map, initial_state,
                                   priority_position, schedule_fixes)
 from indsat.gatekeeper import CLIQUE_MODE, blowup_mode
@@ -268,7 +268,8 @@ class TestScheduleFixes:
 
     def test_dequeue_prefix_matches_enumeration(self):
         state = initial_state(complete_graph(4), m=1)  # six pairs in gen 1
-        assert dequeue_order(state, 6) == [(1, j) for j in range(1, 7)]
+        entries = sorted(state.queue, key=lambda e: e.position)
+        assert [(e.i, e.j) for e in entries] == [(1, j) for j in range(1, 7)]
 
     def test_states_nest_as_induced_subgraphs(self):
         states = schedule_fixes(path_graph(4), cycle_graph(5), steps=3, m=1,

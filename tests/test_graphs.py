@@ -1,18 +1,21 @@
 import random
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from indsat.graphs import (EDGE, NONEDGE, Graph, Graph6Error, MarkedPair,
-                           bull_graph, colored_fragment_occurs, complement,
+                           _k_connected_within, bull_graph, clique_cover_at_most,
+                           colored_fragment_occurs, complement,
                            complete_graph, complete_multipartite, cycle_graph,
                            emit_graph6, empty_graph, enumerate_2cuts,
                            find_induced, icosahedron_complement, is_connected,
                            is_isomorphic, is_k_connected, parse_graph6,
                            path_graph, twins)
 from gensmall import graphs_on, graphs_up_to
-from oracles_naive import (naive_2cuts, naive_find_induced, naive_is_connected,
+from oracles_naive import (naive_2cuts, naive_clique_cover_at_most,
+                           naive_find_induced, naive_is_connected,
                            naive_k_connected, naive_twins, random_graph)
 
 
@@ -76,10 +79,12 @@ class TestGraph6:
     def test_label_round_trip_at_cap(self):
         from indsat.graphs import graph6_label
         rng = random.Random(6464)
-        for n in (63, 64):
+        for n in (63, 64, 65, 100, 191):
             g = random_graph(rng, n)
             assert parse_graph6(graph6_label(g)) == g
         assert graph6_label(parse_graph6("Dr[")) == "Dr["
+        with pytest.raises(ValueError):  # beyond the four-byte header
+            graph6_label(SimpleNamespace(n=258048))
 
     @given(st.integers(1, 9), st.randoms())
     @settings(max_examples=60, deadline=None)
@@ -150,6 +155,27 @@ class TestFindInduced:
                 (naive_find_induced(host, pattern) is None)
 
 
+    def test_anchored_beyond_64_vertices_agrees_with_naive_oracle(self):
+        rng = random.Random(6565)
+        outcomes = set()
+        for _ in range(40):
+            host = random_graph(rng, rng.randint(65, 80), rng.choice([0.05, 0.5, 0.95]))
+            pattern = random_graph(rng, 4)
+            pairs = [(a, b) for a, b in combinations(range(64, host.n), 2)
+                     if host.has_edge(a, b) == pattern.has_edge(0, 1)]
+            if not pairs:
+                continue
+            anchors = dict(zip((0, 1), rng.choice(pairs)))
+            emb = find_induced(host, pattern, anchors)
+            assert (emb is None) == (naive_find_induced(host, pattern, anchors) is None)
+            if emb is not None:
+                assert (emb[0], emb[1]) == (anchors[0], anchors[1])
+                assert all(pattern.has_edge(p, q) == host.has_edge(emb[p], emb[q])
+                           for p, q in combinations(range(4), 2))
+            outcomes.add(emb is None)
+        assert outcomes == {True, False}
+
+
 class TestColoredFragments:
     def test_single_marked_edge_trivially_occurs(self):
         host = MarkedPair.of(cycle_graph(5), (0, 1))
@@ -191,6 +217,16 @@ class TestConnectivity:
             for k in (1, 2, 3):
                 assert is_k_connected(g, k) == naive_k_connected(g, k)
 
+    def test_masked_vs_naive_on_induced_subgraph(self):
+        rng = random.Random(1010)
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(1, 10), rng.choice([0.3, 0.5, 0.8]))
+            subset = [v for v in range(g.n) if rng.random() < 0.7]
+            mask = sum(1 << v for v in subset)
+            for k in (1, 2, 3):
+                assert _k_connected_within(g, mask, k) == \
+                    naive_k_connected(g.induced(subset), k)
+
     def test_2cuts_golden(self):
         cuts = enumerate_2cuts(parse_graph6("Dr["))
         assert len(cuts) == 1
@@ -222,6 +258,25 @@ class TestConnectivity:
                                  for v in range(g.n))
             if enumerate_2cuts(g) or has_cut_vertex:
                 assert not is_k_connected(g, 3)
+
+
+class TestCliqueCover:
+    def test_examples(self):
+        c5 = cycle_graph(5)
+        assert not clique_cover_at_most(c5, range(5), 2)
+        assert clique_cover_at_most(c5, range(5), 3)
+        assert clique_cover_at_most(c5, [], 0)
+        assert not clique_cover_at_most(c5, [0], 0)
+
+    def test_vs_naive_partition_oracle(self):
+        rng = random.Random(777)
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(1, 7), rng.choice([0.3, 0.5, 0.8]))
+            vertices = [v for v in range(g.n) if rng.random() < 0.8]
+            rng.shuffle(vertices)
+            for budget in range(4):
+                assert clique_cover_at_most(g, vertices, budget) == \
+                    naive_clique_cover_at_most(g, vertices, budget)
 
 
 class TestTwins:

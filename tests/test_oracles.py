@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from indsat.graphs import find_induced, path_graph
 from indsat.oracles import (QuadValue, RATIONAL_GEOMETRIC_KIND,
                             TORERO_KIND, UP_RIGHT_KIND, Z3_AGREE_KIND,
-                            _PI_CONVERGENTS, compare_to_pi, fraction_from_str,
+                            compare_to_pi, fraction_from_str,
                             fraction_to_str, grid_clique, kind_from_json,
                             kind_to_json, oracle_adjacent, oracle_window,
                             pi_bounds, vertex_from_json, vertex_to_json)
@@ -46,13 +46,13 @@ class TestQuadValue:
 
 
 class TestPi:
-    def test_convergents_alternate_around_pi(self):
-        for i, c in enumerate(_PI_CONVERGENTS):
-            approx = mpmath.mpf(c.numerator) / c.denominator
-            if i % 2 == 0:
-                assert approx < _PI
-            else:
-                assert approx > _PI
+    def test_bounds_bracket_pi(self):
+        # Depth 6 is about 180 digits; compare well above that precision.
+        with mpmath.workdps(300):
+            for depth in range(7):
+                lo, hi = pi_bounds(depth)
+                assert mpmath.mpf(lo.numerator) / lo.denominator < mpmath.pi
+                assert mpmath.mpf(hi.numerator) / hi.denominator > mpmath.pi
 
     def test_bounds_nest(self):
         lo0, hi0 = pi_bounds(0)
