@@ -7,6 +7,12 @@ induced-embedding search (plain, anchored and colored), connectivity, 2-cut
 enumeration, clique covers and twin detection.  All values are immutable
 after construction and every operation is a pure function, so graphs can be
 shared freely between threads or worker processes.
+
+Validation happens once, where rows enter from outside: `Graph(...)`,
+`Graph.from_edges` and `parse_graph6` check every row (O(n^2)).  Graphs
+derived from an existing graph -- `toggled`, `induced` and `complement` --
+check only their own arguments and inherit validity, since each maps a
+symmetric loop-free row set to another one.
 """
 
 from __future__ import annotations
@@ -49,6 +55,14 @@ class Graph:
         self.adj = tuple(adj)
 
     @classmethod
+    def _derived(cls, n: int, rows: Sequence[int]) -> "Graph":
+        """Wrap rows derived from a validated graph, skipping the O(n^2) checks."""
+        g = object.__new__(cls)
+        g.n = n
+        g.adj = tuple(rows)
+        return g
+
+    @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         rows = [0] * n
         for u, v in edges:
@@ -83,17 +97,25 @@ class Graph:
     def neighbors(self, v: int) -> list[int]:
         return _bits(self.adj[v])
 
+    def _check_vertex(self, v: int) -> None:
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range for n={self.n}")
+
     def toggled(self, u: int, v: int) -> "Graph":
         """New graph with the pair {u,v} perturbed (edge deleted or added)."""
         if u == v:
             raise ValueError("cannot perturb a vertex with itself")
+        self._check_vertex(u)
+        self._check_vertex(v)
         rows = list(self.adj)
         rows[u] ^= 1 << v
         rows[v] ^= 1 << u
-        return Graph(self.n, rows)
+        return Graph._derived(self.n, rows)
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
         """Induced subgraph; result vertex i corresponds to vertices[i]."""
+        for v in vertices:
+            self._check_vertex(v)
         if len(set(vertices)) != len(vertices):
             raise ValueError("duplicate vertices")
         pos = {v: i for i, v in enumerate(vertices)}
@@ -102,7 +124,7 @@ class Graph:
             for w in _bits(self.adj[v]):
                 if w in pos:
                     rows[i] |= 1 << pos[w]
-        return Graph(len(vertices), rows)
+        return Graph._derived(len(vertices), rows)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
@@ -225,7 +247,7 @@ def _graph6_body(g: Graph) -> str:
 
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
-    return Graph(g.n, [(~g.adj[v]) & full & ~(1 << v) for v in range(g.n)])
+    return Graph._derived(g.n, [(~g.adj[v]) & full & ~(1 << v) for v in range(g.n)])
 
 
 # ---------------------------------------------------------------------------
@@ -259,16 +281,17 @@ def find_induced(host: Graph, pattern: Graph,
     if np_ == 0:
         return ()
 
+    padj = pattern.adj
     order = sorted(anchors)
+    placed = sum(1 << p for p in order)
     remaining = set(range(np_)) - set(order)
     while remaining:
         nxt = max(remaining,
-                  key=lambda p: (sum(pattern.has_edge(p, q) for q in order),
-                                 pattern.degree(p), -p))
+                  key=lambda p: ((padj[p] & placed).bit_count(), padj[p].bit_count(), -p))
         order.append(nxt)
+        placed |= 1 << nxt
         remaining.discard(nxt)
 
-    padj = pattern.adj
     hadj = host.adj
     full = (1 << nh) - 1
     assign = [-1] * np_

@@ -8,6 +8,7 @@ hand-picked sketch values, with exact arithmetic throughout.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -93,10 +94,12 @@ def pair_fixed_check(g: Graph, h: Graph, pair: tuple[int, int],
     u, v = pair
     if not (0 <= u < g.n and 0 <= v < g.n and u != v):
         raise ValueError(f"pair {pair} not in graph")
-    others = [p for p in combinations(range(g.n), 2) if set(p) != {u, v}]
+    target = g.toggled(u, v)
+    others = ([p for p in combinations(range(g.n), 2) if set(p) != {u, v}]
+              if adversary_budget >= 1 else [])
 
     def run(extra: Sequence[tuple[int, int]]) -> Optional[tuple]:
-        perturbed = g.toggled(u, v)
+        perturbed = target
         for a, b in extra:
             perturbed = perturbed.toggled(a, b)
         if find_induced(perturbed, h) is None:
@@ -106,8 +109,7 @@ def pair_fixed_check(g: Graph, h: Graph, pair: tuple[int, int],
     sets_checked = 0
     exhaustive_size = 0
     for size in range(0, min(adversary_budget, 2) + 1):
-        count = 1 if size == 0 else len(list(combinations(range(len(others)), size)))
-        if size > 0 and count > EXHAUSTIVE_PAIRSET_LIMIT:
+        if math.comb(len(others), size) > EXHAUSTIVE_PAIRSET_LIMIT:
             break
         for extra in combinations(others, size):
             sets_checked += 1
@@ -312,6 +314,7 @@ def _rg_pool(r: Fraction, step: Fraction) -> list[Fraction]:
 # spans above pi; a span too close to pi leaves no room for the witness.
 _RG_DELETE_SPANS = (Fraction(2), Fraction(3, 2), Fraction(5, 2), Fraction(1))
 _RG_ADD_SPANS = (Fraction(4), Fraction(9, 2), Fraction(7, 2), Fraction(5))
+_RG_STEP = Fraction(1, 8)  # every span above is a multiple of it
 
 
 def rational_geometric_witness(pattern: Graph, add: bool,
@@ -329,20 +332,36 @@ def rational_geometric_witness(pattern: Graph, add: bool,
     return None
 
 
-def _rg_witness_at(pattern: Graph, add: bool, r: Fraction):
+def _rg_host(r: Fraction) -> tuple[list[Fraction], Graph]:
+    """The grid pool (0 and r first) and its rational-geometric graph with
+    the pair {0, r} perturbed.
+
+    Every pool value is a multiple of _RG_STEP, so adjacency depends only on
+    the grid distance d, and compare_to_pi runs once per distinct d.
+    """
     pool_vals = [Fraction(0), r]
-    pool_vals += [v for v in _rg_pool(r, Fraction(1, 8)) if v not in pool_vals]
+    pool_vals += [v for v in _rg_pool(r, _RG_STEP) if v not in pool_vals]
+    ticks = [int(v / _RG_STEP) for v in pool_vals]
+    near: dict[int, bool] = {}  # grid distance -> distance below pi
     npool = len(pool_vals)
     masks = [0] * npool  # host adjacency after the perturbation, as bitmasks
     for i in range(npool):
+        ti = ticks[i]
         for j in range(i + 1, npool):
-            adj = compare_to_pi(abs(pool_vals[i] - pool_vals[j])) < 0
+            d = abs(ti - ticks[j])
+            adj = near.get(d)
+            if adj is None:
+                adj = near[d] = compare_to_pi(d * _RG_STEP) < 0
             if i == 0 and j == 1:
                 adj = not adj
             if adj:
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
-    host = Graph(npool, masks)
+    return pool_vals, Graph(npool, masks)
+
+
+def _rg_witness_at(pattern: Graph, add: bool, r: Fraction):
+    pool_vals, host = _rg_host(r)
     for pu in range(pattern.n):
         for pv in range(pattern.n):
             # The pattern pair landing on (0, r) must have the perturbed status.

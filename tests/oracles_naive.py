@@ -6,9 +6,12 @@ dict adjacency) and stays independent of the bitset code paths it checks.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from indsat.graphs import Graph
+from indsat.oracles import compare_to_pi
+from indsat.verifier import _rg_pool
 
 
 def naive_find_induced(host: Graph, pattern: Graph, anchors=None):
@@ -121,6 +124,25 @@ def naive_is_permutation_graph(g: Graph) -> bool:
                    for i in range(n) for j in range(i + 1, n)):
                 return True
     return False
+
+
+def naive_rg_host(r: Fraction) -> tuple[list[Fraction], list[int]]:
+    """Pool values and adjacency masks of the rational-geometric witness
+    host for span r: one exact pi comparison per vertex pair, then the pair
+    {0, r} perturbed."""
+    pool_vals = [Fraction(0), r]
+    pool_vals += [v for v in _rg_pool(r, Fraction(1, 8)) if v not in pool_vals]
+    npool = len(pool_vals)
+    masks = [0] * npool
+    for i in range(npool):
+        for j in range(i + 1, npool):
+            adj = compare_to_pi(abs(pool_vals[i] - pool_vals[j])) < 0
+            if i == 0 and j == 1:
+                adj = not adj
+            if adj:
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return pool_vals, masks
 
 
 def random_graph(rng, n: int, p: float = 0.5) -> Graph:

@@ -105,6 +105,45 @@ class TestComplement:
         assert icosahedron_complement().edge_count() == 36
 
 
+class TestDerivedGraphs:
+    """toggled, induced and complement skip the O(n^2) row checks of
+    Graph(...), so their arguments are checked and their results must be
+    valid by construction."""
+
+    @pytest.mark.parametrize("vertices, bad", [([-1, 3], -1), ([0, 7], 7)])
+    def test_induced_rejects_out_of_range_vertex(self, vertices, bad):
+        with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
+            path_graph(4).induced(vertices)
+
+    @pytest.mark.parametrize("u, v, bad", [(0, 9, 9), (-1, 2, -1)])
+    def test_toggled_rejects_out_of_range_vertex(self, u, v, bad):
+        with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
+            path_graph(4).toggled(u, v)
+
+    def test_duplicate_and_self_pair_still_rejected(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            path_graph(4).induced([1, 2, 1])
+        with pytest.raises(ValueError, match="itself"):
+            path_graph(4).toggled(2, 2)
+
+    @given(st.integers(1, 70), st.randoms())
+    @settings(max_examples=60, deadline=None)
+    def test_results_are_valid_and_match_a_naive_rebuild(self, n, rng):
+        g = random_graph(rng, n)
+        edges = set(g.edges())
+        picked = rng.sample(range(n), rng.randint(0, n))
+        derived = [(complement(g), g.non_edges()),
+                   (g.induced(picked),
+                    [(i, j) for i, j in combinations(range(len(picked)), 2)
+                     if (min(picked[i], picked[j]), max(picked[i], picked[j])) in edges])]
+        if n >= 2:
+            u, v = sorted(rng.sample(range(n), 2))
+            derived.append((g.toggled(v, u), sorted(edges ^ {(u, v)})))
+        for h, expected_edges in derived:
+            assert Graph(h.n, list(h.adj)) == h  # passes full validation
+            assert h == Graph.from_edges(h.n, expected_edges)
+
+
 class TestFindInduced:
     def test_p4_in_c5(self):
         emb = find_induced(cycle_graph(5), path_graph(4))

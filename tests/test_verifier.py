@@ -1,5 +1,8 @@
 import random
+import tracemalloc
 from fractions import Fraction
+
+import pytest
 
 from indsat.constructions import blowup_graph, initial_state, fix_pair, schedule_fixes
 from indsat.gatekeeper import CLIQUE_MODE
@@ -12,6 +15,7 @@ from indsat.verifier import (induced_saturated, is_free,
                              neighborhood_two_clique_cover, pair_fixed_check,
                              replay_construction_witnesses, sample_window)
 from gensmall import graphs_up_to
+from oracles_naive import naive_rg_host
 
 
 class TestIsFree:
@@ -75,6 +79,24 @@ class TestPairFixedCheck:
     def test_trivial_k2(self):
         result = pair_fixed_check(path_graph(2), path_graph(2), (0, 1))
         assert not result.passed()  # deleting the edge kills the only K2
+
+    def test_budget2_check_stays_small_in_memory(self):
+        # 1,127 other pairs: the size-1 sets are exhaustive, the C(1127, 2)
+        # size-2 sets exceed EXHAUSTIVE_PAIRSET_LIMIT and fall to the trials.
+        p4 = path_graph(4)
+        states = schedule_fixes(path_graph(2), p4, steps=200, m=2, family="twin")
+        state = next(s for s in states if s.graph.n == 48)
+        tracemalloc.start()
+        try:
+            result = pair_fixed_check(state.graph, p4, state.fixed_ledger[0].pair,
+                                      adversary_budget=2, trials=20, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.passed()
+        assert result.sets_checked == 1148
+        assert result.exhaustive_size == 1
+        assert peak < 2 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
     def test_report_shape(self):
         payload = pair_fixed_check(cycle_graph(4), path_graph(3), (0, 1),
@@ -174,6 +196,17 @@ class TestReplays:
         from indsat.graphs import find_induced
         assert find_induced(perturbed, bull_graph()) is not None
         assert find_induced(window, bull_graph()) is None
+
+    @pytest.mark.parametrize("add", [False, True])
+    def test_rg_host_matches_per_pair_comparisons(self, add):
+        from indsat.verifier import _RG_ADD_SPANS, _RG_DELETE_SPANS, _rg_host
+        for r in _RG_ADD_SPANS if add else _RG_DELETE_SPANS:
+            pool_vals, host = _rg_host(r)
+            want_vals, want_masks = naive_rg_host(r)
+            assert pool_vals == want_vals
+            assert list(host.adj) == want_masks
+            # The perturbed pair {0, r} has the status of the scenario.
+            assert host.has_edge(0, 1) == add
 
     def test_all_witness_replays_pass(self):
         report = replay_construction_witnesses()
