@@ -21,9 +21,10 @@ from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Optional, Sequence
 
 from . import cores
-from .gatekeeper import blowup_mode, check_gatekeeper, has_fixing_operation
-from .graphs import (EDGE, NONEDGE, Graph, Graph6Error, _k_connected_within,
-                     complement, graph6_label, is_isomorphic, parse_graph6)
+from .gatekeeper import (EDGE, NONEDGE, blowup_mode, check_gatekeeper,
+                         has_fixing_operation)
+from .graphs import (Graph, Graph6Error, _k_connected_within, complement,
+                     graph6_label, is_isomorphic, parse_graph6)
 from .recognizers import (PERMUTATION_BUDGET, TRIVIAL_NONE, classify_trivial,
                           close_to_permutation, forest_unique_max, is_bull_or_p4,
                           is_permutation_graph, is_3conn_nonclique, match_k2p_k11p)

@@ -134,15 +134,18 @@ def _cmd_prefix(args) -> int:
 def _cmd_oracle(args) -> int:
     spec = json.loads(Path(args.vertices).read_text() if Path(args.vertices).exists()
                       else args.vertices)
-    if isinstance(spec, dict):
-        kind = kind_from_json(spec["kind"])
-    elif ":" in args.kind:  # e.g. grid_clique:2
-        tag, p = args.kind.split(":")
-        kind = kind_from_json({"tag": tag, "p": int(p)})
-    else:
-        kind = kind_from_json({"tag": args.kind})
-    raw = spec["vertices"] if isinstance(spec, dict) else spec
-    vertices = [vertex_from_json(kind, v) for v in raw]
+    try:
+        if isinstance(spec, dict):
+            kind = kind_from_json(spec["kind"])
+        elif ":" in args.kind:  # e.g. grid_clique:2
+            tag, p = args.kind.split(":")
+            kind = kind_from_json({"tag": tag, "p": int(p)})
+        else:
+            kind = kind_from_json({"tag": args.kind})
+        raw = spec["vertices"] if isinstance(spec, dict) else spec
+        vertices = [vertex_from_json(kind, v) for v in raw]
+    except (KeyError, IndexError, TypeError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"malformed oracle spec: {type(exc).__name__}: {exc}") from exc
     window, labels = oracle_window(kind, vertices)
     from .oracles import vertex_to_json
     _emit({"kind": kind.tag, "graph": graph6_label(window),

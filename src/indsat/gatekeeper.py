@@ -17,9 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .graphs import (EDGE, NONEDGE, Graph, MarkedPair, colored_fragment_occurs,
-                     enumerate_2cuts, has_false_twin, has_true_twin,
-                     is_k_connected)
+from .graphs import (Graph, colored_fragment_occurs, enumerate_2cuts,
+                     is_k_connected, twins)
+
+# Gatekeeper kinds: the status of the candidate pair in h.
+EDGE = "edge"
+NONEDGE = "nonedge"
 
 CLIQUE_MODE = "clique"
 INDEP_MODE = "independent"
@@ -40,9 +43,10 @@ def blowup_mode(h: Graph, pair: tuple[int, int]) -> Optional[str]:
     u, v = pair
     if u == v:
         raise ValueError("pair vertices must be distinct")
-    if not has_true_twin(h, u) and not has_true_twin(h, v):
+    (true_u, false_u), (true_v, false_v) = twins(h, u), twins(h, v)
+    if not true_u and not true_v:
         return CLIQUE_MODE
-    if not has_false_twin(h, u) and not has_false_twin(h, v):
+    if not false_u and not false_v:
         return INDEP_MODE
     return None
 
@@ -84,27 +88,26 @@ class GatekeeperResult:
         }
 
 
-def _relevant_cuts(h: Graph, kind: str) -> list[tuple[tuple[int, int], list[list[int]]]]:
-    """Cuts that could carry a straddling copy: non-edge-2-cuts for an edge
-    candidate (glued pair is a non-edge of the host), edge-2-cuts for a
-    non-edge candidate."""
-    want_edge_cut = kind == NONEDGE
-    return [(pair, comps) for pair, is_edge, comps in enumerate_2cuts(h)
-            if is_edge == want_edge_cut]
+def _fragments(h: Graph) -> dict[str, list]:
+    """(cut, component, h[component + cut]) triples per candidate kind, in
+    cut-enumeration then component order.  Only cuts that could carry a
+    straddling copy count: non-edge 2-cuts for an edge candidate (the glued
+    pair is a non-edge of the host), edge 2-cuts for a non-edge candidate."""
+    out: dict[str, list] = {EDGE: [], NONEDGE: []}
+    for (u, v), is_edge, comps in enumerate_2cuts(h):
+        out[NONEDGE if is_edge else EDGE].extend(
+            ((u, v), comp, h.induced(comp + [u, v])) for comp in comps)
+    return out
 
 
-def _first_fragment(h: Graph, pair: tuple[int, int], kind: str,
-                    cuts) -> Optional[tuple[tuple[int, int], tuple[int, ...]]]:
-    """First (cut, component) whose marked fragment embeds in the perturbed h."""
-    host = MarkedPair.of(h.toggled(*pair), pair)
-    for cut, comps in cuts:
-        u, v = cut
-        for comp in comps:
-            vertices = list(comp) + [u, v]
-            frag_graph = h.induced(vertices)
-            frag = MarkedPair.of(frag_graph, (len(comp), len(comp) + 1))
-            if colored_fragment_occurs(host, frag):
-                return cut, tuple(comp)
+def _first_fragment(h: Graph, pair: tuple[int, int], fragments: list
+                    ) -> Optional[tuple[tuple[int, int], tuple[int, ...]]]:
+    """First (cut, component) whose marked fragment embeds in the perturbed h;
+    the fragment's red pair is its last two vertices."""
+    host = h.toggled(*pair)
+    for cut, comp, frag in fragments:
+        if colored_fragment_occurs(host, pair, frag, (len(comp), len(comp) + 1)):
+            return cut, tuple(comp)
     return None
 
 
@@ -118,7 +121,7 @@ def check_gatekeeper(h: Graph, pair: tuple[int, int], kind: str) -> bool:
         raise ValueError("check_gatekeeper requires a non-complete graph")
     if h.has_edge(*pair) != (kind == EDGE):
         raise ValueError("pair status does not match kind")
-    return _first_fragment(h, pair, kind, _relevant_cuts(h, kind)) is None
+    return _first_fragment(h, pair, _fragments(h)[kind]) is None
 
 
 def has_fixing_operation(h: Graph) -> GatekeeperResult:
@@ -136,7 +139,7 @@ def has_fixing_operation(h: Graph) -> GatekeeperResult:
         return GatekeeperResult(None, None, diagnostics=tuple(
             PairDiagnostic(p, COMPLETE_GRAPH) for p in all_pairs))
 
-    cuts_for = {EDGE: _relevant_cuts(h, EDGE), NONEDGE: _relevant_cuts(h, NONEDGE)}
+    fragments = _fragments(h)
     witness = {EDGE: None, NONEDGE: None}
     mode_of = {EDGE: None, NONEDGE: None}
     for kind, pairs in ((EDGE, h.edges()), (NONEDGE, h.non_edges())):
@@ -145,7 +148,7 @@ def has_fixing_operation(h: Graph) -> GatekeeperResult:
             if mode is None:
                 diags.append(PairDiagnostic(pair, TWIN_CONFLICT))
                 continue
-            found = _first_fragment(h, pair, kind, cuts_for[kind])
+            found = _first_fragment(h, pair, fragments[kind])
             if found is None:
                 witness[kind] = pair
                 mode_of[kind] = mode
@@ -160,7 +163,7 @@ def has_fixing_operation(h: Graph) -> GatekeeperResult:
 
 
 __all__ = [
-    "CLIQUE_MODE", "INDEP_MODE", "NOT_2CONNECTED", "COMPLETE_GRAPH",
-    "TWIN_CONFLICT", "FRAGMENT_FOUND", "PairDiagnostic", "GatekeeperResult",
-    "blowup_mode", "check_gatekeeper", "has_fixing_operation",
+    "EDGE", "NONEDGE", "CLIQUE_MODE", "INDEP_MODE", "NOT_2CONNECTED",
+    "COMPLETE_GRAPH", "TWIN_CONFLICT", "FRAGMENT_FOUND", "PairDiagnostic",
+    "GatekeeperResult", "blowup_mode", "check_gatekeeper", "has_fixing_operation",
 ]

@@ -75,26 +75,31 @@ class Graph:
         return cls(n, rows)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
+        # Hot path: plain comparisons and `== 1` (not bool()) keep the check cheap.
+        if u < 0 or v < 0 or u >= self.n or v >= self.n:
+            raise ValueError(f"pair ({u},{v}) out of range for n={self.n}")
+        return self.adj[u] >> v & 1 == 1
 
     def degree(self, v: int) -> int:
-        return bin(self.adj[v]).count("1")
+        self._check_vertex(v)
+        return self.adj[v].bit_count()
 
     def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted((self.degree(v) for v in range(self.n)), reverse=True))
+        return tuple(sorted((row.bit_count() for row in self.adj), reverse=True))
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in range(u + 1, self.n)
                 if self.adj[u] >> v & 1]
 
     def edge_count(self) -> int:
-        return sum(self.degree(v) for v in range(self.n)) // 2
+        return sum(row.bit_count() for row in self.adj) // 2
 
     def non_edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in range(u + 1, self.n)
                 if not self.adj[u] >> v & 1]
 
     def neighbors(self, v: int) -> list[int]:
+        self._check_vertex(v)
         return _bits(self.adj[v])
 
     def _check_vertex(self, v: int) -> None:
@@ -334,49 +339,24 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Marked pairs and colored fragment search (the red-pair machinery of the
-# gatekeeper check).
+# Colored fragment search (the red-pair machinery of the gatekeeper check).
 
 
-EDGE = "edge"
-NONEDGE = "nonedge"
+def colored_fragment_occurs(host: Graph, host_pair: tuple[int, int],
+                            fragment: Graph, fragment_pair: tuple[int, int]) -> bool:
+    """Does `fragment` embed induced in `host` with red pair on red pair?
 
-
-class MarkedPair:
-    """A graph with one distinguished ("red") vertex pair whose status is recorded."""
-
-    __slots__ = ("graph", "pair", "status")
-
-    def __init__(self, graph: Graph, pair: tuple[int, int], status: str):
-        u, v = pair
-        if u == v or not (0 <= u < graph.n and 0 <= v < graph.n):
-            raise ValueError(f"bad marked pair {pair}")
-        if status not in (EDGE, NONEDGE):
-            raise ValueError(f"bad status {status!r}")
-        if (status == EDGE) != graph.has_edge(u, v):
-            raise ValueError("marked status does not match actual adjacency")
-        self.graph = graph
-        self.pair = (u, v)
-        self.status = status
-
-    @classmethod
-    def of(cls, graph: Graph, pair: tuple[int, int]) -> "MarkedPair":
-        u, v = pair
-        return cls(graph, pair, EDGE if graph.has_edge(u, v) else NONEDGE)
-
-
-def colored_fragment_occurs(host: MarkedPair, fragment: MarkedPair) -> bool:
-    """Does the fragment embed induced in the host with red pair on red pair?
-
-    Both orientations of the red-pair alignment are tried.  Statuses must
-    agree for an embedding to exist; a mismatch simply yields False.
+    Both orientations of the red-pair alignment are tried.  Pairs of
+    different status (edge vs non-edge) cannot align, so that yields False.
     """
-    if host.status != fragment.status:
+    hu, hv = host_pair
+    fu, fv = fragment_pair
+    if hu == hv or fu == fv:
+        raise ValueError("red pair vertices must be distinct")
+    if host.has_edge(hu, hv) != fragment.has_edge(fu, fv):
         return False
-    fu, fv = fragment.pair
-    hu, hv = host.pair
     for anchors in ({fu: hu, fv: hv}, {fu: hv, fv: hu}):
-        if find_induced(host.graph, fragment.graph, anchors) is not None:
+        if find_induced(host, fragment, anchors) is not None:
             return True
     return False
 
@@ -457,9 +437,8 @@ def enumerate_2cuts(g: Graph) -> list[tuple[tuple[int, int], bool, list[list[int
     full = (1 << g.n) - 1
     out = []
     for u, v in combinations(range(g.n), 2):
-        allowed = full & ~(1 << u) & ~(1 << v)
-        if not _connected_within(g, allowed):
-            comps = components_within(g, allowed)
+        comps = components_within(g, full & ~(1 << u) & ~(1 << v))
+        if len(comps) > 1:
             out.append(((u, v), g.has_edge(u, v), comps))
     return out
 
@@ -503,14 +482,6 @@ def twins(g: Graph, v: int) -> tuple[list[int], list[int]]:
         if g.adj[u] == g.adj[v]:
             false_twins.append(u)
     return true_twins, false_twins
-
-
-def has_true_twin(g: Graph, v: int) -> bool:
-    return bool(twins(g, v)[0])
-
-
-def has_false_twin(g: Graph, v: int) -> bool:
-    return bool(twins(g, v)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,9 @@ def pair_fixed_check(g: Graph, h: Graph, pair: tuple[int, int],
     u, v = pair
     if not (0 <= u < g.n and 0 <= v < g.n and u != v):
         raise ValueError(f"pair {pair} not in graph")
+    if adversary_budget < 0 or trials < 0:
+        raise ValueError(f"adversary_budget ({adversary_budget}) and trials "
+                         f"({trials}) must be non-negative")
     target = g.toggled(u, v)
     others = ([p for p in combinations(range(g.n), 2) if set(p) != {u, v}]
               if adversary_budget >= 1 else [])

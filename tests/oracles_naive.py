@@ -148,3 +148,28 @@ def naive_rg_host(r: Fraction) -> tuple[list[Fraction], list[int]]:
 def random_graph(rng, n: int, p: float = 0.5) -> Graph:
     edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
     return Graph.from_edges(n, edges)
+
+
+def naive_gatekeeper(h: Graph, pair: tuple[int, int], kind: str) -> bool:
+    """Is `pair` (an "edge" or a "nonedge" of h, per `kind`) a gatekeeper?
+
+    By definition: no marked fragment h[C + {u,v}], for a 2-cut {u,v} of h
+    and a component C of h - {u,v}, embeds induced in h with `pair` deleted
+    (edge) or added (non-edge), red pair {u,v} landing on `pair` in either
+    order.  Every 2-cut is tried: one whose status differs from the
+    perturbed pair's cannot land there, and the embedding check says so.
+    """
+    x, y = sorted(pair)
+    edges = set(h.edges())
+    host = Graph.from_edges(h.n, edges - {(x, y)} if kind == "edge" else edges | {(x, y)})
+    for u, v in naive_2cuts(h):
+        for comp in naive_components(h, {u, v}):
+            vertices = sorted(comp) + [u, v]
+            fragment = Graph.from_edges(len(vertices), [
+                (i, j) for i, j in combinations(range(len(vertices)), 2)
+                if h.has_edge(vertices[i], vertices[j])])
+            red_u, red_v = len(vertices) - 2, len(vertices) - 1
+            for anchors in ({red_u: x, red_v: y}, {red_u: y, red_v: x}):
+                if naive_find_induced(host, fragment, anchors) is not None:
+                    return False
+    return True

@@ -14,8 +14,9 @@ import pytest
 
 from indsat.classifier import structure_check_12, sweep
 from indsat.constructions import blowup_graph, priority_position, schedule_fixes
-from indsat.gatekeeper import blowup_mode, check_gatekeeper, has_fixing_operation
-from indsat.graphs import (NONEDGE, Graph, cycle_graph, emit_graph6,
+from indsat.gatekeeper import (NONEDGE, blowup_mode, check_gatekeeper,
+                               has_fixing_operation)
+from indsat.graphs import (Graph, cycle_graph, emit_graph6,
                            enumerate_2cuts, find_induced, icosahedron_complement,
                            is_isomorphic, parse_graph6, path_graph, twins)
 from indsat.oracles import (RATIONAL_GEOMETRIC_KIND, TORERO_KIND, UP_RIGHT_KIND,

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from indsat.cli import (EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED,
                         generate_docs_examples, graph_from_spec, main)
@@ -75,6 +76,12 @@ class TestVerifyCommand:
         assert payload["pair_fixed_check"]["status"] == "fail"
         validate(payload)
 
+    @pytest.mark.parametrize("flag", [["--k", "-3"], ["--k", "1", "--trials", "-1"]])
+    def test_negative_budget_exit_1(self, capsys, flag):
+        code = main(["verify", "--g6", "C4", "--h", "P4", "--pair", "0,1", *flag])
+        assert code == EXIT_USAGE
+        assert "non-negative" in json.loads(capsys.readouterr().err)["error"]
+
 
 class TestSweepCommand:
     def test_small_sweep(self, tmp_path, capsys):
@@ -130,6 +137,16 @@ class TestOtherCommands:
         assert code == EXIT_OK
         assert payload["graph"] == "A_"  # the distance is just below pi: an edge
         validate(payload)
+
+    @pytest.mark.parametrize("spec", [
+        '{}', '{"kind":{"tag":"torero"}}', '{"kind":5,"vertices":[]}', '5',
+        '[[1]]', '["1/2",[3]]', '["1/0"]', '[1e400]',
+        '{"kind":{"tag":"up_right"},"vertices":[[1]]}'])
+    def test_oracle_malformed_spec_exit_1(self, capsys, spec):
+        code = main(["oracle", "--vertices", spec])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert "malformed oracle spec" in json.loads(captured.err)["error"]
 
     def test_replay(self, capsys):
         code, payload = run_json(capsys, ["replay"])

@@ -2,15 +2,16 @@ import random
 
 import pytest
 
-from indsat.gatekeeper import (CLIQUE_MODE, COMPLETE_GRAPH, FRAGMENT_FOUND,
-                               INDEP_MODE, NOT_2CONNECTED, blowup_mode,
+from indsat.gatekeeper import (CLIQUE_MODE, COMPLETE_GRAPH, EDGE, FRAGMENT_FOUND,
+                               INDEP_MODE, NONEDGE, NOT_2CONNECTED, blowup_mode,
                                check_gatekeeper, has_fixing_operation)
-from indsat.graphs import (EDGE, NONEDGE, Graph, complete_graph, cycle_graph,
-                           find_induced, parse_graph6, path_graph)
+from indsat.graphs import (Graph, colored_fragment_occurs, complete_graph,
+                           cycle_graph, enumerate_2cuts, find_induced,
+                           is_k_connected, parse_graph6, path_graph)
 from indsat.constructions import glue
 from indsat.recognizers import classify_trivial
 from gensmall import graphs_up_to
-from oracles_naive import random_graph
+from oracles_naive import naive_gatekeeper, random_graph
 
 
 def c5_with_pendant() -> Graph:
@@ -45,20 +46,18 @@ class TestCheckGatekeeper:
         # an edge, red pair added back).  Neither occurs in the host with the
         # degree-2 vertex's edge removed, making that edge a gatekeeper; the
         # deeper edges all admit the cherry fragment and fail.
-        from indsat.graphs import MarkedPair, colored_fragment_occurs
         dr = parse_graph6("Dr[")
-        fragments = []
-        for comp in ([0], [3, 4]):
-            frag_graph = dr.induced(comp + [1, 2])
-            fragments.append(
-                MarkedPair.of(frag_graph, (len(comp), len(comp) + 1)))
+        fragments = [(dr.induced(comp + [1, 2]), (len(comp), len(comp) + 1))
+                     for comp in ([0], [3, 4])]
         for edge in ((0, 1), (0, 2)):
-            host = MarkedPair.of(dr.toggled(*edge), edge)
-            assert all(not colored_fragment_occurs(host, f) for f in fragments)
+            host = dr.toggled(*edge)
+            assert all(not colored_fragment_occurs(host, edge, f, fp)
+                       for f, fp in fragments)
             assert check_gatekeeper(dr, edge, EDGE)
         for edge in ((1, 3), (3, 4)):
-            host = MarkedPair.of(dr.toggled(*edge), edge)
-            assert any(colored_fragment_occurs(host, f) for f in fragments)
+            host = dr.toggled(*edge)
+            assert any(colored_fragment_occurs(host, edge, f, fp)
+                       for f, fp in fragments)
             assert not check_gatekeeper(dr, edge, EDGE)
 
     def test_c5_both_kinds(self):
@@ -73,6 +72,20 @@ class TestCheckGatekeeper:
             check_gatekeeper(complete_graph(4), (0, 1), EDGE)  # complete
         with pytest.raises(ValueError):
             check_gatekeeper(cycle_graph(5), (0, 2), EDGE)  # status mismatch
+
+    def test_matches_naive_definition(self):
+        """Every pair of every 2-connected, non-complete graph on <= 6
+        vertices; this pins which 2-cuts each kind of candidate meets."""
+        verdicts = set()
+        for h in graphs_up_to(6):
+            if not is_k_connected(h, 2) or h.edge_count() == h.n * (h.n - 1) // 2:
+                continue
+            for kind, pairs in ((EDGE, h.edges()), (NONEDGE, h.non_edges())):
+                for pair in pairs:
+                    fast = check_gatekeeper(h, pair, kind)
+                    assert fast == naive_gatekeeper(h, pair, kind), (h, pair, kind)
+                    verdicts.add((kind, fast))
+        assert verdicts == {(EDGE, True), (EDGE, False), (NONEDGE, True), (NONEDGE, False)}
 
     def test_soundness_random_gluings(self):
         """A reported gatekeeper really keeps random h-free hosts h-free."""
@@ -99,16 +112,13 @@ class TestCheckGatekeeper:
         """If the component-only test finds nothing, neither does the
         attachment-aware test (the colored criterion is stronger)."""
         for h in graphs_up_to(6):
-            from indsat.graphs import is_k_connected
             if not is_k_connected(h, 2):
                 continue
             if h.edge_count() == h.n * (h.n - 1) // 2:
                 continue
-            from indsat.graphs import MarkedPair, colored_fragment_occurs, enumerate_2cuts
             cuts = enumerate_2cuts(h)
             for pair in h.edges():
                 host_graph = h.toggled(*pair)
-                host = MarkedPair.of(host_graph, pair)
                 for (u, v), is_edge, comps in cuts:
                     if is_edge:
                         continue
@@ -116,8 +126,8 @@ class TestCheckGatekeeper:
                         fragment_core = h.induced(comp)
                         component_found = find_induced(host_graph, fragment_core) is not None
                         frag_graph = h.induced(list(comp) + [u, v])
-                        frag = MarkedPair.of(frag_graph, (len(comp), len(comp) + 1))
-                        colored_found = colored_fragment_occurs(host, frag)
+                        colored_found = colored_fragment_occurs(
+                            host_graph, pair, frag_graph, (len(comp), len(comp) + 1))
                         if not component_found:
                             assert not colored_found
 

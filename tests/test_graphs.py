@@ -5,9 +5,8 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from indsat.graphs import (EDGE, NONEDGE, Graph, Graph6Error, MarkedPair,
-                           _k_connected_within, bull_graph, clique_cover_at_most,
-                           colored_fragment_occurs, complement,
+from indsat.graphs import (Graph, Graph6Error, _k_connected_within, bull_graph,
+                           clique_cover_at_most, colored_fragment_occurs, complement,
                            complete_graph, complete_multipartite, cycle_graph,
                            emit_graph6, empty_graph, enumerate_2cuts,
                            find_induced, icosahedron_complement, is_connected,
@@ -103,6 +102,26 @@ class TestComplement:
 
     def test_icosahedron_complement_edges(self):
         assert icosahedron_complement().edge_count() == 36
+
+
+class TestVertexRange:
+    """Row lookups reject vertices outside 0..n-1 instead of reading another
+    row (negative index) or a missing bit."""
+
+    @pytest.mark.parametrize("u, v", [(-1, 2), (0, 9), (9, 0)])
+    def test_has_edge_rejects_out_of_range_vertex(self, u, v):
+        with pytest.raises(ValueError, match="out of range"):
+            path_graph(4).has_edge(u, v)
+
+    @pytest.mark.parametrize("v", [-1, 4])
+    def test_neighbors_rejects_out_of_range_vertex(self, v):
+        with pytest.raises(ValueError, match=f"vertex {v} out of range"):
+            path_graph(4).neighbors(v)
+
+    @pytest.mark.parametrize("v", [-1, 4])
+    def test_degree_rejects_out_of_range_vertex(self, v):
+        with pytest.raises(ValueError, match=f"vertex {v} out of range"):
+            path_graph(4).degree(v)
 
 
 class TestDerivedGraphs:
@@ -217,32 +236,25 @@ class TestFindInduced:
 
 class TestColoredFragments:
     def test_single_marked_edge_trivially_occurs(self):
-        host = MarkedPair.of(cycle_graph(5), (0, 1))
-        frag = MarkedPair.of(path_graph(2), (0, 1))
-        assert colored_fragment_occurs(host, frag)
+        assert colored_fragment_occurs(cycle_graph(5), (0, 1), path_graph(2), (0, 1))
 
     def test_status_mismatch_is_false(self):
-        host = MarkedPair.of(cycle_graph(5), (0, 2))  # non-edge
-        frag = MarkedPair.of(path_graph(2), (0, 1))   # edge
-        assert not colored_fragment_occurs(host, frag)
+        # Red pair (0, 2) is a non-edge of C5; the fragment's is an edge.
+        assert not colored_fragment_occurs(cycle_graph(5), (0, 2), path_graph(2), (0, 1))
+
+    def test_red_pair_must_be_distinct(self):
+        with pytest.raises(ValueError, match="distinct"):
+            colored_fragment_occurs(cycle_graph(5), (0, 2), path_graph(3), (1, 1))
 
     def test_c5_plus_nonedge_path_fragment(self):
         # Marked pair (0, 2) of C5 with the chord added; fragment is the
         # marked path 0-1-2 through the cut.  Brute force says it occurs.
         c5 = cycle_graph(5)
         host_graph = c5.toggled(0, 2)
-        host = MarkedPair.of(host_graph, (0, 2))
         frag_graph = Graph.from_edges(3, [(0, 1), (1, 2)]).toggled(0, 2)
-        frag = MarkedPair.of(frag_graph, (0, 2))
-        assert colored_fragment_occurs(host, frag) == any(
+        assert colored_fragment_occurs(host_graph, (0, 2), frag_graph, (0, 2)) == any(
             host_graph.has_edge(0, w) and host_graph.has_edge(2, w)
             for w in range(5) if w not in (0, 2))
-
-    def test_status_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            MarkedPair(cycle_graph(5), (0, 1), NONEDGE)
-        with pytest.raises(ValueError):
-            MarkedPair(cycle_graph(5), (0, 2), EDGE)
 
 
 class TestConnectivity:

@@ -80,6 +80,12 @@ class TestPairFixedCheck:
         result = pair_fixed_check(path_graph(2), path_graph(2), (0, 1))
         assert not result.passed()  # deleting the edge kills the only K2
 
+    @pytest.mark.parametrize("budget, trials", [(-3, 0), (1, -1)])
+    def test_negative_budget_or_trials_rejected(self, budget, trials):
+        with pytest.raises(ValueError, match="non-negative"):
+            pair_fixed_check(cycle_graph(4), path_graph(4), (0, 1),
+                             adversary_budget=budget, trials=trials)
+
     def test_budget2_check_stays_small_in_memory(self):
         # 1,127 other pairs: the size-1 sets are exhaustive, the C(1127, 2)
         # size-2 sets exceed EXHAUSTIVE_PAIRSET_LIMIT and fall to the trials.
