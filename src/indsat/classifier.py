@@ -15,6 +15,7 @@ The two spellings turn out to be complements of each other.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement
@@ -118,14 +119,9 @@ def _first_case(target: Graph) -> Optional[tuple[str, dict]]:
     match = match_k2p_k11p(core2.graph)
     if match is not None:
         shape, p = match
-        if shape == "k2p" and p >= 3:
-            witness = _core_witness(core2, "two")
-            witness["p"] = p
-            return CORE_K2P, witness
-        if shape == "k11p" and p >= 2:
-            witness = _core_witness(core2, "two")
-            witness["p"] = p
-            return CORE_K11P, witness
+        witness = _core_witness(core2, "two")
+        witness["p"] = p
+        return (CORE_K2P if shape == "k2p" else CORE_K11P), witness
 
     core3 = cores.core(target, cores.THREE)
     if is_3conn_nonclique(core3.graph):
@@ -220,10 +216,9 @@ def replay_certificate(cert: Certificate) -> bool:
         if cores.rebuild(result, target.n) != target:
             return False
         cg = result.graph
-        if case == CORE_K2P:
-            return match_k2p_k11p(cg) == ("k2p", witness["p"])
-        if case == CORE_K11P:
-            return match_k2p_k11p(cg) == ("k11p", witness["p"])
+        if case in (CORE_K2P, CORE_K11P):
+            shape = "k2p" if case == CORE_K2P else "k11p"
+            return match_k2p_k11p(cg) == (shape, witness["p"])
         if case == CORE_3CONN:
             return is_3conn_nonclique(cg)
         if case == CORE_11_BULL_P4:
@@ -244,8 +239,7 @@ def replay_certificate(cert: Certificate) -> bool:
                 and is_permutation_graph(target.toggled(*nonedge)) is not None)
     if case in (SPECIAL_RATIONAL_GEOMETRIC, SPECIAL_Z3):
         base = parse_graph6(witness["table_key"])
-        probe = complement(h) if cert.complemented else h
-        return is_isomorphic(probe, base)
+        return is_isomorphic(target, base)
     return case in (THEOREM_VIOLATION, UNCLASSIFIED)
 
 
@@ -395,5 +389,6 @@ def structure_check_12(progress: bool = False) -> StructureReport:
                     {"a_size": a_size, "missed": [list(p) for p in missed]})
         report.shapes[shape] = shape_count
         if progress:
-            print(f"structure12: shape {shape} done ({shape_count} configurations)")
+            print(f"structure12: shape {shape} done ({shape_count} configurations)",
+                  file=sys.stderr)
     return report

@@ -20,7 +20,7 @@ from .constructions import FAMILIES, schedule_fixes
 from .gatekeeper import has_fixing_operation
 from .graphs import (Graph, Graph6Error, bull_graph, complete_graph, cycle_graph,
                      graph6_label, icosahedron_complement, parse_graph6, path_graph)
-from .oracles import kind_from_json, oracle_window, vertex_from_json
+from .oracles import kind_from_json, oracle_window, vertex_from_json, vertex_to_json
 from .verifier import (induced_saturated, is_free, pair_fixed_check,
                        replay_construction_witnesses)
 
@@ -56,7 +56,7 @@ def _emit(payload: dict, out: "str | None") -> None:
 
 
 def _input_graphs(args) -> list[Graph]:
-    if args.g6:
+    if args.g6 is not None:
         return [graph_from_spec(args.g6)]
     lines = Path(args.input).read_text().splitlines()
     return [parse_graph6(line) for line in lines if line.strip()]
@@ -118,7 +118,7 @@ def _cmd_prefix(args) -> int:
     seed_graph = graph_from_spec(args.g6)
     h = graph_from_spec(args.h)
     states = schedule_fixes(seed_graph, h, steps=args.steps, m=args.m,
-                            family=args.strategy, depth=args.depth)
+                            family=args.strategy)
     payload = {
         "seed": graph6_label(seed_graph), "h": graph6_label(h),
         "strategy": args.strategy, "m": args.m, "steps_completed": len(states) - 1,
@@ -147,7 +147,6 @@ def _cmd_oracle(args) -> int:
     except (KeyError, IndexError, TypeError, ZeroDivisionError, OverflowError) as exc:
         raise ValueError(f"malformed oracle spec: {type(exc).__name__}: {exc}") from exc
     window, labels = oracle_window(kind, vertices)
-    from .oracles import vertex_to_json
     _emit({"kind": kind.tag, "graph": graph6_label(window),
            "labels": [vertex_to_json(kind, v) for v in labels]}, args.out)
     return EXIT_OK
@@ -205,8 +204,16 @@ def _cmd_docs(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors instead of exiting with code 2, which the CLI
+    reserves for sweep incompleteness; `main` reports them as JSON errors."""
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="indsat",
         description="Classify finite graphs by saturating construction, build "
                     "finite prefixes, and verify saturation properties.")
@@ -214,14 +221,18 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the JSON schema for all outputs and exit")
     sub = parser.add_subparsers(dest="command")
 
+    g6_help = "inline graph6 string or named graph"
+
     def common(p, g6=True):
         p.add_argument("--out", help="write JSON here instead of stdout")
         if g6:
-            p.add_argument("--g6", help="inline graph6 string or named graph")
+            p.add_argument("--g6", required=True, help=g6_help)
 
     p = sub.add_parser("classify", help="certificate for one graph or a file of graphs")
-    common(p)
-    p.add_argument("--input", help="newline-delimited graph6 file")
+    common(p, g6=False)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--g6", help=g6_help)
+    source.add_argument("--input", help="newline-delimited graph6 file")
 
     p = sub.add_parser("sweep", help="classify a canonical graph6 stream")
     common(p, g6=False)
@@ -251,9 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=3)
     p.add_argument("--m", type=int, default=4)
     p.add_argument("--strategy", choices=FAMILIES, default="gatekeeper")
-    p.add_argument("--depth", type=int, default=2,
-                   help="K11p tree truncation depth (experimental; adequacy "
-                        "against multi-pair adversaries is unproven)")
 
     p = sub.add_parser("oracle", help="finite window of an infinite construction")
     common(p, g6=False)
@@ -283,15 +291,15 @@ _HANDLERS = {
 
 def main(argv: "list[str] | None" = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.json_schema:
-        schema = Path(__file__).with_name("schema.json").read_text()
-        print(schema, end="")
-        return EXIT_OK
-    if not args.command:
-        parser.print_help()
-        return EXIT_USAGE
     try:
+        args = parser.parse_args(argv)
+        if args.json_schema:
+            schema = Path(__file__).with_name("schema.json").read_text()
+            print(schema, end="")
+            return EXIT_OK
+        if not args.command:
+            parser.print_help()
+            return EXIT_USAGE
         return _HANDLERS[args.command](args)
     except (Graph6Error, ValueError, OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

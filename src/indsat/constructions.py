@@ -297,7 +297,7 @@ def _k2p_fix(g: Graph, pair: tuple[int, int], p: int, m: int, edge: bool) -> Gra
     return g1
 
 
-def _k11p_edge_fix(g: Graph, pair: tuple[int, int], p: int, m: int, depth: int) -> Graph:
+def _k11p_edge_fix(g: Graph, pair: tuple[int, int], p: int, m: int) -> Graph:
     x, y = pair
     common = [w for w in range(g.n) if g.has_edge(x, w) and g.has_edge(y, w)]
     if p == 2:
@@ -308,25 +308,17 @@ def _k11p_edge_fix(g: Graph, pair: tuple[int, int], p: int, m: int, depth: int) 
     if not clique_cover_at_most(g, common, p - 2):
         raise PreconditionError(
             f"common neighborhood not coverable by {p - 2} cliques")
-    if depth < 2:
-        raise ValueError("tree depth must be at least 2")
-    # Tree with root of degree 1 and inner degree p-1, blown into m-cliques;
-    # the root's blow-up is the glued pair itself.
+    # Tree with root of degree 1 and inner degree p-1, cut after two levels
+    # and blown into m-cliques; the root's blow-up is the glued pair itself,
+    # so its one child block sees x and y, and p-2 blocks below see that one.
     g1, t_block = _add_block(g, m, _mask([x, y]), clique=True)
-    frontier = [t_block]
-    for _level in range(2, depth + 1):
-        nxt = []
-        for parent in frontier:
-            for _child in range(p - 2):
-                g1, block = _add_block(g1, m, _mask(parent), clique=True)
-                nxt.append(block)
-        frontier = nxt
+    for _child in range(p - 2):
+        g1 = _add_block(g1, m, _mask(t_block), clique=True)[0]
     return g1
 
 
 def fix_pair(state: PrefixState, pair: tuple[int, int], strategy: str, h: Graph,
-             gatekeepers: Optional[GatekeeperResult] = None,
-             depth: int = 2) -> PrefixState:
+             gatekeepers: Optional[GatekeeperResult] = None) -> PrefixState:
     """Apply one fixing operation to a pair of the current prefix graph.
 
     For the K2P/K11P strategies, h must be the core pattern itself (its p is
@@ -357,7 +349,7 @@ def fix_pair(state: PrefixState, pair: tuple[int, int], strategy: str, h: Graph,
         if match is None or match[0] != "k11p":
             raise PreconditionError("K11P strategies need h to be a K_{1,1,p} pattern")
         if is_edge:
-            new_graph = _k11p_edge_fix(g, pair, match[1], state.m, depth)
+            new_graph = _k11p_edge_fix(g, pair, match[1], state.m)
         else:
             new_graph = _add_block(g, state.m, _mask([x, y]), clique=False)[0]
     else:
@@ -473,8 +465,8 @@ def _variant_for(family: str, is_edge: bool) -> str:
     raise ValueError(f"unknown strategy family {family!r}; pick one of {FAMILIES}")
 
 
-def schedule_fixes(seed: Graph, h: Graph, steps: int, m: int, family: str,
-                   depth: int = 2) -> list[PrefixState]:
+def schedule_fixes(seed: Graph, h: Graph, steps: int, m: int,
+                   family: str) -> list[PrefixState]:
     """Run the scheduled fixing loop: at each step fix the highest-priority
     unfixed pair.  Returns seed state plus one state per completed step;
     stops early (without error) if the vertex cap is reached."""
@@ -493,7 +485,7 @@ def schedule_fixes(seed: Graph, h: Graph, steps: int, m: int, family: str,
         strategy = _variant_for(family, is_edge)
         try:
             states.append(fix_pair(state, entry.pair, strategy, h,
-                                   gatekeepers=gatekeepers, depth=depth))
+                                   gatekeepers=gatekeepers))
         except CapacityError:
             break
     return states

@@ -34,12 +34,6 @@ class CoreKind:
         if self.k < 0 or self.l < 0:
             raise ValueError("k and l must be non-negative")
 
-    def label(self) -> str:
-        if self.tag == "kl":
-            return f"({self.k},{self.l})-core"
-        return {"three_star": "3*-core", "two_edge": "2-edge-core",
-                "two_nonedge": "2-non-edge-core"}[self.tag]
-
 
 def kl_core(k: int, l: int) -> CoreKind:
     return CoreKind("kl", k, l)
@@ -109,8 +103,8 @@ class CoreResult:
 
 
 def _single_rule_fires(g: Graph, present: int, v: int, kind: CoreKind) -> Optional[str]:
-    deg = bin(g.adj[v] & present).count("1")
-    n_present = bin(present).count("1")
+    deg = (g.adj[v] & present).bit_count()
+    n_present = present.bit_count()
     nondeg = n_present - 1 - deg
     if kind.tag == "kl":
         if deg < kind.k:
@@ -134,64 +128,50 @@ def _single_rule_fires(g: Graph, present: int, v: int, kind: CoreKind) -> Option
     return None
 
 
-def _pair_rule_fires(g: Graph, present: int, u: int, v: int, kind: CoreKind) -> bool:
-    if kind.tag != "three_star":
-        return False
+def _pair_rule_fires(g: Graph, present: int, u: int, v: int) -> bool:
     closed = (g.adj[u] | g.adj[v] | 1 << u | 1 << v) & present
-    return bin(closed).count("1") <= 4
+    return closed.bit_count() <= 4
+
+
+def _next_removal(g: Graph, present: int, kind: CoreKind) -> Optional[RemovedCluster]:
+    """The next cluster to remove from g[present] in the pinned firing order,
+    or None when no rule of the given kind fires."""
+    for v in _bits(present):
+        rule = _single_rule_fires(g, present, v, kind)
+        if rule:
+            return RemovedCluster(
+                vertices=(v,),
+                attachment={v: tuple(_bits(g.adj[v] & present & ~(1 << v)))},
+                internal_edge=False,
+                rule=rule)
+    if kind.tag == "three_star":
+        for u, v in combinations(_bits(present), 2):
+            if _pair_rule_fires(g, present, u, v):
+                rest = present & ~(1 << u) & ~(1 << v)
+                return RemovedCluster(
+                    vertices=(u, v),
+                    attachment={u: tuple(_bits(g.adj[u] & rest)),
+                                v: tuple(_bits(g.adj[v] & rest))},
+                    internal_edge=g.has_edge(u, v),
+                    rule="pair")
+    return None
 
 
 def core(g: Graph, kind: CoreKind) -> CoreResult:
     """Reduce g to its core of the given kind, recording a replayable trace."""
     present = (1 << g.n) - 1
     trace: list[RemovedCluster] = []
-    while True:
-        fired = False
-        for v in range(g.n):
-            if not present >> v & 1:
-                continue
-            rule = _single_rule_fires(g, present, v, kind)
-            if rule:
-                trace.append(RemovedCluster(
-                    vertices=(v,),
-                    attachment={v: tuple(_bits(g.adj[v] & present & ~(1 << v)))},
-                    internal_edge=False,
-                    rule=rule))
-                present &= ~(1 << v)
-                fired = True
-                break
-        if fired:
-            continue
-        if kind.tag == "three_star":
-            for u, v in combinations(_bits(present), 2):
-                if _pair_rule_fires(g, present, u, v, kind):
-                    rest = present & ~(1 << u) & ~(1 << v)
-                    trace.append(RemovedCluster(
-                        vertices=(u, v),
-                        attachment={u: tuple(_bits(g.adj[u] & rest)),
-                                    v: tuple(_bits(g.adj[v] & rest))},
-                        internal_edge=g.has_edge(u, v),
-                        rule="pair"))
-                    present = rest
-                    fired = True
-                    break
-        if not fired:
-            break
+    while (cluster := _next_removal(g, present, kind)) is not None:
+        trace.append(cluster)
+        for v in cluster.vertices:
+            present &= ~(1 << v)
     vertices = tuple(_bits(present))
     return CoreResult(graph=g.induced(vertices), vertices=vertices, trace=tuple(trace))
 
 
 def core_fixed_point_check(g: Graph, kind: CoreKind) -> bool:
     """True iff no rule of the given kind fires on g."""
-    present = (1 << g.n) - 1
-    for v in range(g.n):
-        if _single_rule_fires(g, present, v, kind):
-            return False
-    if kind.tag == "three_star":
-        for u, v in combinations(range(g.n), 2):
-            if _pair_rule_fires(g, present, u, v, kind):
-                return False
-    return True
+    return _next_removal(g, (1 << g.n) - 1, kind) is None
 
 
 def rebuild(result: CoreResult, n: int) -> Graph:

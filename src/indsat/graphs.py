@@ -187,33 +187,21 @@ def parse_graph6(text: "str | bytes") -> Graph:
         raise Graph6Error("truncated bit body", body_start + len(body))
     if len(body) > nbytes:
         raise Graph6Error("trailing garbage after bit body", body_start + nbytes)
-    rows = [0] * n
-    bit = 0
-    for k in range(nbytes):
-        byte = body[k]
+    for k, byte in enumerate(body):
         if not 63 <= byte <= 126:
             raise Graph6Error("body byte outside graph6 range", body_start + k)
-        group = byte - 63
-        for shift in range(5, -1, -1):
-            if bit >= nbits:
-                if group >> shift & 1:
-                    raise Graph6Error("nonzero padding bits", body_start + k)
-                continue
-            if group >> shift & 1:
-                u, v = _pair_at(bit)
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            bit += 1
+    padding = 6 * nbytes - nbits
+    if padding and (body[-1] - 63) & ((1 << padding) - 1):
+        raise Graph6Error("nonzero padding bits", body_start + nbytes - 1)
+    # Pairs in the order _graph6_body writes them; zip stops before the padding.
+    pairs = ((u, v) for v in range(1, n) for u in range(v))
+    bits = (byte - 63 >> shift & 1 for byte in body for shift in range(5, -1, -1))
+    rows = [0] * n
+    for (u, v), bit in zip(pairs, bits):
+        if bit:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
     return Graph(n, rows)
-
-
-def _pair_at(index: int) -> tuple[int, int]:
-    # Column-major upper triangle: column v holds bits for (0,v)..(v-1,v).
-    v = 1
-    while v * (v - 1) // 2 + v <= index:
-        v += 1
-    u = index - v * (v - 1) // 2
-    return u, v
 
 
 def emit_graph6(g: Graph) -> str:
@@ -366,9 +354,7 @@ def colored_fragment_occurs(host: Graph, host_pair: tuple[int, int],
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return False
-    return _component_mask(g, 0, (1 << g.n) - 1) == (1 << g.n) - 1
+    return _connected_within(g, (1 << g.n) - 1)
 
 
 def _component_mask(g: Graph, start: int, allowed: int) -> int:
@@ -470,8 +456,7 @@ def clique_cover_at_most(g: Graph, vertices: Sequence[int], budget: int) -> bool
 
 def twins(g: Graph, v: int) -> tuple[list[int], list[int]]:
     """(true twins, false twins) of v: vertices u != v with N[u]=N[v] / N(u)=N(v)."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
+    g._check_vertex(v)
     closed_v = g.adj[v] | 1 << v
     true_twins, false_twins = [], []
     for u in range(g.n):

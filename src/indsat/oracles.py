@@ -53,47 +53,22 @@ Z3_AGREE_KIND = OracleKind(Z3_AGREE)
 OracleVertex = Union[Fraction, tuple]
 
 
-class QuadValue:
-    """Exact value a + b*sqrt(2) with rational a, b."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: Fraction, b: Fraction = Fraction(0)):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-
-    def __sub__(self, other: "QuadValue") -> "QuadValue":
-        return QuadValue(self.a - other.a, self.b - other.b)
-
-    def sign(self) -> int:
-        """Sign of a + b*sqrt(2), decided by comparing a^2 with 2 b^2."""
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # Opposite signs: |a| vs |b|*sqrt(2), i.e. a^2 vs 2 b^2, never equal
-        # for rational a, b not both zero (sqrt(2) is irrational).
-        bigger_rational = a * a > 2 * b * b
-        if a > 0:
-            return 1 if bigger_rational else -1
-        return -1 if bigger_rational else 1
-
-    def __lt__(self, other: "QuadValue") -> bool:
-        return (self - other).sign() < 0
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, QuadValue) and self.a == other.a and self.b == other.b
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b))
-
-    def __repr__(self) -> str:
-        return f"QuadValue({self.a}, {self.b})"
+def quad_sign(a: Fraction, b: Fraction) -> int:
+    """Sign of a + b*sqrt(2) for rational a, b, decided by comparing a^2 with 2 b^2."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0:
+        return 1 if b > 0 else -1
+    if a > 0 and b > 0:
+        return 1
+    if a < 0 and b < 0:
+        return -1
+    # Opposite signs: |a| vs |b|*sqrt(2), i.e. a^2 vs 2 b^2, never equal
+    # for rational a, b not both zero (sqrt(2) is irrational).
+    bigger_rational = a * a > 2 * b * b
+    if a > 0:
+        return 1 if bigger_rational else -1
+    return -1 if bigger_rational else 1
 
 
 def _atan_inverse_bounds(x: int, terms: int) -> tuple[Fraction, Fraction]:
@@ -166,8 +141,8 @@ def oracle_adjacent(kind: OracleKind, u: OracleVertex, v: OracleVertex) -> bool:
     tag = kind.tag
     if tag == UP_RIGHT:
         (q, r), (s, t) = u, v
-        plus = QuadValue(q - s, r - t).sign()
-        minus = QuadValue(q - s, t - r).sign()
+        plus = quad_sign(q - s, r - t)
+        minus = quad_sign(q - s, t - r)
         # Same strict order under both linear forms means "up and right".
         return plus == minus
     if tag == TORERO:
@@ -188,6 +163,8 @@ def oracle_window(kind: OracleKind,
                   vertices: Sequence[OracleVertex]) -> tuple[Graph, tuple[OracleVertex, ...]]:
     """Finite induced sample: graph plus the vertex labeling, index-aligned."""
     vertices = tuple(vertices)
+    for v in vertices:
+        _check_vertex(kind, v)
     if len(set(vertices)) != len(vertices):
         raise ValueError("duplicate oracle vertices in window")
     n = len(vertices)
@@ -201,10 +178,6 @@ def oracle_window(kind: OracleKind,
 
 def fraction_to_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
-
-
-def fraction_from_str(s: str) -> Fraction:
-    return Fraction(s)
 
 
 def vertex_to_json(kind: OracleKind, v: OracleVertex):

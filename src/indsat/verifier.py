@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from .graphs import Graph, bull_graph, clique_cover_at_most, find_induced
 from .oracles import (GRID_CLIQUE, RATIONAL_GEOMETRIC, RATIONAL_GEOMETRIC_KIND,
                       TORERO, TORERO_KIND, UP_RIGHT, Z3_AGREE, Z3_AGREE_KIND,
-                      OracleKind, compare_to_pi, oracle_window)
+                      OracleKind, compare_to_pi, fraction_to_str, oracle_window)
 
 EXHAUSTIVE_PAIRSET_LIMIT = 300_000
 
@@ -177,12 +177,11 @@ def neighborhood_two_clique_cover(g: Graph, v: int) -> bool:
 def max_independent_in_neighborhood(g: Graph, v: int) -> int:
     nbrs = g.neighbors(v)
     sub = g.induced(nbrs)
-    best = 0
     for r in range(sub.n, 0, -1):
         for pick in combinations(range(sub.n), r):
             if all(not sub.has_edge(a, b) for a, b in combinations(pick, 2)):
                 return r
-    return best
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +289,7 @@ def replay_torero(report: ReplayReport) -> None:
         perturbed = window.toggled(*pair)
         found = find_induced(perturbed, pattern, anchors)
         report.add(name, found is not None,
-                   window=[f"{v.numerator}/{v.denominator}" for v in values],
+                   window=[fraction_to_str(v) for v in values],
                    perturbed_pair=list(pair),
                    embedding=list(found) if found else None)
 
@@ -390,7 +389,7 @@ def replay_rational_geometric(report: ReplayReport, patterns: dict[str, Graph]) 
             perturbed = window.toggled(*pair)
             emb = find_induced(perturbed, pattern, anchors)
             report.add(name, emb is not None,
-                       window=[f"{v.numerator}/{v.denominator}" for v in values],
+                       window=[fraction_to_str(v) for v in values],
                        perturbed_pair=list(pair),
                        embedding=list(emb) if emb else None)
 

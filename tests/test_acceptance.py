@@ -97,12 +97,19 @@ def test_criterion_3_gatekeeper_golden_set():
            f"{c5.edge_witness}/{c5.nonedge_witness})")
 
 
-def test_criterion_4_structure_check_12():
+def test_criterion_4_structure_check_12(capsys):
     started = time.perf_counter()
-    rep = structure_check_12()
+    rep = structure_check_12(progress=True)
     elapsed = time.perf_counter() - started
-    shapes_ok = rep.shapes == {"9x3": 8436, "8x4": 31465, "7x5": 53130,
-                               "6x6": 38760, "5x7": 11440}
+    shapes = {"9x3": 8436, "8x4": 31465, "7x5": 53130, "6x6": 38760, "5x7": 11440}
+    shapes_ok = rep.shapes == shapes
+    # Progress goes to stderr, so `indsat structure12 --progress` keeps
+    # stdout pure JSON.
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"structure12: shape {shape} done ({count} configurations)"
+        for shape, count in shapes.items()]
     report("4 structure12",
            rep.all_passed and not rep.counterexamples
            and rep.configurations == 143231 and shapes_ok,

@@ -148,6 +148,15 @@ class TestOtherCommands:
         assert code == EXIT_USAGE and captured.out == ""
         assert "malformed oracle spec" in json.loads(captured.err)["error"]
 
+    @pytest.mark.parametrize("argv", [
+        ["--kind", "torero", "--vertices", '["5"]'],
+        ["--kind", "grid_clique:2", "--vertices", "[[1]]"]])
+    def test_oracle_one_vertex_window_checked(self, capsys, argv):
+        code = main(["oracle", *argv])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert "vertex must be" in json.loads(captured.err)["error"]
+
     def test_replay(self, capsys):
         code, payload = run_json(capsys, ["replay"])
         assert code == EXIT_OK and payload["all_passed"]
@@ -160,6 +169,24 @@ class TestOtherCommands:
 
     def test_no_command_prints_help(self, capsys):
         assert main([]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--g6", "C4"], ["classify", "--bogus"],
+        ["sweep", "--input", "graphs.g6", "--workers", "x"],
+        ["prefix", "--g6", "P2", "--h", "P4", "--depth", "3"],
+        ["classify"], ["classify", "--g6", "P4", "--input", "graphs.g6"],
+        ["cores"], ["gatekeepers"], ["prefix", "--h", "P4"], ["verify", "--h", "P4"]])
+    def test_usage_error_is_json_exit_1(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert "error" in json.loads(captured.err)
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--help"])
+        assert exc.value.code == 0
+        assert "usage: indsat classify" in capsys.readouterr().out
 
 
 class TestDocs:

@@ -54,6 +54,12 @@ class TestFixedPointCheck:
         assert core_fixed_point_check(cycle_graph(5), TWO)
         assert not core_fixed_point_check(cycle_graph(5), THREE)
 
+    def test_agrees_with_core_trace_exhaustive(self):
+        # A graph is a fixed point exactly when the reduction removes nothing.
+        for g in graphs_up_to(6):
+            for kind in ALL_KINDS + (kl_core(2, 1),):
+                assert core_fixed_point_check(g, kind) == (core(g, kind).trace == ())
+
 
 class TestTrace:
     def test_rebuild_exhaustive(self):
@@ -86,7 +92,7 @@ def _all_cores_by_any_order(g: Graph, kind: CoreKind) -> set:
                 moves.append(present & ~(1 << v))
         if kind.tag == "three_star":
             for u, v in combinations(vertices, 2):
-                if _pair_rule_fires(g, present, u, v, kind):
+                if _pair_rule_fires(g, present, u, v):
                     moves.append(present & ~(1 << u) & ~(1 << v))
         if not moves:
             sub = g.induced(vertices)

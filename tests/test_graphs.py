@@ -66,6 +66,12 @@ class TestGraph6:
         assert exc.value.offset == 3
         with pytest.raises(Graph6Error):
             parse_graph6("D" + chr(30))  # byte outside range
+        for data, offset, message in ((b"Dr\x1e", 2, "outside graph6 range"),
+                                      (b"Dr\\", 2, "nonzero padding bits"),
+                                      (b"D\x1e\\", 1, "outside graph6 range")):
+            with pytest.raises(Graph6Error, match=message) as exc:
+                parse_graph6(data)
+            assert exc.value.offset == offset
         with pytest.raises(ValueError):
             emit_graph6(empty_graph(63))
 
@@ -90,6 +96,20 @@ class TestGraph6:
     def test_round_trip_random(self, n, rng):
         g = random_graph(rng, n)
         assert parse_graph6(emit_graph6(g)) == g
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 30, 62, 63, 64, 65, 100])
+    def test_agrees_with_networkx(self, n):
+        # Short and long headers, empty to complete, against an independent codec.
+        nx = pytest.importorskip("networkx")
+        from indsat.graphs import graph6_label
+        rng = random.Random(n)
+        for density in (0.0, 0.1, 0.5, 0.9, 1.0):
+            for _ in range(6):
+                nxg = nx.gnp_random_graph(n, density, seed=rng.randrange(1 << 32))
+                g = Graph.from_edges(n, nxg.edges())
+                data = nx.to_graph6_bytes(nxg, header=False).strip()
+                assert parse_graph6(data) == g
+                assert graph6_label(g).encode("ascii") == data
 
 
 class TestComplement:
