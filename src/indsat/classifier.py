@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 from . import cores
 from .gatekeeper import (EDGE, NONEDGE, blowup_mode, check_gatekeeper,
                          has_fixing_operation)
-from .graphs import (Graph, Graph6Error, _k_connected_within, complement,
+from .graphs import (Graph, Graph6Error, _component_mask, _separator, complement,
                      graph6_label, is_isomorphic, parse_graph6)
 from .recognizers import (PERMUTATION_BUDGET, TRIVIAL_NONE, classify_trivial,
                           close_to_permutation, forest_unique_max, is_bull_or_p4,
@@ -346,12 +346,40 @@ def _bipartite_graph(a_size: int, missed: Sequence[tuple[int, int]]) -> Graph:
 
 
 def _has_3conn_subset(g: Graph) -> bool:
-    """Search vertex subsets in decreasing size for a 3-connected induced
-    subgraph on at least 5 vertices."""
-    for size in range(g.n, 4, -1):
-        for subset in combinations([1 << v for v in range(g.n)], size):
-            if _k_connected_within(g, sum(subset), 3):
-                return True
+    """Does g have a 3-connected induced subgraph on at least 5 vertices?"""
+    return _3conn_within(g, (1 << g.n) - 1)
+
+
+def _3conn_within(g: Graph, allowed: int) -> bool:
+    """_has_3conn_subset for g[allowed].
+
+    A 3-connected H has minimum degree >= 3, so H lies in the 3-core of
+    g[allowed].  If that core has a separator S of at most 2 vertices, H - S
+    is still connected, so H lies in C + S for one component C of core - S;
+    each such piece is smaller than the core, so the recursion ends.
+    """
+    adj = g.adj
+    peeled = True
+    while peeled:
+        peeled = False
+        rest = allowed
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if (adj[low.bit_length() - 1] & allowed).bit_count() < 3:
+                allowed ^= low
+                peeled = True
+    if allowed.bit_count() < 5:
+        return False
+    cut = _separator(g, allowed, 3)
+    if cut is None:
+        return True
+    rest = allowed & ~cut
+    while rest:
+        piece = _component_mask(g, (rest & -rest).bit_length() - 1, rest)
+        if _3conn_within(g, piece | cut):
+            return True
+        rest &= ~piece
     return False
 
 
@@ -364,29 +392,24 @@ def structure_check_12(progress: bool = False) -> StructureReport:
         b_size = 12 - a_size
         shape = f"{a_size}x{b_size}"
         pairs = list(combinations(range(a_size), 2))
+        pair_masks = {pair: 1 << pair[0] | 1 << pair[1] for pair in pairs}
         shape_count = 0
         for missed in combinations_with_replacement(pairs, b_size):
             shape_count += 1
             report.configurations += 1
             # Three B-vertices whose missed pairs leave 3 full A-vertices give
             # an induced K_{3,3}, which is 3-connected on 6 vertices.
-            found = False
-            for trio in combinations(range(b_size), 3):
-                union = set()
-                for t in trio:
-                    union.update(missed[t])
-                if a_size - len(union) >= 3:
-                    found = True
+            masks = [pair_masks[pair] for pair in missed]
+            for x, y, z in combinations(masks, 3):
+                if (x | y | z).bit_count() <= a_size - 3:
+                    report.k33_shortcuts += 1
                     break
-            if found:
-                report.k33_shortcuts += 1
-                continue
-            report.subset_searches += 1
-            g = _bipartite_graph(a_size, missed)
-            if not _has_3conn_subset(g):
-                report.all_passed = False
-                report.counterexamples.append(
-                    {"a_size": a_size, "missed": [list(p) for p in missed]})
+            else:
+                report.subset_searches += 1
+                if not _has_3conn_subset(_bipartite_graph(a_size, missed)):
+                    report.all_passed = False
+                    report.counterexamples.append(
+                        {"a_size": a_size, "missed": [list(p) for p in missed]})
         report.shapes[shape] = shape_count
         if progress:
             print(f"structure12: shape {shape} done ({shape_count} configurations)",

@@ -58,8 +58,15 @@ def _emit(payload: dict, out: "str | None") -> None:
 def _input_graphs(args) -> list[Graph]:
     if args.g6 is not None:
         return [graph_from_spec(args.g6)]
+    graphs = []
     lines = Path(args.input).read_text().splitlines()
-    return [parse_graph6(line) for line in lines if line.strip()]
+    for lineno, line in enumerate(lines, start=1):
+        if line.strip():
+            try:
+                graphs.append(parse_graph6(line))
+            except Graph6Error as exc:
+                raise ValueError(f"line {lineno}: {exc}") from exc
+    return graphs
 
 
 def _cmd_classify(args) -> int:

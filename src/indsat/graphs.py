@@ -359,13 +359,15 @@ def is_connected(g: Graph) -> bool:
 
 def _component_mask(g: Graph, start: int, allowed: int) -> int:
     """Bitmask of the component of `start` inside the vertex set `allowed`."""
-    seen = 1 << start
-    frontier = seen
+    adj = g.adj
+    seen = frontier = 1 << start
     while frontier:
         nxt = 0
-        for v in _bits(frontier):
-            nxt |= g.adj[v] & allowed
-        frontier = nxt & ~seen
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & allowed & ~seen
         seen |= frontier
     return seen
 
@@ -397,17 +399,23 @@ def is_k_connected(g: Graph, k: int) -> bool:
 
 def _k_connected_within(g: Graph, allowed: int, k: int) -> bool:
     """is_k_connected for the subgraph induced by the vertex mask `allowed`."""
-    vertices = _bits(allowed)
-    if len(vertices) < k + 1:
-        return False
+    return allowed.bit_count() >= k + 1 and _separator(g, allowed, k) is None
+
+
+def _separator(g: Graph, allowed: int, k: int) -> Optional[int]:
+    """First vertex mask of size < k whose removal disconnects g[allowed], or None.
+
+    Masks are tried by size, then in `combinations` order, so the empty mask
+    comes back when g[allowed] is itself disconnected.  Callers pass at
+    least k + 1 vertices, so every removal leaves two or more behind.
+    """
+    singles = [1 << v for v in _bits(allowed)]
     for size in range(k):
-        for cut in combinations(vertices, size):
-            mask = 0
-            for v in cut:
-                mask |= 1 << v
+        for cut in combinations(singles, size):
+            mask = sum(cut)
             if not _connected_within(g, allowed & ~mask):
-                return False
-    return True
+                return mask
+    return None
 
 
 def enumerate_2cuts(g: Graph) -> list[tuple[tuple[int, int], bool, list[list[int]]]]:

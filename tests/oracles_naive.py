@@ -74,6 +74,16 @@ def naive_k_connected(g: Graph, k: int) -> bool:
     return True
 
 
+def naive_has_3conn_subset(g: Graph) -> bool:
+    """Try vertex subsets in decreasing size for a 3-connected induced
+    subgraph on at least 5 vertices."""
+    for size in range(g.n, 4, -1):
+        for subset in combinations(range(g.n), size):
+            if naive_k_connected(g.induced(list(subset)), 3):
+                return True
+    return False
+
+
 def naive_has_cycle(g: Graph) -> bool:
     adj = _adjacency_sets(g)
     seen: set[int] = set()

@@ -110,9 +110,11 @@ def test_criterion_4_structure_check_12(capsys):
     assert captured.err.splitlines() == [
         f"structure12: shape {shape} done ({count} configurations)"
         for shape, count in shapes.items()]
+    # 6,465 configurations lack a K_{3,3} shortcut and get the full search.
     report("4 structure12",
            rep.all_passed and not rep.counterexamples
-           and rep.configurations == 143231 and shapes_ok,
+           and rep.configurations == 143231 and shapes_ok
+           and rep.k33_shortcuts == 136766 and rep.subset_searches == 6465,
            f"({rep.configurations} configurations, {elapsed:.0f}s; target 600s)")
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -9,11 +10,11 @@ from indsat.classifier import (CLOSE_TO_PERMUTATION, CORE_11_BULL_P4, CORE_3CONN
                                SPECIAL_RATIONAL_GEOMETRIC, SPECIAL_Z3,
                                UNCLASSIFIED, classify, replay_certificate,
                                special_table, sweep)
-from indsat.graphs import (bull_graph, complement, complete_graph,
+from indsat.graphs import (Graph, bull_graph, complement, complete_graph,
                            complete_multipartite, cycle_graph, emit_graph6,
                            parse_graph6, path_graph)
 from gensmall import graphs_up_to
-from oracles_naive import random_graph
+from oracles_naive import naive_has_3conn_subset, random_graph
 
 
 class TestClassifyExamples:
@@ -208,7 +209,6 @@ class TestStructure12Pieces:
         """The |A| = 9 slice always finds K_{3,3} outright: three missed
         pairs cover at most 6 of 9 vertices."""
         from indsat.classifier import _bipartite_graph
-        from itertools import combinations
         pairs = list(combinations(range(9), 2))
         rng = random.Random(31)
         for _ in range(200):
@@ -228,3 +228,51 @@ class TestStructure12Pieces:
         g = _bipartite_graph(5, [(0, 1)])
         assert g.n == 6 and g.degree(5) == 3
         assert not g.has_edge(0, 5) and not g.has_edge(1, 5)
+
+
+def _two_cliques_sharing_an_edge(size):
+    """K_size on 0..size-1 and K_size on {0, 1, size..2*size-3}."""
+    second = [0, 1] + list(range(size, 2 * size - 2))
+    return Graph.from_edges(2 * size - 2, set(combinations(range(size), 2))
+                            | set(combinations(second, 2)))
+
+
+class TestHas3ConnSubset:
+    """The 3-core search against the exhaustive subset search.  structure12
+    never reaches the separator branch (each 3-core there is 3-connected),
+    so these cases are that branch's only coverage."""
+
+    def test_hand_made(self):
+        from indsat.classifier import _has_3conn_subset
+        # C6 peels to nothing; two K4 sharing an edge split at that edge
+        # into two 4-vertex pieces; two K5 sharing an edge split into K5s.
+        for g, expected in ((cycle_graph(6), False),
+                            (_two_cliques_sharing_an_edge(4), False),
+                            (_two_cliques_sharing_an_edge(5), True),
+                            (complete_multipartite(3, 3), True)):
+            assert _has_3conn_subset(g) == expected == naive_has_3conn_subset(g)
+
+    def test_structure12_sample_vs_naive(self):
+        from indsat.classifier import _bipartite_graph, _has_3conn_subset
+        configurations = []
+        for a_size in range(9, 4, -1):
+            pairs = list(combinations(range(a_size), 2))
+            for missed in combinations_with_replacement(pairs, 12 - a_size):
+                # Only configurations without a K_{3,3} shortcut are searched.
+                if all(a_size - len(set(x) | set(y) | set(z)) < 3
+                       for x, y, z in combinations(missed, 3)):
+                    configurations.append((a_size, missed))
+        assert len(configurations) == 6465
+        for a_size, missed in random.Random(12).sample(configurations, 300):
+            g = _bipartite_graph(a_size, missed)
+            assert _has_3conn_subset(g) == naive_has_3conn_subset(g), (a_size, missed)
+
+    def test_random_graphs_vs_naive(self):
+        from indsat.classifier import _has_3conn_subset
+        rng = random.Random(3)
+        for n in range(1, 11):
+            for density in (0.3, 0.5, 0.7, 0.9):
+                for _ in range(8):
+                    g = random_graph(rng, n, density)
+                    assert _has_3conn_subset(g) == naive_has_3conn_subset(g), \
+                        emit_graph6(g)

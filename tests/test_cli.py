@@ -54,6 +54,15 @@ class TestClassifyCommand:
         err = capsys.readouterr().err
         assert "error" in json.loads(err)
 
+    def test_bad_batch_line_is_named(self, tmp_path, capsys):
+        f = tmp_path / "graphs.g6"
+        f.write_text("Bw\n\nxx!\n")
+        code = main(["classify", "--input", str(f)])
+        assert code == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {"error": "line 3: truncated bit body (byte offset 3)"}
+
 
 class TestVerifyCommand:
     def test_icosahedron_complement_p5(self, capsys):

@@ -5,15 +5,15 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from indsat.graphs import (Graph, Graph6Error, _k_connected_within, bull_graph,
-                           clique_cover_at_most, colored_fragment_occurs, complement,
-                           complete_graph, complete_multipartite, cycle_graph,
-                           emit_graph6, empty_graph, enumerate_2cuts,
+from indsat.graphs import (Graph, Graph6Error, _k_connected_within, _separator,
+                           bull_graph, clique_cover_at_most, colored_fragment_occurs,
+                           complement, complete_graph, complete_multipartite,
+                           cycle_graph, emit_graph6, empty_graph, enumerate_2cuts,
                            find_induced, icosahedron_complement, is_connected,
                            is_isomorphic, is_k_connected, parse_graph6,
                            path_graph, twins)
 from gensmall import graphs_on, graphs_up_to
-from oracles_naive import (naive_2cuts, naive_clique_cover_at_most,
+from oracles_naive import (naive_2cuts, naive_clique_cover_at_most, naive_components,
                            naive_find_induced, naive_is_connected,
                            naive_k_connected, naive_twins, random_graph)
 
@@ -298,6 +298,37 @@ class TestConnectivity:
                 assert _k_connected_within(g, mask, k) == \
                     naive_k_connected(g.induced(subset), k)
 
+    def test_separator_is_small_and_disconnects(self):
+        rng = random.Random(1011)
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(4, 10), rng.choice([0.3, 0.5, 0.8]))
+            for k in (1, 2, 3):
+                cut = _separator(g, (1 << g.n) - 1, k)
+                if cut is None:
+                    assert naive_k_connected(g, k)
+                else:
+                    assert cut.bit_count() < k
+                    assert len(naive_components(g, {v for v in range(g.n)
+                                                    if cut >> v & 1})) >= 2
+
+    def test_k_connectivity_agrees_with_networkx(self):
+        nx = pytest.importorskip("networkx")
+        for g in _networkx_sample():
+            connectivity = nx.node_connectivity(_to_networkx(nx, g))
+            for k in (1, 2, 3):
+                assert is_k_connected(g, k) == (g.n >= k + 1 and connectivity >= k), \
+                    (emit_graph6(g), k)
+
+    def test_2cuts_agree_with_networkx(self):
+        nx = pytest.importorskip("networkx")
+        for g in _networkx_sample():
+            nxg = _to_networkx(nx, g)
+            if g.n < 4 or not nx.is_connected(nxg):
+                continue
+            expected = {(u, v) for u, v in combinations(range(g.n), 2)
+                        if not nx.is_connected(nx.restricted_view(nxg, [u, v], []))}
+            assert {pair for pair, _, _ in enumerate_2cuts(g)} == expected, emit_graph6(g)
+
     def test_2cuts_golden(self):
         cuts = enumerate_2cuts(parse_graph6("Dr["))
         assert len(cuts) == 1
@@ -321,7 +352,6 @@ class TestConnectivity:
             enumerate_2cuts(empty_graph(4))
 
     def test_3connected_excludes_cut_structures(self):
-        from oracles_naive import naive_components
         for g in graphs_up_to(6):
             if not is_connected(g) or g.n < 4:
                 continue
@@ -329,6 +359,23 @@ class TestConnectivity:
                                  for v in range(g.n))
             if enumerate_2cuts(g) or has_cut_vertex:
                 assert not is_k_connected(g, 3)
+
+
+def _to_networkx(nx, g):
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.edges())
+    return nxg
+
+
+def _networkx_sample():
+    """Every 60th class on at most 8 vertices, then random graphs on up to 16."""
+    yield from list(graphs_up_to(8))[::60]
+    rng = random.Random(1012)
+    for n in range(9, 17):
+        for density in (0.2, 0.35, 0.5, 0.7):
+            for _ in range(3):
+                yield random_graph(rng, n, density)
 
 
 class TestCliqueCover:
