@@ -285,10 +285,12 @@ def _sweep_line(job: tuple[int, str, int]) -> tuple[int, str, str, str]:
 def sweep(lines: Iterable[str], n_max: int, workers: int = 1) -> SweepReport:
     """Classify every graph6 line; totals are invariant under worker count
     and line order.  Malformed lines are reported and the sweep continues."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     jobs = [(lineno, line.strip(), n_max)
             for lineno, line in enumerate(lines, start=1) if line.strip()]
     report = SweepReport(n_max=n_max)
-    if workers <= 1:
+    if workers == 1:
         results = map(_sweep_line, jobs)
     else:
         import multiprocessing

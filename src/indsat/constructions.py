@@ -1,5 +1,6 @@
-"""Finite-prefix builders: gluing, pair blow-ups, the fixing operations, core
-extension steps, and the scheduled fix sequence.
+"""Finite-prefix builders: pair blow-ups, the fixing operations, core
+extension steps, and the scheduled fix sequence.  Every graph here grows by
+appended blocks (`_add_block`), so earlier vertices keep their labels.
 
 Infinite ingredients (infinite cliques, independent sets, trees) are
 truncated to m clones per class; prefix growth is capped at 64 vertices and
@@ -30,7 +31,7 @@ class PreconditionError(ValueError):
     """A fixing-strategy precondition does not hold."""
 
 
-# Strategy tags for fix_pair.
+# Ledger labels of the fixing operations.
 TWIN_DUPLICATE = "twin_duplicate"
 GATEKEEPER_GLUE = "gatekeeper_glue"
 K2P_EDGE = "k2p_edge"
@@ -38,46 +39,13 @@ K2P_NONEDGE = "k2p_nonedge"
 K11P_EDGE = "k11p_edge"
 K11P_NONEDGE = "k11p_nonedge"
 
-# Strategy families for schedule_fixes (edge/non-edge variant picked per pair).
-FAMILIES = ("twin", "gatekeeper", "k2p", "k11p")
-
-
-# ---------------------------------------------------------------------------
-# Gluing.
-
-
-def glue_with_map(g: Graph, g2: Graph, a: Sequence[int],
-                  a2: Sequence[int]) -> tuple[Graph, dict[int, int]]:
-    """Glue g2 onto g identifying a2[i] with a[i]; also return the vertex map
-    from g2 into the result."""
-    if len(a) != len(a2):
-        raise ValueError("glue lists must have equal length")
-    if len(set(a)) != len(a) or len(set(a2)) != len(a2):
-        raise ValueError("glue lists must not repeat vertices")
-    for v in a:
-        if not 0 <= v < g.n:
-            raise ValueError(f"glue vertex {v} not in the base graph")
-    for v in a2:
-        if not 0 <= v < g2.n:
-            raise ValueError(f"glue vertex {v} not in the glued graph")
-    image = {}
-    nxt = g.n
-    for w in range(g2.n):
-        if w in a2:
-            image[w] = a[a2.index(w)]
-        else:
-            image[w] = nxt
-            nxt += 1
-    if nxt > MAX_VERTICES:
-        raise CapacityError(f"glued graph would have {nxt} vertices")
-    edges = g.edges()
-    for w, w2 in g2.edges():
-        edges.append((image[w], image[w2]))
-    return Graph.from_edges(nxt, edges), image
-
-
-def glue(g: Graph, g2: Graph, a: Sequence[int], a2: Sequence[int]) -> Graph:
-    return glue_with_map(g, g2, a, a2)[0]
+# Strategy families of fix_pair and schedule_fixes, with the labels of their
+# (edge, non-edge) variants; the pair's status picks the variant.
+_LABELS = {"twin": (TWIN_DUPLICATE, TWIN_DUPLICATE),
+           "gatekeeper": (GATEKEEPER_GLUE, GATEKEEPER_GLUE),
+           "k2p": (K2P_EDGE, K2P_NONEDGE),
+           "k11p": (K11P_EDGE, K11P_NONEDGE)}
+FAMILIES = tuple(_LABELS)
 
 
 # ---------------------------------------------------------------------------
@@ -88,12 +56,12 @@ def glue(g: Graph, g2: Graph, a: Sequence[int], a2: Sequence[int]) -> Graph:
 class BlowupResult:
     graph: Graph
     pair_images: tuple[int, int]
-    classes: dict[int, tuple[int, ...]]  # original vertex -> clone indices
 
 
 def blowup_graph(h: Graph, pair: tuple[int, int], mode: str, m: int) -> BlowupResult:
     """Perturb the pair, then replace every other vertex by m clones forming
-    a clique (clique mode) or independent set, inheriting class adjacency."""
+    a clique (clique mode) or independent set, inheriting class adjacency.
+    The pair's images are vertices 0 and 1, the clones follow in h's order."""
     u, v = pair
     if u == v:
         raise ValueError("pair vertices must be distinct")
@@ -101,26 +69,8 @@ def blowup_graph(h: Graph, pair: tuple[int, int], mode: str, m: int) -> BlowupRe
         raise ValueError(f"bad mode {mode!r}")
     if m < 1:
         raise ValueError("truncation m must be at least 1")
-    total = 2 + (h.n - 2) * m
-    if total > MAX_VERTICES:
-        raise CapacityError(f"blow-up would have {total} vertices")
-    perturbed = h.toggled(u, v)
-    classes: dict[int, tuple[int, ...]] = {}
-    nxt = 0
-    for w in range(h.n):
-        size = 1 if w in (u, v) else m
-        classes[w] = tuple(range(nxt, nxt + size))
-        nxt += size
-    edges = []
-    for w in range(h.n):
-        if w not in (u, v) and mode == CLIQUE_MODE:
-            edges.extend(combinations(classes[w], 2))
-        for w2 in range(w + 1, h.n):
-            if perturbed.has_edge(w, w2):
-                edges.extend((a, b) for a in classes[w] for b in classes[w2])
-    return BlowupResult(graph=Graph.from_edges(nxt, edges),
-                        pair_images=(classes[u][0], classes[v][0]),
-                        classes=classes)
+    perturbed_pair = Graph.from_edges(2, [] if h.has_edge(u, v) else [(0, 1)])
+    return BlowupResult(_glue_blowup(perturbed_pair, (0, 1), h, pair, mode, m), (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +123,6 @@ class FixRecord:
 @dataclass(frozen=True)
 class PrefixState:
     graph: Graph
-    origin: Graph
     m: int
     generation: int
     queue: tuple[QueueEntry, ...]
@@ -191,9 +140,11 @@ class PrefixState:
 
 
 def initial_state(seed: Graph, m: int) -> PrefixState:
+    if m < 1:
+        raise ValueError(f"truncation m must be at least 1, got {m}")
     pairs = [(u, v) for u in range(seed.n) for v in range(u + 1, seed.n)]
     queue = tuple(QueueEntry(1, j + 1, p) for j, p in enumerate(pairs))
-    return PrefixState(graph=seed, origin=seed, m=m, generation=1,
+    return PrefixState(graph=seed, m=m, generation=1,
                        queue=queue, fixed_ledger=())
 
 
@@ -210,7 +161,7 @@ def _advance(state: PrefixState, new_graph: Graph,
     ledger = state.fixed_ledger
     if record is not None:
         ledger = ledger + (FixRecord(record[0], record[1], gen),)
-    return PrefixState(graph=new_graph, origin=state.origin, m=state.m,
+    return PrefixState(graph=new_graph, m=state.m,
                        generation=gen, queue=state.queue + entries,
                        fixed_ledger=ledger)
 
@@ -220,18 +171,20 @@ def _advance(state: PrefixState, new_graph: Graph,
 
 
 def _grow(g: Graph, new_rows: list[int]) -> Graph:
-    """Extend g by new vertices; new_rows[i] is the full-neighborhood bitmask
-    of new vertex g.n + i (may reference other new vertices)."""
+    """Extend g by new vertices; new_rows[i] is the neighborhood bitmask of
+    new vertex g.n + i among the vertices before it."""
     n = g.n + len(new_rows)
     if n > MAX_VERTICES:
         raise CapacityError(f"graph would have {n} vertices")
-    rows = [g.adj[v] for v in range(g.n)] + [0] * len(new_rows)
-    for idx, mask in enumerate(new_rows):
-        v = g.n + idx
-        rows[v] = mask
+    rows = list(g.adj)
+    for mask in new_rows:
+        v = len(rows)
+        if mask >> v:  # also catches a negative mask
+            raise ValueError(f"new vertex {v} may only see vertices before it")
+        rows.append(mask)
         for w in _bits(mask):
             rows[w] |= 1 << v
-    return Graph(n, rows)
+    return Graph._derived(n, rows)
 
 
 def _twin_duplicate(g: Graph, pair: tuple[int, int]) -> Graph:
@@ -263,12 +216,29 @@ def _add_block(g: Graph, size: int, attach_mask: int, clique: bool) -> tuple[Gra
     return _grow(g, rows), list(range(base, base + size))
 
 
+def _glue_blowup(g: Graph, at: tuple[int, int], h: Graph, pair: tuple[int, int],
+                 mode: str, m: int) -> Graph:
+    """Append the m-clone blow-up of h perturbed at `pair` onto g, with the
+    pair's images identified with the vertices `at` of g (whose status must
+    match the perturbed pair).  Each other vertex of h, in h's order, becomes
+    one block that sees the images of its perturbed neighbors placed so far."""
+    perturbed = h.toggled(*pair)
+    image = {pair[0]: 1 << at[0], pair[1]: 1 << at[1]}
+    for w in range(h.n):
+        if w not in image:
+            attach = 0
+            for nb in perturbed.neighbors(w):
+                attach |= image.get(nb, 0)
+            g, block = _add_block(g, m, attach, clique=mode == CLIQUE_MODE)
+            image[w] = _mask(block)
+    return g
+
+
 def _gatekeeper_fix(g: Graph, pair: tuple[int, int], h: Graph, m: int,
                     gatekeepers: Optional[GatekeeperResult]) -> Graph:
     """Glue a blown-up copy of h, perturbed at a gatekeeper pair of the
     opposite status, onto the pair being fixed."""
-    x, y = pair
-    is_edge = g.has_edge(x, y)
+    is_edge = g.has_edge(*pair)
     if gatekeepers is None:
         gatekeepers = has_fixing_operation(h)
     # Deleting an edge must re-create h with a non-edge of h landing on the
@@ -280,9 +250,7 @@ def _gatekeeper_fix(g: Graph, pair: tuple[int, int], h: Graph, m: int,
     if hpair is None:
         raise PreconditionError(
             f"h has no {'non-edge' if is_edge else 'edge'} gatekeeper to fix this pair")
-    gadget = blowup_graph(h, hpair, mode, m)
-    iu, iv = gadget.pair_images
-    return glue(g, gadget.graph, [x, y], [iu, iv])
+    return _glue_blowup(g, pair, h, hpair, mode, m)
 
 
 def _k2p_fix(g: Graph, pair: tuple[int, int], p: int, m: int, edge: bool) -> Graph:
@@ -300,14 +268,9 @@ def _k2p_fix(g: Graph, pair: tuple[int, int], p: int, m: int, edge: bool) -> Gra
 def _k11p_edge_fix(g: Graph, pair: tuple[int, int], p: int, m: int) -> Graph:
     x, y = pair
     common = [w for w in range(g.n) if g.has_edge(x, w) and g.has_edge(y, w)]
-    if p == 2:
-        if common:
-            raise PreconditionError(
-                "K_{1,1,2} edge fix needs the endpoints to share no neighbor")
-        return _add_block(g, m, _mask([x, y]), clique=True)[0]
     if not clique_cover_at_most(g, common, p - 2):
-        raise PreconditionError(
-            f"common neighborhood not coverable by {p - 2} cliques")
+        raise PreconditionError(f"common neighbors {common} of pair {pair} "
+                                f"not coverable by {p - 2} cliques")
     # Tree with root of degree 1 and inner degree p-1, cut after two levels
     # and blown into m-cliques; the root's blow-up is the glued pair itself,
     # so its one child block sees x and y, and p-2 blocks below see that one.
@@ -317,44 +280,40 @@ def _k11p_edge_fix(g: Graph, pair: tuple[int, int], p: int, m: int) -> Graph:
     return g1
 
 
-def fix_pair(state: PrefixState, pair: tuple[int, int], strategy: str, h: Graph,
+def fix_pair(state: PrefixState, pair: tuple[int, int], family: str, h: Graph,
              gatekeepers: Optional[GatekeeperResult] = None) -> PrefixState:
-    """Apply one fixing operation to a pair of the current prefix graph.
+    """Apply one fixing operation of the family to a pair of the current
+    prefix graph; the pair's status picks the edge or non-edge variant.
 
-    For the K2P/K11P strategies, h must be the core pattern itself (its p is
-    read off by the recognizer).  The pair joins the fixed ledger; checking
-    the fix is the verifier's job.
+    For k2p and k11p, h must be the core pattern itself (its p is read off by
+    the recognizer).  The pair joins the fixed ledger under the variant's
+    label; checking the fix is the verifier's job.
     """
     g = state.graph
     x, y = pair
     if x == y or not (0 <= x < g.n and 0 <= y < g.n):
         raise ValueError(f"pair {pair} not in the current graph")
+    if family not in _LABELS:
+        raise ValueError(f"unknown strategy family {family!r}; pick one of {FAMILIES}")
     is_edge = g.has_edge(x, y)
 
-    if strategy == TWIN_DUPLICATE:
+    if family == "twin":
         new_graph = _twin_duplicate(g, pair)
-    elif strategy == GATEKEEPER_GLUE:
+    elif family == "gatekeeper":
         new_graph = _gatekeeper_fix(g, pair, h, state.m, gatekeepers)
-    elif strategy in (K2P_EDGE, K2P_NONEDGE):
-        if (strategy == K2P_EDGE) != is_edge:
-            raise PreconditionError(f"{strategy} applied to a pair of the wrong status")
+    else:
         match = match_k2p_k11p(h)
-        if match is None or match[0] != "k2p":
-            raise PreconditionError("K2P strategies need h to be a K_{2,p} pattern")
-        new_graph = _k2p_fix(g, pair, match[1], state.m, edge=is_edge)
-    elif strategy in (K11P_EDGE, K11P_NONEDGE):
-        if (strategy == K11P_EDGE) != is_edge:
-            raise PreconditionError(f"{strategy} applied to a pair of the wrong status")
-        match = match_k2p_k11p(h)
-        if match is None or match[0] != "k11p":
-            raise PreconditionError("K11P strategies need h to be a K_{1,1,p} pattern")
-        if is_edge:
+        if match is None or match[0] != family:
+            shape = "K_{2,p}" if family == "k2p" else "K_{1,1,p}"
+            raise PreconditionError(
+                f"{family.upper()} strategies need h to be a {shape} pattern")
+        if family == "k2p":
+            new_graph = _k2p_fix(g, pair, match[1], state.m, edge=is_edge)
+        elif is_edge:
             new_graph = _k11p_edge_fix(g, pair, match[1], state.m)
         else:
-            new_graph = _add_block(g, state.m, _mask([x, y]), clique=False)[0]
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    return _advance(state, new_graph, record=(pair, strategy))
+            new_graph = _add_block(g, state.m, _mask(pair), clique=False)[0]
+    return _advance(state, new_graph, record=(pair, _LABELS[family][not is_edge]))
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +331,7 @@ def min_degree(g: Graph) -> int:
     return min(g.degree(v) for v in range(g.n))
 
 
-def core_extension_step(state: PrefixState, rule: int, core: Graph, m: Optional[int] = None,
+def core_extension_step(state: PrefixState, rule: int, core: Graph,
                         k: Optional[int] = None, l: Optional[int] = None,
                         tuples: Optional[Sequence[tuple[int, ...]]] = None) -> PrefixState:
     """Attach m-clone gadgets for every eligible vertex tuple of the current
@@ -382,8 +341,7 @@ def core_extension_step(state: PrefixState, rule: int, core: Graph, m: Optional[
     passing an empty list makes the step the identity apart from bookkeeping.
     """
     g = state.graph
-    if m is None:
-        m = state.m
+    m = state.m
     snapshot = list(range(g.n))
 
     if rule == 1:
@@ -453,23 +411,13 @@ def core_extension_step(state: PrefixState, rule: int, core: Graph, m: Optional[
 # Scheduled fixing.
 
 
-def _variant_for(family: str, is_edge: bool) -> str:
-    if family == "twin":
-        return TWIN_DUPLICATE
-    if family == "gatekeeper":
-        return GATEKEEPER_GLUE
-    if family == "k2p":
-        return K2P_EDGE if is_edge else K2P_NONEDGE
-    if family == "k11p":
-        return K11P_EDGE if is_edge else K11P_NONEDGE
-    raise ValueError(f"unknown strategy family {family!r}; pick one of {FAMILIES}")
-
-
 def schedule_fixes(seed: Graph, h: Graph, steps: int, m: int,
                    family: str) -> list[PrefixState]:
     """Run the scheduled fixing loop: at each step fix the highest-priority
     unfixed pair.  Returns seed state plus one state per completed step;
     stops early (without error) if the vertex cap is reached."""
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
     if seed.n < 2:
         raise ValueError("seed needs at least two vertices to have a pair")
     if find_induced(seed, h) is not None:
@@ -481,10 +429,8 @@ def schedule_fixes(seed: Graph, h: Graph, steps: int, m: int,
         entry = state.next_unfixed()
         if entry is None:
             break
-        is_edge = state.graph.has_edge(*entry.pair)
-        strategy = _variant_for(family, is_edge)
         try:
-            states.append(fix_pair(state, entry.pair, strategy, h,
+            states.append(fix_pair(state, entry.pair, family, h,
                                    gatekeepers=gatekeepers))
         except CapacityError:
             break

@@ -9,6 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
+from indsat.gatekeeper import CLIQUE_MODE
 from indsat.graphs import Graph
 from indsat.oracles import compare_to_pi
 from indsat.verifier import _rg_pool
@@ -183,3 +184,40 @@ def naive_gatekeeper(h: Graph, pair: tuple[int, int], kind: str) -> bool:
                 if naive_find_induced(host, fragment, anchors) is not None:
                     return False
     return True
+
+
+def naive_blowup_graph(h: Graph, pair: tuple[int, int], mode: str,
+                       m: int) -> tuple[Graph, tuple[int, int]]:
+    """The pair blow-up from an edge list, classes numbered in h's order: the
+    pair is perturbed and every other vertex becomes m clones (a clique in
+    clique mode, independent otherwise) inheriting the perturbed adjacency.
+    Returns the graph and the pair's images."""
+    u, v = pair
+    perturbed = h.toggled(u, v)
+    classes = {}
+    nxt = 0
+    for w in range(h.n):
+        size = 1 if w in (u, v) else m
+        classes[w] = range(nxt, nxt + size)
+        nxt += size
+    edges = []
+    for w in range(h.n):
+        if w not in (u, v) and mode == CLIQUE_MODE:
+            edges.extend(combinations(classes[w], 2))
+        for w2 in range(w + 1, h.n):
+            if perturbed.has_edge(w, w2):
+                edges.extend((a, b) for a in classes[w] for b in classes[w2])
+    return Graph.from_edges(nxt, edges), (classes[u][0], classes[v][0])
+
+
+def naive_glue(g: Graph, g2: Graph, a, a2) -> Graph:
+    """Glue g2 onto g identifying a2[i] with a[i]: the other vertices of g2
+    follow g's in g2's order, and the edges are both edge lists mapped."""
+    if len(a) != len(a2):
+        raise ValueError("glue lists must have equal length")
+    if len(set(a)) != len(a) or len(set(a2)) != len(a2):
+        raise ValueError("glue lists must not repeat vertices")
+    rest = [w for w in range(g2.n) if w not in a2]
+    image = {**dict(zip(a2, a)), **{w: g.n + i for i, w in enumerate(rest)}}
+    edges = g.edges() + [(image[w], image[w2]) for w, w2 in g2.edges()]
+    return Graph.from_edges(g.n + len(rest), edges)

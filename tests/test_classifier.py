@@ -12,7 +12,7 @@ from indsat.classifier import (CLOSE_TO_PERMUTATION, CORE_11_BULL_P4, CORE_3CONN
                                special_table, sweep)
 from indsat.graphs import (Graph, bull_graph, complement, complete_graph,
                            complete_multipartite, cycle_graph, emit_graph6,
-                           parse_graph6, path_graph)
+                           find_induced, parse_graph6, path_graph)
 from gensmall import graphs_up_to
 from oracles_naive import naive_has_3conn_subset, random_graph
 
@@ -198,6 +198,11 @@ class TestSweep:
         assert rep1.to_json() == rep2.to_json()
         assert rep1.ok()
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_1_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            sweep(["Dr["], n_max=8, workers=workers)
+
     def test_line_order_invariance(self):
         lines = [emit_graph6(g) for g in graphs_up_to(5)]
         rev = list(reversed(lines))
@@ -206,17 +211,17 @@ class TestSweep:
 
 class TestStructure12Pieces:
     def test_slice_9_3(self):
-        """The |A| = 9 slice always finds K_{3,3} outright: three missed
-        pairs cover at most 6 of 9 vertices."""
-        from indsat.classifier import _bipartite_graph
+        """The |A| = 9 slice always contains K_{3,3}: three missed pairs
+        cover at most 6 of 9 A-vertices, and the others see all of B."""
+        from indsat.classifier import _bipartite_graph, _has_3conn_subset
         pairs = list(combinations(range(9), 2))
+        k33 = complete_multipartite(3, 3)
         rng = random.Random(31)
         for _ in range(200):
             missed = [rng.choice(pairs) for _ in range(3)]
-            union = set()
-            for p in missed:
-                union.update(p)
-            assert 9 - len(union) >= 3
+            g = _bipartite_graph(9, missed)
+            assert find_induced(g, k33) is not None, missed
+            assert _has_3conn_subset(g), missed
 
     def test_disjoint_missed_pairs_contain_3connected(self):
         from indsat.classifier import _bipartite_graph, _has_3conn_subset

@@ -100,6 +100,14 @@ class TestSweepCommand:
         assert code == EXIT_OK and payload["ok"]
         validate(payload)
 
+    def test_workers_below_1_exit_1(self, tmp_path, capsys):
+        f = tmp_path / "in.g6"
+        f.write_text("Dr[\n")
+        code = main(["sweep", "--input", str(f), "--workers", "-3"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert "workers must be at least 1" in json.loads(captured.err)["error"]
+
     def test_out_file(self, tmp_path):
         f = tmp_path / "in.g6"
         f.write_text("Dr[\n")
@@ -128,6 +136,17 @@ class TestOtherCommands:
         assert code == EXIT_OK
         assert len(payload["graphs"]) == 3
         validate(payload)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--strategy", "k2p", "--h", "D]o", "--m", "0"], "m must be at least 1"),
+        (["--strategy", "k11p", "--h", "D}o", "--m", "0"], "m must be at least 1"),
+        (["--strategy", "gatekeeper", "--h", "C5", "--m", "-1"], "m must be at least 1"),
+        (["--strategy", "twin", "--h", "P4", "--steps", "-1"], "steps must be non-negative")])
+    def test_prefix_bad_count_exit_1(self, capsys, argv, message):
+        code = main(["prefix", "--g6", "P3", *argv])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert message in json.loads(captured.err)["error"]
 
     def test_oracle(self, capsys):
         vertices = json.dumps(["1/5", "2/5", "4/5"])
@@ -215,7 +234,8 @@ class TestDocs:
 
 
 class TestGolden:
-    """The docs fragment and the replay report, byte for byte as committed."""
+    """The docs fragment, the replay report and the scheduled prefixes of the
+    construct-verify benchmark cases, byte for byte as committed."""
 
     def test_docs_output(self, capsys):
         assert main(["docs"]) == EXIT_OK
@@ -224,3 +244,14 @@ class TestGolden:
     def test_replay_output(self, capsys):
         assert main(["replay"]) == EXIT_OK
         assert capsys.readouterr().out == (GOLDEN / "replay.json").read_text()
+
+    def test_prefix_output(self, capsys):
+        outputs = []
+        for seed, h, family, m in [("P2", "P4", "twin", "2"), ("P3", "C5", "gatekeeper", "3"),
+                                   ("P2", "Dr[", "gatekeeper", "2"), ("P2", "D]o", "k2p", "4"),
+                                   ("P3", "D}o", "k11p", "3")]:
+            assert main(["prefix", "--steps", "200", "--g6", seed, "--h", h,
+                         "--strategy", family, "--m", m]) == EXIT_OK
+            outputs.append(capsys.readouterr().out.rstrip("\n"))
+        text = "[\n" + ",\n".join(outputs) + "\n]\n"
+        assert text == (GOLDEN / "prefix.json").read_text()

@@ -1,21 +1,24 @@
+from itertools import combinations
+
 import pytest
 
-from indsat.constructions import (CapacityError, GATEKEEPER_GLUE, K2P_EDGE,
-                                  K2P_NONEDGE, K11P_EDGE, K11P_NONEDGE,
-                                  PreconditionError, TWIN_DUPLICATE, blowup_graph,
-                                  core_extension_step, fix_pair,
-                                  glue, glue_with_map, initial_state,
-                                  priority_position, schedule_fixes)
-from indsat.gatekeeper import CLIQUE_MODE, blowup_mode
+from indsat.constructions import (CapacityError, K2P_EDGE, K2P_NONEDGE,
+                                  PreconditionError, _gatekeeper_fix, _grow,
+                                  blowup_graph, core_extension_step, fix_pair,
+                                  initial_state, priority_position, schedule_fixes)
+from indsat.gatekeeper import CLIQUE_MODE, blowup_mode, has_fixing_operation
 from indsat.graphs import (Graph, bull_graph, complete_graph, complete_multipartite,
                            cycle_graph, empty_graph, find_induced, is_isomorphic,
-                           path_graph)
+                           parse_graph6, path_graph)
 from indsat.recognizers import classify_trivial
 from indsat.verifier import is_free
 from gensmall import graphs_up_to
+from oracles_naive import naive_blowup_graph, naive_glue
 
 
 class TestGlue:
+    """The edge-list gluing oracle the gatekeeper tests compare against."""
+
     def test_two_graphs_glued_on_nonedges(self):
         # Left graph: box with u, v and three more vertices; right graph: path
         # y-z plus the glued pair u', v'.  The merged result has 7 vertices.
@@ -23,29 +26,29 @@ class TestGlue:
         # 0=v, 1=u, 2..4 internal; u-v non-adjacent.
         right = Graph.from_edges(4, [(2, 3), (1, 3), (0, 2)])
         # right: 0=v', 1=u', 2=z, 3=y; u'-v' non-adjacent.
-        glued, image = glue_with_map(left, right, [1, 0], [1, 0])
+        # z and y become vertices 5 and 6.
+        glued = naive_glue(left, right, [1, 0], [1, 0])
         assert glued.n == 7
         expected = Graph.from_edges(7, [(2, 3), (1, 3), (2, 4), (3, 4), (0, 4),
                                         (5, 6), (1, 6), (0, 5)])
         assert glued == expected
-        assert image[2] == 5 and image[3] == 6
 
     def test_empty_interface_is_disjoint_union(self):
-        g = glue(path_graph(2), path_graph(2), [], [])
+        g = naive_glue(path_graph(2), path_graph(2), [], [])
         assert g.n == 4 and g.edge_count() == 2
 
     def test_single_shared_vertex(self):
-        g = glue(path_graph(3), path_graph(3), [2], [0])
+        g = naive_glue(path_graph(3), path_graph(3), [2], [0])
         assert g.n == 5 and g.edge_count() == 4
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            glue(path_graph(2), path_graph(2), [0], [0, 1])
+            naive_glue(path_graph(2), path_graph(2), [0], [0, 1])
         with pytest.raises(ValueError):
-            glue(path_graph(2), path_graph(2), [0, 0], [0, 1])
+            naive_glue(path_graph(2), path_graph(2), [0, 0], [0, 1])
 
     def test_base_stays_induced(self):
-        glued = glue(cycle_graph(5), cycle_graph(4), [0, 1], [0, 1])
+        glued = naive_glue(cycle_graph(5), cycle_graph(4), [0, 1], [0, 1])
         for u in range(5):
             assert glued.adj[u] & 0b11111 == cycle_graph(5).adj[u]
 
@@ -87,7 +90,6 @@ class TestBlowup:
     def test_every_moded_pair_gives_free_blowup(self):
         # Stronger than the existence claim: whenever blowup_mode
         # accepts a pair (edge or not), the m = 3 blow-up avoids h.
-        from itertools import combinations
         for h in graphs_up_to(6):
             if classify_trivial(h) != "none":
                 continue
@@ -96,6 +98,38 @@ class TestBlowup:
                 if mode is not None:
                     assert is_free(blowup_graph(h, pair, mode, 3).graph, h), \
                         (h, pair, mode)
+
+    def test_matches_naive_blowup_relabelled_pair_first(self):
+        for h in graphs_up_to(5):
+            if classify_trivial(h) != "none":
+                continue
+            for pair in combinations(range(h.n), 2):
+                mode = blowup_mode(h, pair)
+                if mode is None:
+                    continue
+                for m in (1, 2, 3):
+                    naive, (iu, iv) = naive_blowup_graph(h, pair, mode, m)
+                    rest = [w for w in range(naive.n) if w not in (iu, iv)]
+                    res = blowup_graph(h, pair, mode, m)
+                    assert res.pair_images == (0, 1)
+                    assert res.graph == naive.induced([iu, iv] + rest), (h, pair, m)
+
+    @pytest.mark.parametrize("args", [((0, 0), CLIQUE_MODE, 2), ((0, 1), "x", 2),
+                                      ((0, 1), CLIQUE_MODE, 0), ((0, 5), CLIQUE_MODE, 2)])
+    def test_bad_arguments(self, args):
+        with pytest.raises(ValueError):
+            blowup_graph(cycle_graph(5), *args)
+
+
+class TestGrow:
+    def test_new_rows_see_only_earlier_vertices(self):
+        g = _grow(path_graph(2), [0b11, 0b101])
+        assert g == Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3), (2, 3)])
+
+    @pytest.mark.parametrize("rows", [[1 << 2], [0, 1 << 4], [-1]])
+    def test_loop_or_later_vertex_rejected(self, rows):
+        with pytest.raises(ValueError, match="only see vertices before it"):
+            _grow(path_graph(2), rows)
 
 
 class TestPriorityEnumeration:
@@ -114,7 +148,7 @@ class TestPriorityEnumeration:
 class TestFixPair:
     def test_twin_duplicate_edge_gives_c4(self):
         state = initial_state(path_graph(2), m=3)
-        nxt = fix_pair(state, (0, 1), TWIN_DUPLICATE, path_graph(4))
+        nxt = fix_pair(state, (0, 1), "twin", path_graph(4))
         assert is_isomorphic(nxt.graph, cycle_graph(4))
         assert nxt.fixed_ledger[-1].pair == (0, 1)
 
@@ -122,7 +156,7 @@ class TestFixPair:
         # Glue the path gadget onto a non-edge of a C5-free base.
         c5 = cycle_graph(5)
         state = initial_state(path_graph(4), m=1)
-        nxt = fix_pair(state, (0, 2), GATEKEEPER_GLUE, c5)
+        nxt = fix_pair(state, (0, 2), "gatekeeper", c5)
         assert is_free(nxt.graph, c5)
         # m = 1 gluing of the perturbed pattern adds |V(h)| - 2 vertices.
         assert nxt.graph.n == 7
@@ -132,7 +166,7 @@ class TestFixPair:
     def test_gatekeeper_c5_edge_fix_stays_free(self):
         c5 = cycle_graph(5)
         state = initial_state(path_graph(4), m=2)
-        nxt = fix_pair(state, (0, 1), GATEKEEPER_GLUE, c5)
+        nxt = fix_pair(state, (0, 1), "gatekeeper", c5)
         assert is_free(nxt.graph, c5)
         assert find_induced(nxt.graph.toggled(0, 1), c5) is not None
 
@@ -141,14 +175,14 @@ class TestFixPair:
         # deleting the fixed edge then re-creates the pattern.
         k23 = complete_multipartite(2, 3)
         state = initial_state(path_graph(4), m=4)
-        nxt = fix_pair(state, (1, 2), K2P_EDGE, k23)
+        nxt = fix_pair(state, (1, 2), "k2p", k23)
         assert is_free(nxt.graph, k23)
         assert find_induced(nxt.graph.toggled(1, 2), k23) is not None
 
     def test_k2p_nonedge_fix(self):
         k23 = complete_multipartite(2, 3)
         state = initial_state(path_graph(4), m=2)
-        nxt = fix_pair(state, (0, 2), K2P_NONEDGE, k23)
+        nxt = fix_pair(state, (0, 2), "k2p", k23)
         assert is_free(nxt.graph, k23)
         assert find_induced(nxt.graph.toggled(0, 2), k23) is not None
 
@@ -156,7 +190,7 @@ class TestFixPair:
         k113 = complete_multipartite(1, 1, 3)
         state = initial_state(path_graph(4), m=2)
         # P4's edge (1,2): empty common neighborhood, coverable by one clique.
-        nxt = fix_pair(state, (1, 2), K11P_EDGE, k113)
+        nxt = fix_pair(state, (1, 2), "k11p", k113)
         assert is_free(nxt.graph, k113)
         assert find_induced(nxt.graph.toggled(1, 2), k113) is not None
 
@@ -166,26 +200,59 @@ class TestFixPair:
         base = complete_graph(4).toggled(2, 3)
         state = initial_state(base, m=2)
         with pytest.raises(PreconditionError):
-            fix_pair(state, (0, 1), K11P_EDGE, complete_multipartite(1, 1, 3))
+            fix_pair(state, (0, 1), "k11p", complete_multipartite(1, 1, 3))
 
     def test_k11p_p2_requires_disjoint_neighborhoods(self):
-        # For p = 2 the endpoints must share no neighbor at all.
+        # For p = 2 the endpoints must share no neighbor at all (p - 2 = 0
+        # cliques cover only the empty set).
         state = initial_state(complete_graph(3), m=3)
-        with pytest.raises(PreconditionError):
-            fix_pair(state, (0, 1), K11P_EDGE, complete_multipartite(1, 1, 2))
+        with pytest.raises(PreconditionError, match=r"common neighbors \[2\] of pair \(0, 1\)"):
+            fix_pair(state, (0, 1), "k11p", complete_multipartite(1, 1, 2))
+        nxt = fix_pair(initial_state(path_graph(2), m=3), (0, 1), "k11p",
+                       complete_multipartite(1, 1, 2))
+        assert nxt.graph == complete_graph(5)  # one 3-clique joined to the edge
 
     def test_k11p_nonedge_fix(self):
         k113 = complete_multipartite(1, 1, 3)
         state = initial_state(path_graph(4), m=4)
-        nxt = fix_pair(state, (0, 3), K11P_NONEDGE, k113)
+        nxt = fix_pair(state, (0, 3), "k11p", k113)
         assert is_free(nxt.graph, k113)
         assert find_induced(nxt.graph.toggled(0, 3), k113) is not None
 
-    def test_wrong_status_rejected(self):
+    def test_pair_status_picks_the_ledger_label(self):
         k23 = complete_multipartite(2, 3)
-        state = initial_state(k23, m=2)
-        with pytest.raises(PreconditionError):
-            fix_pair(state, k23.non_edges()[0], K2P_EDGE, k23)
+        state = initial_state(path_graph(4), m=2)
+        assert fix_pair(state, (1, 2), "k2p", k23).fixed_ledger[-1].strategy == K2P_EDGE
+        assert fix_pair(state, (0, 2), "k2p", k23).fixed_ledger[-1].strategy == K2P_NONEDGE
+
+    def test_pattern_must_match_family(self):
+        state = initial_state(path_graph(4), m=2)
+        with pytest.raises(PreconditionError, match="K_{2,p}"):
+            fix_pair(state, (1, 2), "k2p", complete_multipartite(1, 1, 3))
+        with pytest.raises(PreconditionError, match="K_{1,1,p}"):
+            fix_pair(state, (1, 2), "k11p", cycle_graph(5))
+        with pytest.raises(ValueError, match="unknown strategy family"):
+            fix_pair(state, (1, 2), "k2p_edge", complete_multipartite(2, 3))
+
+    def test_gatekeeper_fix_matches_naive_glue(self):
+        # The appended blocks equal the naive blow-up at the gatekeeper pair,
+        # glued by edge lists onto the pair being fixed.  C5, DVw, D^{ and
+        # EQ~o cover both gatekeeper kinds in both modes.
+        for label in ["Dhc", "DVw", "D^{", "EQ~o"]:
+            h = parse_graph6(label)
+            gk = has_fixing_operation(h)
+            for g in graphs_up_to(4):
+                for x, y in combinations(range(g.n), 2):
+                    if g.has_edge(x, y):
+                        hpair, mode = gk.nonedge_witness, gk.nonedge_mode
+                    else:
+                        hpair, mode = gk.edge_witness, gk.edge_mode
+                    if hpair is None:
+                        continue
+                    for m in (1, 2, 3):
+                        gadget, (iu, iv) = naive_blowup_graph(h, hpair, mode, m)
+                        assert (_gatekeeper_fix(g, (x, y), h, m, gk)
+                                == naive_glue(g, gadget, [x, y], [iu, iv])), (g, h, m)
 
 
 class TestCoreExtension:
@@ -265,6 +332,20 @@ class TestScheduleFixes:
         states = schedule_fixes(path_graph(2), path_graph(4), steps=0, m=2,
                                 family="twin")
         assert len(states) == 1 and states[0].graph == path_graph(2)
+
+    @pytest.mark.parametrize("family", ["twin", "gatekeeper", "k2p", "k11p"])
+    @pytest.mark.parametrize("m", [0, -2])
+    def test_m_below_1_rejected(self, family, m):
+        # m = 0 used to add empty gadgets and record unfixed pairs as fixed.
+        with pytest.raises(ValueError, match="m must be at least 1"):
+            schedule_fixes(path_graph(3), complete_multipartite(1, 1, 3), steps=2,
+                           m=m, family=family)
+        with pytest.raises(ValueError, match="m must be at least 1"):
+            initial_state(path_graph(2), m)
+
+    def test_negative_steps_rejected(self):
+        with pytest.raises(ValueError, match="steps must be non-negative"):
+            schedule_fixes(path_graph(2), path_graph(4), steps=-1, m=2, family="twin")
 
     def test_dequeue_prefix_matches_enumeration(self):
         state = initial_state(complete_graph(4), m=1)  # six pairs in gen 1

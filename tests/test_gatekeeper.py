@@ -8,10 +8,9 @@ from indsat.gatekeeper import (CLIQUE_MODE, COMPLETE_GRAPH, EDGE, FRAGMENT_FOUND
 from indsat.graphs import (Graph, colored_fragment_occurs, complete_graph,
                            cycle_graph, enumerate_2cuts, find_induced,
                            is_k_connected, parse_graph6, path_graph)
-from indsat.constructions import glue
 from indsat.recognizers import classify_trivial
 from gensmall import graphs_up_to
-from oracles_naive import naive_gatekeeper, random_graph
+from oracles_naive import naive_gatekeeper, naive_glue, random_graph
 
 
 def c5_with_pendant() -> Graph:
@@ -102,10 +101,10 @@ class TestCheckGatekeeper:
                 continue
             checked += 1
             for x, y in g.non_edges():
-                glued = glue(g, h_minus_e, [x, y], list(e))
+                glued = naive_glue(g, h_minus_e, [x, y], list(e))
                 assert find_induced(glued, h) is None
             for x, y in g.edges():
-                glued = glue(g, h_plus_f, [x, y], list(f))
+                glued = naive_glue(g, h_plus_f, [x, y], list(f))
                 assert find_induced(glued, h) is None
 
     def test_colored_implies_component_condition(self):

@@ -69,8 +69,7 @@ class TestPairFixedCheck:
         # One twin step on an edge gives C4; its unfixed diagonal pairs
         # create no P4 when perturbed.
         state = initial_state(path_graph(2), m=2)
-        from indsat.constructions import TWIN_DUPLICATE
-        g2 = fix_pair(state, (0, 1), TWIN_DUPLICATE, path_graph(4))
+        g2 = fix_pair(state, (0, 1), "twin", path_graph(4))
         for pair in ((0, 2), (1, 3)):
             result = pair_fixed_check(g2.graph, path_graph(4), pair)
             assert not result.passed()
@@ -126,16 +125,17 @@ class TestJustFixedPairPasses:
                                           K11P_EDGE, K11P_NONEDGE, TWIN_DUPLICATE)
         from indsat.graphs import complete_multipartite
         cases = [
-            (path_graph(2), (0, 1), TWIN_DUPLICATE, path_graph(4)),
-            (path_graph(4), (0, 1), GATEKEEPER_GLUE, cycle_graph(5)),
-            (path_graph(4), (0, 2), GATEKEEPER_GLUE, cycle_graph(5)),
-            (path_graph(4), (1, 2), K2P_EDGE, complete_multipartite(2, 3)),
-            (path_graph(4), (0, 2), K2P_NONEDGE, complete_multipartite(2, 3)),
-            (path_graph(4), (1, 2), K11P_EDGE, complete_multipartite(1, 1, 3)),
-            (path_graph(4), (0, 3), K11P_NONEDGE, complete_multipartite(1, 1, 3)),
+            (path_graph(2), (0, 1), "twin", TWIN_DUPLICATE, path_graph(4)),
+            (path_graph(4), (0, 1), "gatekeeper", GATEKEEPER_GLUE, cycle_graph(5)),
+            (path_graph(4), (0, 2), "gatekeeper", GATEKEEPER_GLUE, cycle_graph(5)),
+            (path_graph(4), (1, 2), "k2p", K2P_EDGE, complete_multipartite(2, 3)),
+            (path_graph(4), (0, 2), "k2p", K2P_NONEDGE, complete_multipartite(2, 3)),
+            (path_graph(4), (1, 2), "k11p", K11P_EDGE, complete_multipartite(1, 1, 3)),
+            (path_graph(4), (0, 3), "k11p", K11P_NONEDGE, complete_multipartite(1, 1, 3)),
         ]
-        for seed, pair, strategy, h in cases:
-            state = fix_pair(initial_state(seed, m=4), pair, strategy, h)
+        for seed, pair, family, strategy, h in cases:
+            state = fix_pair(initial_state(seed, m=4), pair, family, h)
+            assert state.fixed_ledger[-1].strategy == strategy
             result = pair_fixed_check(state.graph, h, pair)
             assert result.passed(), (strategy, result.witness)
 
