@@ -49,7 +49,7 @@ GATEKEEPER_CORE_ORDER = ("two", "three", "two_edge", "two_nonedge")
 # are matched by flag rather than stored separately.  The seven-vertex
 # spellings F?rLw and F?q|w are complements of each other and denote the same
 # complement-closed entry; F?rLw comes first because the replay witnesses
-# exist for that orientation.
+# (verifier.RATIONAL_GEOMETRIC_PATTERNS) exist for that orientation.
 _SPECIAL_TABLE = (
     ("E?qw", SPECIAL_RATIONAL_GEOMETRIC),
     ("F?rLw", SPECIAL_RATIONAL_GEOMETRIC),
@@ -58,21 +58,10 @@ _SPECIAL_TABLE = (
     ("F?q|w", SPECIAL_RATIONAL_GEOMETRIC),
 )
 
-# The spellings whose direct orientation embeds in its construction after a
-# perturbation; the replay suites run over these.
-REPLAY_GRAPHS = ("E?qw", "F?rLw", "F?S|w")
-
 
 # (key, case, graph, complement of graph), parsed once at import.
 _SPECIAL_GRAPHS = tuple((key, case, parse_graph6(key), complement(parse_graph6(key)))
                         for key, case in _SPECIAL_TABLE)
-
-
-def special_base_graphs(tag: str = "") -> dict[str, Graph]:
-    """Parsed replay-orientation special graphs, optionally filtered by
-    construction tag ("rational_geometric" or "z3")."""
-    return {key: g for key, case, g, _ in _SPECIAL_GRAPHS
-            if (key in REPLAY_GRAPHS or key == "F?q~w") and case.endswith(tag)}
 
 
 def special_table(h: Graph) -> Optional[tuple[str, str, bool]]:
@@ -209,9 +198,12 @@ def replay_certificate(cert: Certificate) -> bool:
     if case == FOREST_UNIQUE_MAX:
         return forest_unique_max(target) == (witness["center"], witness["max_degree"])
     if case in (CORE_K2P, CORE_K11P, CORE_3CONN, CORE_11_BULL_P4, CORE_GATEKEEPER):
-        kind = cores.named_core(witness["core_kind"])
-        result = cores.core(target, kind)
-        if graph6_label(result.graph) != witness["core"]:
+        kind_name = witness["core_kind"]
+        result = cores.core(target, cores.named_core(kind_name))
+        # The stored core, its vertex labels and its removal trace must all be
+        # the ones the core reduction produces.
+        if any(witness.get(key) != value
+               for key, value in _core_witness(result, kind_name).items()):
             return False
         if cores.rebuild(result, target.n) != target:
             return False
@@ -222,11 +214,13 @@ def replay_certificate(cert: Certificate) -> bool:
         if case == CORE_3CONN:
             return is_3conn_nonclique(cg)
         if case == CORE_11_BULL_P4:
-            return is_bull_or_p4(cg)
+            shape = "p4" if cg.n == 4 else "bull"
+            return is_bull_or_p4(cg) and witness["shape"] == shape
         edge = tuple(witness["edge_witness"])
         nonedge = tuple(witness["nonedge_witness"])
-        return (blowup_mode(cg, edge) is not None
-                and blowup_mode(cg, nonedge) is not None
+        modes = (blowup_mode(cg, edge), blowup_mode(cg, nonedge))
+        return (None not in modes
+                and (witness["edge_mode"], witness["nonedge_mode"]) == modes
                 and check_gatekeeper(cg, edge, EDGE)
                 and check_gatekeeper(cg, nonedge, NONEDGE))
     if case == CLOSE_TO_PERMUTATION:

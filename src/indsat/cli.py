@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -139,8 +140,9 @@ def _cmd_prefix(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    spec = json.loads(Path(args.vertices).read_text() if Path(args.vertices).exists()
-                      else args.vertices)
+    # Unlike Path.exists, isfile is False (no error) for a list too long for a name.
+    text = args.vertices
+    spec = json.loads(Path(text).read_text() if os.path.isfile(text) else text)
     try:
         if isinstance(spec, dict):
             kind = kind_from_json(spec["kind"])

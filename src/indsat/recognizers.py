@@ -101,9 +101,6 @@ class PermutationWitness:
     ordering: tuple[int, ...]
     sigma: tuple[int, ...]
 
-    def to_json(self) -> dict:
-        return {"ordering": list(self.ordering), "sigma": list(self.sigma)}
-
 
 def check_permutation_witness(g: Graph, w: PermutationWitness) -> bool:
     n = g.n

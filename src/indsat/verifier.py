@@ -1,9 +1,11 @@
 """Saturation and freeness checks on finite graphs and oracle windows.
 
 "Fixed" is undecidable at desk scale; pair_fixed_check is bounded evidence
-and says so in its report.  The witness replays re-derive their coordinates
-by constraint search over rational intervals instead of trusting any
-hand-picked sketch values, with exact arithmetic throughout.
+and says so in its report.  The torero and rational-geometric witness replays
+re-derive their coordinates by constraint search over rational intervals
+instead of trusting any hand-picked sketch values.  Every replay checks,
+with exact arithmetic, that perturbing the witness pair turns the window
+into the pattern itself.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Optional
 
-from .graphs import Graph, bull_graph, clique_cover_at_most, find_induced
+from .graphs import (Graph, bull_graph, clique_cover_at_most, find_induced,
+                     parse_graph6)
 from .oracles import (GRID_CLIQUE, RATIONAL_GEOMETRIC, RATIONAL_GEOMETRIC_KIND,
                       TORERO, TORERO_KIND, UP_RIGHT, Z3_AGREE, Z3_AGREE_KIND,
                       OracleKind, compare_to_pi, fraction_to_str, oracle_window)
@@ -100,37 +103,32 @@ def pair_fixed_check(g: Graph, h: Graph, pair: tuple[int, int],
     target = g.toggled(u, v)
     others = ([p for p in combinations(range(g.n), 2) if set(p) != {u, v}]
               if adversary_budget >= 1 else [])
+    exhaustive_size = 0
 
-    def run(extra: Sequence[tuple[int, int]]) -> Optional[tuple]:
+    def adversary_sets():
+        """All sets of each size up to min(budget, 2) while they fit the limit,
+        then the seeded trial sets; exhaustive_size trails the sizes done."""
+        nonlocal exhaustive_size
+        for size in range(0, min(adversary_budget, 2) + 1):
+            if math.comb(len(others), size) > EXHAUSTIVE_PAIRSET_LIMIT:
+                break
+            yield from combinations(others, size)
+            exhaustive_size = size
+        if adversary_budget >= 1 and others:
+            rng = random.Random(seed)
+            for _ in range(trials):
+                size = rng.randint(1, adversary_budget)
+                yield tuple(rng.sample(others, min(size, len(others))))
+
+    sets_checked = 0
+    for extra in adversary_sets():
+        sets_checked += 1
         perturbed = target
         for a, b in extra:
             perturbed = perturbed.toggled(a, b)
         if find_induced(perturbed, h) is None:
-            return ((u, v),) + tuple(extra)
-        return None
-
-    sets_checked = 0
-    exhaustive_size = 0
-    for size in range(0, min(adversary_budget, 2) + 1):
-        if math.comb(len(others), size) > EXHAUSTIVE_PAIRSET_LIMIT:
-            break
-        for extra in combinations(others, size):
-            sets_checked += 1
-            witness = run(extra)
-            if witness is not None:
-                return PairFixedResult("fail", witness, adversary_budget, trials,
-                                       seed, sets_checked, exhaustive_size)
-        exhaustive_size = size
-    rng = random.Random(seed)
-    if adversary_budget >= 1 and others:
-        for _ in range(trials):
-            size = rng.randint(1, adversary_budget)
-            extra = tuple(rng.sample(others, min(size, len(others))))
-            sets_checked += 1
-            witness = run(extra)
-            if witness is not None:
-                return PairFixedResult("fail", witness, adversary_budget, trials,
-                                       seed, sets_checked, exhaustive_size)
+            return PairFixedResult("fail", ((u, v),) + extra, adversary_budget, trials,
+                                   seed, sets_checked, exhaustive_size)
     return PairFixedResult("pass", None, adversary_budget, trials, seed,
                            sets_checked, exhaustive_size)
 
@@ -228,35 +226,31 @@ _Z3_SCENARIOS = [
       ((2, 2, 0), 0), ((1, 1, 0), 0), ((0, 0, 0), 0)], (0, 3)),
 ]
 
+# The special graphs whose direct orientation embeds in the rational-geometric
+# construction after a perturbation (graph6 spellings of the special table).
+RATIONAL_GEOMETRIC_PATTERNS = ("E?qw", "F?rLw", "F?S|w")
 
-def replay_z3(report: ReplayReport) -> None:
-    pattern = final_graph_pattern()
-    for name, points, (pu, pv) in _Z3_SCENARIOS:
-        window, _ = oracle_window(Z3_AGREE_KIND, points)
-        perturbed = window.toggled(pu, pv)
-        found = None
-        for anchors in ({pu: pu, pv: pv}, {pu: pv, pv: pu}):
-            try:
-                found = find_induced(perturbed, pattern, anchors)
-            except ValueError:
-                found = None
-            if found:
-                break
-        report.add(name, found is not None,
-                   perturbed_pair=[pu, pv],
-                   embedding=list(found) if found else None)
+
+def _replay(report: ReplayReport, name: str, kind: OracleKind, values: list,
+            pair: tuple[int, int], pattern: Graph, **details) -> None:
+    """Window vertex i plays pattern vertex i, so the witness holds exactly
+    when perturbing `pair` in the window gives the pattern itself."""
+    window, _ = oracle_window(kind, values)
+    passed = window.toggled(*pair) == pattern
+    report.add(name, passed, **details, perturbed_pair=list(pair),
+               embedding=list(range(pattern.n)) if passed else None)
 
 
 def _mid(lo: Fraction, hi: Fraction) -> Fraction:
     return (lo + hi) / 2
 
 
-def torero_delete_witness() -> tuple[list[Fraction], tuple[int, int], dict[int, int]]:
+def torero_delete_witness() -> tuple[list[Fraction], tuple[int, int]]:
     """Recompute the bull witness for an edge deletion by interval search.
 
-    Returns (window values, window pair to delete, anchors pattern->index).
-    The bull pattern is the triangle 0,1,2 with pendants 3-0 and 4-1; the
-    deleted edge plays pendant-4-to-triangle-0.
+    Returns (window values, window pair to delete).  The bull pattern is the
+    triangle 0,1,2 with pendants 3-0 and 4-1; the deleted edge plays
+    pendant-4-to-triangle-0.
     """
     b, x = Fraction(2, 5), Fraction(9, 10)  # edge: b + x > 1, b < x
     y = _mid(max(b, 1 - b), x)              # b < y < x with b + y > 1
@@ -265,10 +259,10 @@ def torero_delete_witness() -> tuple[list[Fraction], tuple[int, int], dict[int, 
     values = [x, y, z, a, b]
     if len(set(values)) != 5:
         raise AssertionError("degenerate interval choice")
-    return values, (0, 4), {0: 0, 1: 1, 2: 2, 3: 3, 4: 4}
+    return values, (0, 4)
 
 
-def torero_add_witness() -> tuple[list[Fraction], tuple[int, int], dict[int, int]]:
+def torero_add_witness() -> tuple[list[Fraction], tuple[int, int]]:
     """Bull witness for an edge addition: the new edge is the pendant 4-1."""
     b, y = Fraction(1, 10), Fraction(3, 10)   # non-edge: b + y < 1
     z = _mid(1 - y, 1 - b)                    # y + z > 1, z + b < 1
@@ -277,40 +271,10 @@ def torero_add_witness() -> tuple[list[Fraction], tuple[int, int], dict[int, int
     values = [x, y, z, a, b]
     if len(set(values)) != 5:
         raise AssertionError("degenerate interval choice")
-    return values, (1, 4), {0: 0, 1: 1, 2: 2, 3: 3, 4: 4}
+    return values, (1, 4)
 
 
-def replay_torero(report: ReplayReport) -> None:
-    pattern = bull_graph()
-    for name, (values, pair, anchors) in (
-            ("torero_delete_edge", torero_delete_witness()),
-            ("torero_add_edge", torero_add_witness())):
-        window, _ = oracle_window(TORERO_KIND, values)
-        perturbed = window.toggled(*pair)
-        found = find_induced(perturbed, pattern, anchors)
-        report.add(name, found is not None,
-                   window=[fraction_to_str(v) for v in values],
-                   perturbed_pair=list(pair),
-                   embedding=list(found) if found else None)
-
-
-# Rational-geometric replays: generic constraint search over a rational pool.
-
-
-def _rg_pool(r: Fraction, step: Fraction) -> list[Fraction]:
-    """Grid pool inside the radius-3*pi window around {0, r}; 355/113 serves
-    as the rational upper proxy for pi when clipping."""
-    lo_bound = -3 * Fraction(355, 113)
-    hi_bound = r + 3 * Fraction(355, 113)
-    k = int(lo_bound / step) - 1
-    pool = []
-    while k * step <= hi_bound:
-        val = k * step
-        if lo_bound <= val:
-            pool.append(val)
-        k += 1
-    return pool
-
+# Rational-geometric replays: generic constraint search over a rational grid.
 
 # Deleted edges are tried at these spans (all below pi), added non-edges at
 # spans above pi; a span too close to pi leaves no room for the witness.
@@ -320,7 +284,7 @@ _RG_STEP = Fraction(1, 8)  # every span above is a multiple of it
 
 
 def rational_geometric_witness(pattern: Graph, add: bool,
-                               ) -> Optional[tuple[list[Fraction], tuple[int, int], dict[int, int]]]:
+                               ) -> Optional[tuple[list[Fraction], tuple[int, int]]]:
     """Search a rational witness window for one perturbation scenario.
 
     The perturbed pair sits at 0 and r (r < pi for a deletion, r > pi for an
@@ -328,24 +292,34 @@ def rational_geometric_witness(pattern: Graph, add: bool,
     rationals by backtracking against exact oracle adjacency.
     """
     for r in (_RG_ADD_SPANS if add else _RG_DELETE_SPANS):
-        found = _rg_witness_at(pattern, add, r)
-        if found is not None:
-            return found
+        pool_vals, host = _rg_host(r)
+        for pu in range(pattern.n):
+            for pv in range(pattern.n):
+                # The pattern pair landing on (0, r) must have the perturbed status.
+                if pu == pv or pattern.has_edge(pu, pv) != add:
+                    continue
+                found = find_induced(host, pattern, {pu: 0, pv: 1})
+                if found is not None:
+                    return [pool_vals[i] for i in found], (pu, pv)
     return None
 
 
 def _rg_host(r: Fraction) -> tuple[list[Fraction], Graph]:
-    """The grid pool (0 and r first) and its rational-geometric graph with
-    the pair {0, r} perturbed.
+    """The grid pool and its rational-geometric graph with the pair {0, r}
+    perturbed.
 
-    Every pool value is a multiple of _RG_STEP, so adjacency depends only on
-    the grid distance d, and compare_to_pi runs once per distinct d.
+    The pool is every multiple of _RG_STEP inside the radius-3*pi window
+    around {0, r}, with 0 and r first; 355/113 serves as the rational upper
+    proxy for pi when clipping.  Values are handled as integer ticks of
+    _RG_STEP, so adjacency depends only on the tick distance d, and
+    compare_to_pi runs once per distinct d.
     """
-    pool_vals = [Fraction(0), r]
-    pool_vals += [v for v in _rg_pool(r, _RG_STEP) if v not in pool_vals]
-    ticks = [int(v / _RG_STEP) for v in pool_vals]
-    near: dict[int, bool] = {}  # grid distance -> distance below pi
-    npool = len(pool_vals)
+    r_ticks = int(r / _RG_STEP)
+    reach = 3 * Fraction(355, 113) / _RG_STEP
+    grid = range(math.ceil(-reach), math.floor(r_ticks + reach) + 1)
+    ticks = [0, r_ticks] + [t for t in grid if t not in (0, r_ticks)]
+    near: dict[int, bool] = {}  # tick distance -> distance below pi
+    npool = len(ticks)
     masks = [0] * npool  # host adjacency after the perturbation, as bitmasks
     for i in range(npool):
         ti = ticks[i]
@@ -359,47 +333,28 @@ def _rg_host(r: Fraction) -> tuple[list[Fraction], Graph]:
             if adj:
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
-    return pool_vals, Graph(npool, masks)
-
-
-def _rg_witness_at(pattern: Graph, add: bool, r: Fraction):
-    pool_vals, host = _rg_host(r)
-    for pu in range(pattern.n):
-        for pv in range(pattern.n):
-            # The pattern pair landing on (0, r) must have the perturbed status.
-            if pu == pv or pattern.has_edge(pu, pv) != add:
-                continue
-            found = find_induced(host, pattern, {pu: 0, pv: 1})
-            if found is not None:
-                values = [pool_vals[i] for i in found]
-                return values, (pu, pv), {p: p for p in range(pattern.n)}
-    return None
-
-
-def replay_rational_geometric(report: ReplayReport, patterns: dict[str, Graph]) -> None:
-    for gname, pattern in patterns.items():
-        for add in (False, True):
-            name = f"rational_geometric_{'add' if add else 'delete'}_{gname}"
-            found = rational_geometric_witness(pattern, add)
-            if found is None:
-                report.add(name, False, reason="no witness window found")
-                continue
-            values, pair, anchors = found
-            window, _ = oracle_window(RATIONAL_GEOMETRIC_KIND, values)
-            perturbed = window.toggled(*pair)
-            emb = find_induced(perturbed, pattern, anchors)
-            report.add(name, emb is not None,
-                       window=[fraction_to_str(v) for v in values],
-                       perturbed_pair=list(pair),
-                       embedding=list(emb) if emb else None)
+    return [t * _RG_STEP for t in ticks], Graph(npool, masks)
 
 
 def replay_construction_witnesses() -> ReplayReport:
     """Re-derive and verify the catalogued perturbation witnesses."""
-    from .classifier import special_base_graphs
-
     report = ReplayReport()
-    replay_z3(report)
-    replay_torero(report)
-    replay_rational_geometric(report, special_base_graphs("rational_geometric"))
+    pattern = final_graph_pattern()
+    for name, points, pair in _Z3_SCENARIOS:
+        _replay(report, name, Z3_AGREE_KIND, points, pair, pattern)
+    for name, (values, pair) in (("torero_delete_edge", torero_delete_witness()),
+                                 ("torero_add_edge", torero_add_witness())):
+        _replay(report, name, TORERO_KIND, values, pair, bull_graph(),
+                window=[fraction_to_str(v) for v in values])
+    for key in RATIONAL_GEOMETRIC_PATTERNS:
+        pattern = parse_graph6(key)
+        for add in (False, True):
+            name = f"rational_geometric_{'add' if add else 'delete'}_{key}"
+            found = rational_geometric_witness(pattern, add)
+            if found is None:
+                report.add(name, False, reason="no witness window found")
+                continue
+            values, pair = found
+            _replay(report, name, RATIONAL_GEOMETRIC_KIND, values, pair, pattern,
+                    window=[fraction_to_str(v) for v in values])
     return report

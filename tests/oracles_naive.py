@@ -12,7 +12,6 @@ from itertools import combinations, permutations, product
 from indsat.gatekeeper import CLIQUE_MODE
 from indsat.graphs import Graph
 from indsat.oracles import compare_to_pi
-from indsat.verifier import _rg_pool
 
 
 def naive_find_induced(host: Graph, pattern: Graph, anchors=None):
@@ -139,10 +138,13 @@ def naive_is_permutation_graph(g: Graph) -> bool:
 
 def naive_rg_host(r: Fraction) -> tuple[list[Fraction], list[int]]:
     """Pool values and adjacency masks of the rational-geometric witness
-    host for span r: one exact pi comparison per vertex pair, then the pair
-    {0, r} perturbed."""
+    host for span r (0 <= r < 10): the multiples of 1/8 in
+    [-3*355/113, r + 3*355/113], 0 and r first; one exact pi comparison per
+    vertex pair, then the pair {0, r} perturbed."""
+    lo, hi = -3 * Fraction(355, 113), r + 3 * Fraction(355, 113)
     pool_vals = [Fraction(0), r]
-    pool_vals += [v for v in _rg_pool(r, Fraction(1, 8)) if v not in pool_vals]
+    pool_vals += [Fraction(k, 8) for k in range(-8 * 10, 8 * 20)
+                  if lo <= Fraction(k, 8) <= hi and Fraction(k, 8) not in pool_vals]
     npool = len(pool_vals)
     masks = [0] * npool
     for i in range(npool):

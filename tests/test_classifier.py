@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from itertools import combinations, combinations_with_replacement
@@ -88,6 +89,43 @@ class TestCertificateReplay:
         for g in (path_graph(4), cycle_graph(5), bull_graph(),
                   parse_graph6("E?qw"), complete_multipartite(2, 4)):
             assert replay_certificate(classify(g))
+
+    # One graph per core case: k2p, k11p (with a non-empty trace), 3-conn,
+    # (1,1)-core P4 and gatekeeper.
+    CORE_CASES = {"D]o": CORE_K2P, "E?zw": CORE_K11P, "Es\\o": CORE_3CONN,
+                  "Ch": CORE_11_BULL_P4, "Dr[": CORE_GATEKEEPER}
+    FAKE_REMOVAL = {"vertices": [0], "attachment": {"0": []},
+                    "internal_edge": False, "rule": "degree"}
+
+    @staticmethod
+    def tampered(cert, **changes):
+        return dataclasses.replace(cert, witness={**cert.witness, **changes})
+
+    @pytest.mark.parametrize("g6", sorted(CORE_CASES))
+    def test_tampered_core_witness_rejected(self, g6):
+        cert = classify(parse_graph6(g6))
+        assert cert.case == self.CORE_CASES[g6] and replay_certificate(cert)
+        trace = [] if cert.witness["trace"] else [self.FAKE_REMOVAL]
+        assert not replay_certificate(self.tampered(cert, trace=trace))
+        assert not replay_certificate(self.tampered(cert, core_vertices=[99]))
+        vertices = cert.witness["core_vertices"]
+        assert not replay_certificate(self.tampered(cert, core_vertices=vertices[::-1]))
+
+    def test_tampered_shape_rejected(self):
+        cert = classify(path_graph(4))
+        assert not replay_certificate(self.tampered(cert, shape="bull"))
+        cert = classify(bull_graph())
+        assert cert.case == CORE_11_BULL_P4 and replay_certificate(cert)
+        assert not replay_certificate(self.tampered(cert, shape="p4"))
+
+    def test_tampered_blowup_modes_rejected(self):
+        cert = classify(parse_graph6("Dr["))
+        edge_mode, nonedge_mode = cert.witness["edge_mode"], cert.witness["nonedge_mode"]
+        assert edge_mode != nonedge_mode
+        assert not replay_certificate(self.tampered(cert, edge_mode=nonedge_mode))
+        assert not replay_certificate(self.tampered(cert, nonedge_mode=edge_mode))
+        assert not replay_certificate(self.tampered(cert, edge_mode=nonedge_mode,
+                                                    nonedge_mode=edge_mode))
 
     def test_certificate_json_shape(self):
         payload = classify(cycle_graph(5)).to_json()

@@ -166,6 +166,22 @@ class TestOtherCommands:
         assert payload["graph"] == "A_"  # the distance is just below pi: an edge
         validate(payload)
 
+    def test_oracle_long_inline_list_and_file(self, capsys, tmp_path):
+        # 79 integer vertices spell a 464-character list, longer than a file
+        # name may be (255 bytes on common file systems); the same list read
+        # from a file gives the same window.
+        vertices = json.dumps([str(i) for i in range(79)])
+        assert len(vertices) > 255
+        code, inline = run_json(capsys, ["oracle", "--kind", "rational_geometric",
+                                         "--vertices", vertices])
+        assert code == EXIT_OK and len(inline["labels"]) == 79
+        spec = tmp_path / "vertices.json"
+        spec.write_text(vertices)
+        code, from_file = run_json(capsys, ["oracle", "--kind", "rational_geometric",
+                                            "--vertices", str(spec)])
+        assert code == EXIT_OK and from_file == inline
+        validate(inline)
+
     @pytest.mark.parametrize("spec", [
         '{}', '{"kind":{"tag":"torero"}}', '{"kind":5,"vertices":[]}', '5',
         '[[1]]', '["1/2",[3]]', '["1/0"]', '[1e400]',
@@ -255,3 +271,17 @@ class TestGolden:
             outputs.append(capsys.readouterr().out.rstrip("\n"))
         text = "[\n" + ",\n".join(outputs) + "\n]\n"
         assert text == (GOLDEN / "prefix.json").read_text()
+
+    def test_verify_output(self, capsys):
+        # A budget-2 pass on a twin prefix of P4 (Ch), failures at exhaustive
+        # sizes 0 and 1, and a budget-3 failure that only a seeded trial finds.
+        outputs = []
+        for g6, h, pair, k, trials, seed in [("Iltqt\\Xsw", "Ch", "0,3", "2", "20", "5"),
+                                             ("C4", "P4", "0,2", "1", "5", "0"),
+                                             ("Iltqt\\Xsw", "Ch", "0,2", "2", "10", "1"),
+                                             ("Gltqt[", "Ch", "0,1", "3", "40", "38")]:
+            assert main(["verify", "--g6", g6, "--h", h, "--pair", pair, "--k", k,
+                         "--trials", trials, "--seed", seed]) == EXIT_VERIFY_FAILED
+            outputs.append(capsys.readouterr().out.rstrip("\n"))
+        text = "[\n" + ",\n".join(outputs) + "\n]\n"
+        assert text == (GOLDEN / "verify.json").read_text()

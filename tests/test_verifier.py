@@ -162,16 +162,17 @@ class TestWindowProperties:
             assert is_free(window, p4)
 
     def test_rational_geometric_two_clique_neighborhoods(self):
-        from indsat.classifier import special_base_graphs
+        from indsat.graphs import parse_graph6
+        from indsat.verifier import RATIONAL_GEOMETRIC_PATTERNS
         rng = random.Random(1002)
-        patterns = special_base_graphs("rational_geometric")
+        patterns = [parse_graph6(key) for key in RATIONAL_GEOMETRIC_PATTERNS]
         for _ in range(300):
             vals = sample_window(RATIONAL_GEOMETRIC_KIND, rng.randint(2, 10), rng)
             window, _ = oracle_window(RATIONAL_GEOMETRIC_KIND, vals)
             for v in range(window.n):
                 assert neighborhood_two_clique_cover(window, v)
             # Two-clique neighborhoods exclude the three special patterns.
-            for pattern in patterns.values():
+            for pattern in patterns:
                 assert is_free(window, pattern)
 
     def test_grid_windows_no_three_independent_neighbors(self):
@@ -217,6 +218,24 @@ class TestReplays:
     def test_all_witness_replays_pass(self):
         report = replay_construction_witnesses()
         assert report.all_passed(), [s for s in report.scenarios if not s["passed"]]
+
+    def test_corrupted_scenario_fails(self):
+        # A stored z3 scenario replays; one moved point or the wrong pair
+        # leaves a window that is not the pattern after the perturbation.
+        from indsat.oracles import Z3_AGREE_KIND
+        from indsat.verifier import _Z3_SCENARIOS, ReplayReport, _replay, final_graph_pattern
+        name, points, pair = _Z3_SCENARIOS[0]
+        report = ReplayReport()
+        _replay(report, name, Z3_AGREE_KIND, points, pair, final_graph_pattern())
+        _replay(report, "moved_point", Z3_AGREE_KIND, [((5, 5, 5), 0)] + points[1:], pair,
+                final_graph_pattern())
+        _replay(report, "wrong_pair", Z3_AGREE_KIND, points, (0, 5), final_graph_pattern())
+        good, moved, wrong = report.to_json()["scenarios"]
+        assert good["passed"] and good["embedding"] == list(range(7))
+        for scenario in (moved, wrong):
+            assert scenario["passed"] is False and scenario["embedding"] is None
+        assert wrong["perturbed_pair"] == [0, 5]
+        assert report.all_passed() is False
 
     def test_report_serializes(self):
         report = replay_construction_witnesses()
