@@ -20,7 +20,7 @@ from .classifier import classify, structure_check_12, sweep
 from .constructions import FAMILIES, schedule_fixes
 from .gatekeeper import has_fixing_operation
 from .graphs import (Graph, Graph6Error, bull_graph, complete_graph, cycle_graph,
-                     graph6_label, icosahedron_complement, parse_graph6, path_graph)
+                     emit_graph6, icosahedron_complement, parse_graph6, path_graph)
 from .oracles import kind_from_json, oracle_window, vertex_from_json, vertex_to_json
 from .verifier import (induced_saturated, is_free, pair_fixed_check,
                        replay_construction_witnesses)
@@ -90,8 +90,8 @@ def _cmd_cores(args) -> int:
     g = graph_from_spec(args.g6)
     kind = cores_mod.named_core(args.kind)
     result = cores_mod.core(g, kind)
-    _emit({"input": graph6_label(g), "kind": cores_mod.core_name(kind),
-           "core": graph6_label(result.graph),
+    _emit({"input": emit_graph6(g), "kind": cores_mod.core_name(kind),
+           "core": emit_graph6(result.graph),
            "core_vertices": list(result.vertices),
            "trace": [c.to_json() for c in result.trace]}, args.out)
     return EXIT_OK
@@ -100,7 +100,7 @@ def _cmd_cores(args) -> int:
 def _cmd_gatekeepers(args) -> int:
     g = graph_from_spec(args.g6)
     result = has_fixing_operation(g)
-    _emit({"input": graph6_label(g), **result.to_json()}, args.out)
+    _emit({"input": emit_graph6(g), **result.to_json()}, args.out)
     return EXIT_OK
 
 
@@ -109,7 +109,7 @@ def _cmd_verify(args) -> int:
     h = graph_from_spec(args.h)
     free = is_free(g, h)
     saturated, failing = induced_saturated(g, h)
-    payload = {"input": graph6_label(g), "h": graph6_label(h), "h_free": free,
+    payload = {"input": emit_graph6(g), "h": emit_graph6(h), "h_free": free,
                "induced_saturated": saturated,
                "failing_pair": list(failing) if failing else None,
                "pairs_checked": g.n * (g.n - 1) // 2}
@@ -128,9 +128,9 @@ def _cmd_prefix(args) -> int:
     states = schedule_fixes(seed_graph, h, steps=args.steps, m=args.m,
                             family=args.strategy)
     payload = {
-        "seed": graph6_label(seed_graph), "h": graph6_label(h),
+        "seed": emit_graph6(seed_graph), "h": emit_graph6(h),
         "strategy": args.strategy, "m": args.m, "steps_completed": len(states) - 1,
-        "graphs": [graph6_label(s.graph) for s in states],
+        "graphs": [emit_graph6(s.graph) for s in states],
         "ledger": [rec.to_json() for rec in states[-1].fixed_ledger],
         "queue_prefix": [[e.i, e.j] for e in sorted(states[-1].queue,
                                                     key=lambda e: e.position)[:10]],
@@ -156,7 +156,7 @@ def _cmd_oracle(args) -> int:
     except (KeyError, IndexError, TypeError, ZeroDivisionError, OverflowError) as exc:
         raise ValueError(f"malformed oracle spec: {type(exc).__name__}: {exc}") from exc
     window, labels = oracle_window(kind, vertices)
-    _emit({"kind": kind.tag, "graph": graph6_label(window),
+    _emit({"kind": kind.tag, "graph": emit_graph6(window),
            "labels": [vertex_to_json(kind, v) for v in labels]}, args.out)
     return EXIT_OK
 

@@ -52,13 +52,7 @@ FAMILIES = tuple(_LABELS)
 # Pair blow-ups H_{uv->c} / H_{uv->s}, truncated to m clones per class.
 
 
-@dataclass(frozen=True)
-class BlowupResult:
-    graph: Graph
-    pair_images: tuple[int, int]
-
-
-def blowup_graph(h: Graph, pair: tuple[int, int], mode: str, m: int) -> BlowupResult:
+def blowup_graph(h: Graph, pair: tuple[int, int], mode: str, m: int) -> Graph:
     """Perturb the pair, then replace every other vertex by m clones forming
     a clique (clique mode) or independent set, inheriting class adjacency.
     The pair's images are vertices 0 and 1, the clones follow in h's order."""
@@ -70,7 +64,7 @@ def blowup_graph(h: Graph, pair: tuple[int, int], mode: str, m: int) -> BlowupRe
     if m < 1:
         raise ValueError("truncation m must be at least 1")
     perturbed_pair = Graph.from_edges(2, [] if h.has_edge(u, v) else [(0, 1)])
-    return BlowupResult(_glue_blowup(perturbed_pair, (0, 1), h, pair, mode, m), (0, 1))
+    return _glue_blowup(perturbed_pair, (0, 1), h, pair, mode, m)
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +302,12 @@ def fix_pair(state: PrefixState, pair: tuple[int, int], family: str, h: Graph,
             raise PreconditionError(
                 f"{family.upper()} strategies need h to be a {shape} pattern")
         if family == "k2p":
+            # Deleting an edge fixed here leaves its ends with m common,
+            # mutually independent neighbours: an induced K_{2,m}, which
+            # contains K_{2,p} only when m >= p.
+            if state.m < match[1]:
+                raise PreconditionError(
+                    f"K_{{2,p}} strategies need m >= p = {match[1]}, got m = {state.m}")
             new_graph = _k2p_fix(g, pair, match[1], state.m, edge=is_edge)
         elif is_edge:
             new_graph = _k11p_edge_fix(g, pair, match[1], state.m)

@@ -205,16 +205,10 @@ def parse_graph6(text: "str | bytes") -> Graph:
 
 
 def emit_graph6(g: Graph) -> str:
-    """Encode with a single-byte header; round-trips bit-exactly through parse_graph6."""
-    if g.n > _G6_MAX_SHORT:
-        raise ValueError(f"graph6 short form supports n <= {_G6_MAX_SHORT}, got {g.n}")
-    return chr(g.n + 63) + _graph6_body(g)
-
-
-def graph6_label(g: Graph) -> str:
-    """graph6 for any supported size, using the long-form header above 62."""
+    """Encode as graph6, with the four-byte header above 62 vertices;
+    round-trips bit-exactly through parse_graph6."""
     if g.n <= _G6_MAX_SHORT:
-        return emit_graph6(g)
+        return chr(g.n + 63) + _graph6_body(g)
     if g.n > 258047:
         raise ValueError(f"graph6 four-byte header supports n <= 258047, got {g.n}")
     header = chr(126) + "".join(chr((g.n >> shift & 0x3F) + 63)

@@ -1,11 +1,11 @@
 """Saturation and freeness checks on finite graphs and oracle windows.
 
 "Fixed" is undecidable at desk scale; pair_fixed_check is bounded evidence
-and says so in its report.  The torero and rational-geometric witness replays
-re-derive their coordinates by constraint search over rational intervals
-instead of trusting any hand-picked sketch values.  Every replay checks,
-with exact arithmetic, that perturbing the witness pair turns the window
-into the pattern itself.
+and says so in its report.  The construction witnesses (z3 agreement,
+torero and rational-geometric) are stored as finite oracle windows.  How a
+window was found does not matter: every replay checks, with exact
+arithmetic, that perturbing the witness pair turns the window into the
+pattern itself.
 """
 
 from __future__ import annotations
@@ -17,11 +17,10 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from .graphs import (Graph, bull_graph, clique_cover_at_most, find_induced,
-                     parse_graph6)
+from .graphs import Graph, clique_cover_at_most, find_induced, parse_graph6
 from .oracles import (GRID_CLIQUE, RATIONAL_GEOMETRIC, RATIONAL_GEOMETRIC_KIND,
                       TORERO, TORERO_KIND, UP_RIGHT, Z3_AGREE, Z3_AGREE_KIND,
-                      OracleKind, compare_to_pi, fraction_to_str, oracle_window)
+                      OracleKind, fraction_to_str, oracle_window)
 
 EXHAUSTIVE_PAIRSET_LIMIT = 300_000
 
@@ -226,6 +225,30 @@ _Z3_SCENARIOS = [
       ((2, 2, 0), 0), ((1, 1, 0), 0), ((0, 0, 0), 0)], (0, 3)),
 ]
 
+# Torero and rational-geometric windows, each in pattern-label order.  They
+# were found by interval arithmetic on the bull's constraints and by an
+# anchored search over eighth-integer points; the replay alone certifies them.
+_BULL = "D{O"  # bull_graph(): triangle 0,1,2 with pendants 3-0 and 4-1
+_WINDOW_SCENARIOS = [
+    # (name, oracle kind, pattern graph6, window, (pattern u, pattern v) perturbed)
+    ("torero_delete_edge", TORERO_KIND, _BULL,
+     ("9/10", "3/4", "17/40", "7/40", "2/5"), (0, 4)),
+    ("torero_add_edge", TORERO_KIND, _BULL,
+     ("17/20", "3/10", "4/5", "7/40", "1/10"), (1, 4)),
+    ("rational_geometric_delete_E?qw", RATIONAL_GEOMETRIC_KIND, "E?qw",
+     ("-33/8", "-59/8", "0/1", "2/1", "-17/4", "-9/8"), (2, 3)),
+    ("rational_geometric_add_E?qw", RATIONAL_GEOMETRIC_KIND, "E?qw",
+     ("13/2", "39/4", "0/1", "13/4", "53/8", "4/1"), (2, 5)),
+    ("rational_geometric_delete_F?rLw", RATIONAL_GEOMETRIC_KIND, "F?rLw",
+     ("-4/1", "-29/4", "0/1", "2/1", "-17/4", "-33/8", "-9/8"), (2, 3)),
+    ("rational_geometric_add_F?rLw", RATIONAL_GEOMETRIC_KIND, "F?rLw",
+     ("13/2", "39/4", "0/1", "13/4", "53/8", "27/4", "4/1"), (2, 6)),
+    ("rational_geometric_delete_F?S|w", RATIONAL_GEOMETRIC_KIND, "F?S|w",
+     ("0/1", "17/2", "2/1", "21/4", "43/8", "13/4", "9/4"), (0, 2)),
+    ("rational_geometric_add_F?S|w", RATIONAL_GEOMETRIC_KIND, "F?S|w",
+     ("0/1", "39/4", "13/4", "13/2", "53/8", "7/2", "4/1"), (0, 6)),
+]
+
 # The special graphs whose direct orientation embeds in the rational-geometric
 # construction after a perturbation (graph6 spellings of the special table).
 RATIONAL_GEOMETRIC_PATTERNS = ("E?qw", "F?rLw", "F?S|w")
@@ -241,120 +264,13 @@ def _replay(report: ReplayReport, name: str, kind: OracleKind, values: list,
                embedding=list(range(pattern.n)) if passed else None)
 
 
-def _mid(lo: Fraction, hi: Fraction) -> Fraction:
-    return (lo + hi) / 2
-
-
-def torero_delete_witness() -> tuple[list[Fraction], tuple[int, int]]:
-    """Recompute the bull witness for an edge deletion by interval search.
-
-    Returns (window values, window pair to delete).  The bull pattern is the
-    triangle 0,1,2 with pendants 3-0 and 4-1; the deleted edge plays
-    pendant-4-to-triangle-0.
-    """
-    b, x = Fraction(2, 5), Fraction(9, 10)  # edge: b + x > 1, b < x
-    y = _mid(max(b, 1 - b), x)              # b < y < x with b + y > 1
-    a = _mid(1 - x, 1 - y)                  # a + y < 1 < a + x
-    z = _mid(1 - y, 1 - b)                  # z + b < 1 < z + y
-    values = [x, y, z, a, b]
-    if len(set(values)) != 5:
-        raise AssertionError("degenerate interval choice")
-    return values, (0, 4)
-
-
-def torero_add_witness() -> tuple[list[Fraction], tuple[int, int]]:
-    """Bull witness for an edge addition: the new edge is the pendant 4-1."""
-    b, y = Fraction(1, 10), Fraction(3, 10)   # non-edge: b + y < 1
-    z = _mid(1 - y, 1 - b)                    # y + z > 1, z + b < 1
-    x = _mid(max(Fraction(4, 5), z), 1 - b)   # x + y > 1, x + b < 1, x > 1 - a bound
-    a = _mid(1 - x, 1 - z)                    # a + x > 1, a + z < 1 (so a + y < 1 too)
-    values = [x, y, z, a, b]
-    if len(set(values)) != 5:
-        raise AssertionError("degenerate interval choice")
-    return values, (1, 4)
-
-
-# Rational-geometric replays: generic constraint search over a rational grid.
-
-# Deleted edges are tried at these spans (all below pi), added non-edges at
-# spans above pi; a span too close to pi leaves no room for the witness.
-_RG_DELETE_SPANS = (Fraction(2), Fraction(3, 2), Fraction(5, 2), Fraction(1))
-_RG_ADD_SPANS = (Fraction(4), Fraction(9, 2), Fraction(7, 2), Fraction(5))
-_RG_STEP = Fraction(1, 8)  # every span above is a multiple of it
-
-
-def rational_geometric_witness(pattern: Graph, add: bool,
-                               ) -> Optional[tuple[list[Fraction], tuple[int, int]]]:
-    """Search a rational witness window for one perturbation scenario.
-
-    The perturbed pair sits at 0 and r (r < pi for a deletion, r > pi for an
-    addition); the remaining pattern vertices are assigned eighth-integer
-    rationals by backtracking against exact oracle adjacency.
-    """
-    for r in (_RG_ADD_SPANS if add else _RG_DELETE_SPANS):
-        pool_vals, host = _rg_host(r)
-        for pu in range(pattern.n):
-            for pv in range(pattern.n):
-                # The pattern pair landing on (0, r) must have the perturbed status.
-                if pu == pv or pattern.has_edge(pu, pv) != add:
-                    continue
-                found = find_induced(host, pattern, {pu: 0, pv: 1})
-                if found is not None:
-                    return [pool_vals[i] for i in found], (pu, pv)
-    return None
-
-
-def _rg_host(r: Fraction) -> tuple[list[Fraction], Graph]:
-    """The grid pool and its rational-geometric graph with the pair {0, r}
-    perturbed.
-
-    The pool is every multiple of _RG_STEP inside the radius-3*pi window
-    around {0, r}, with 0 and r first; 355/113 serves as the rational upper
-    proxy for pi when clipping.  Values are handled as integer ticks of
-    _RG_STEP, so adjacency depends only on the tick distance d, and
-    compare_to_pi runs once per distinct d.
-    """
-    r_ticks = int(r / _RG_STEP)
-    reach = 3 * Fraction(355, 113) / _RG_STEP
-    grid = range(math.ceil(-reach), math.floor(r_ticks + reach) + 1)
-    ticks = [0, r_ticks] + [t for t in grid if t not in (0, r_ticks)]
-    near: dict[int, bool] = {}  # tick distance -> distance below pi
-    npool = len(ticks)
-    masks = [0] * npool  # host adjacency after the perturbation, as bitmasks
-    for i in range(npool):
-        ti = ticks[i]
-        for j in range(i + 1, npool):
-            d = abs(ti - ticks[j])
-            adj = near.get(d)
-            if adj is None:
-                adj = near[d] = compare_to_pi(d * _RG_STEP) < 0
-            if i == 0 and j == 1:
-                adj = not adj
-            if adj:
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-    return [t * _RG_STEP for t in ticks], Graph(npool, masks)
-
-
 def replay_construction_witnesses() -> ReplayReport:
-    """Re-derive and verify the catalogued perturbation witnesses."""
+    """Replay every stored perturbation witness with exact oracle adjacency."""
     report = ReplayReport()
-    pattern = final_graph_pattern()
     for name, points, pair in _Z3_SCENARIOS:
-        _replay(report, name, Z3_AGREE_KIND, points, pair, pattern)
-    for name, (values, pair) in (("torero_delete_edge", torero_delete_witness()),
-                                 ("torero_add_edge", torero_add_witness())):
-        _replay(report, name, TORERO_KIND, values, pair, bull_graph(),
+        _replay(report, name, Z3_AGREE_KIND, points, pair, final_graph_pattern())
+    for name, kind, pattern, window, pair in _WINDOW_SCENARIOS:
+        values = [Fraction(v) for v in window]
+        _replay(report, name, kind, values, pair, parse_graph6(pattern),
                 window=[fraction_to_str(v) for v in values])
-    for key in RATIONAL_GEOMETRIC_PATTERNS:
-        pattern = parse_graph6(key)
-        for add in (False, True):
-            name = f"rational_geometric_{'add' if add else 'delete'}_{key}"
-            found = rational_geometric_witness(pattern, add)
-            if found is None:
-                report.add(name, False, reason="no witness window found")
-                continue
-            values, pair = found
-            _replay(report, name, RATIONAL_GEOMETRIC_KIND, values, pair, pattern,
-                    window=[fraction_to_str(v) for v in values])
     return report

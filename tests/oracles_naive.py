@@ -6,12 +6,10 @@ dict adjacency) and stays independent of the bitset code paths it checks.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from indsat.gatekeeper import CLIQUE_MODE
 from indsat.graphs import Graph
-from indsat.oracles import compare_to_pi
 
 
 def naive_find_induced(host: Graph, pattern: Graph, anchors=None):
@@ -134,28 +132,6 @@ def naive_is_permutation_graph(g: Graph) -> bool:
                    for i in range(n) for j in range(i + 1, n)):
                 return True
     return False
-
-
-def naive_rg_host(r: Fraction) -> tuple[list[Fraction], list[int]]:
-    """Pool values and adjacency masks of the rational-geometric witness
-    host for span r (0 <= r < 10): the multiples of 1/8 in
-    [-3*355/113, r + 3*355/113], 0 and r first; one exact pi comparison per
-    vertex pair, then the pair {0, r} perturbed."""
-    lo, hi = -3 * Fraction(355, 113), r + 3 * Fraction(355, 113)
-    pool_vals = [Fraction(0), r]
-    pool_vals += [Fraction(k, 8) for k in range(-8 * 10, 8 * 20)
-                  if lo <= Fraction(k, 8) <= hi and Fraction(k, 8) not in pool_vals]
-    npool = len(pool_vals)
-    masks = [0] * npool
-    for i in range(npool):
-        for j in range(i + 1, npool):
-            adj = compare_to_pi(abs(pool_vals[i] - pool_vals[j])) < 0
-            if i == 0 and j == 1:
-                adj = not adj
-            if adj:
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-    return pool_vals, masks
 
 
 def random_graph(rng, n: int, p: float = 0.5) -> Graph:

@@ -188,16 +188,17 @@ def test_criterion_8_blowup_shadow():
             mode = blowup_mode(h, e)
             if mode is None:
                 continue
-            res = blowup_graph(h, e, mode, 3)
-            if is_free(res.graph, h):
-                witness = (e, mode, res)
+            blowup = blowup_graph(h, e, mode, 3)
+            if is_free(blowup, h):
+                witness = (e, blowup)
                 break
         if witness is None:
             ok = False
             break
-        e, mode, res = witness
-        reverted = res.graph.toggled(*res.pair_images)
-        anchors = {e[0]: res.pair_images[0], e[1]: res.pair_images[1]}
+        # The pair's images are vertices 0 and 1 of the blow-up.
+        e, blowup = witness
+        reverted = blowup.toggled(0, 1)
+        anchors = {e[0]: 0, e[1]: 1}
         if find_induced(reverted, h, anchors) is None:
             ok = False
             break

@@ -9,8 +9,8 @@ from indsat.classifier import (CLOSE_TO_PERMUTATION, CORE_11_BULL_P4, CORE_3CONN
                                CORE_GATEKEEPER, CORE_K2P, CORE_K11P,
                                FOREST_UNIQUE_MAX, NOT_APPLICABLE_TRIVIAL,
                                SPECIAL_RATIONAL_GEOMETRIC, SPECIAL_Z3,
-                               UNCLASSIFIED, classify, replay_certificate,
-                               special_table, sweep)
+                               THEOREM_VIOLATION, UNCLASSIFIED, Certificate,
+                               classify, replay_certificate, special_table, sweep)
 from indsat.graphs import (Graph, bull_graph, complement, complete_graph,
                            complete_multipartite, cycle_graph, emit_graph6,
                            find_induced, parse_graph6, path_graph)
@@ -126,6 +126,33 @@ class TestCertificateReplay:
         assert not replay_certificate(self.tampered(cert, nonedge_mode=edge_mode))
         assert not replay_certificate(self.tampered(cert, edge_mode=nonedge_mode,
                                                     nonedge_mode=edge_mode))
+
+    def test_tampered_fallthrough_cases_rejected(self):
+        # P4 lands in core_11_bull_p4, and a 12-cycle has a structural case.
+        assert not replay_certificate(Certificate("Ch", UNCLASSIFIED, False, {}))
+        note = {"note": "no structural case fired on either orientation"}
+        c12 = emit_graph6(cycle_graph(12))
+        assert not replay_certificate(Certificate(c12, THEOREM_VIOLATION, False, note))
+
+    def test_tampered_degenerate_flag_rejected(self):
+        # classify marks only graphs on at most two vertices as degenerate.
+        cert = classify(parse_graph6("D~{"))
+        assert cert.case == NOT_APPLICABLE_TRIVIAL and replay_certificate(cert)
+        assert not replay_certificate(self.tampered(cert, degenerate=True))
+
+    def test_tampered_special_orientation_rejected(self):
+        cert = classify(parse_graph6("F?q|w"))
+        assert cert.case == SPECIAL_RATIONAL_GEOMETRIC and cert.complemented
+        assert replay_certificate(cert)
+        assert not replay_certificate(dataclasses.replace(cert, complemented=False))
+
+    def test_valid_but_not_first_witness_rejected(self):
+        # Deleting (0, 3) from DUW also leaves a permutation graph, but the
+        # recognizer reports (0, 2) first; only the first witness replays.
+        cert = classify(parse_graph6("DUW"))
+        assert cert.case == CLOSE_TO_PERMUTATION and cert.witness["delete_edge"] == [0, 2]
+        assert replay_certificate(cert)
+        assert not replay_certificate(self.tampered(cert, delete_edge=[0, 3]))
 
     def test_certificate_json_shape(self):
         payload = classify(cycle_graph(5)).to_json()

@@ -7,7 +7,8 @@ import pytest
 from indsat.cli import (EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED,
                         generate_docs_examples, graph_from_spec, main)
 from indsat.graphs import (bull_graph, complete_graph, cycle_graph, emit_graph6,
-                           icosahedron_complement, path_graph)
+                           icosahedron_complement, parse_graph6, path_graph)
+from indsat.verifier import pair_fixed_check
 
 SCHEMA = json.loads(Path("src/indsat/schema.json").read_text())
 GOLDEN = Path(__file__).with_name("golden")
@@ -136,6 +137,20 @@ class TestOtherCommands:
         assert code == EXIT_OK
         assert len(payload["graphs"]) == 3
         validate(payload)
+
+    def test_prefix_k2p_needs_m_at_least_p(self, capsys):
+        # G??F~w is K_{2,6}: the default m = 4 is a usage error, m = 6 fixes
+        # every ledger pair.
+        code = main(["prefix", "--g6", "P2", "--h", "G??F~w", "--strategy", "k2p"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert "m >= p = 6" in json.loads(captured.err)["error"]
+        code, payload = run_json(capsys, ["prefix", "--g6", "P2", "--h", "G??F~w",
+                                          "--strategy", "k2p", "--m", "6"])
+        assert code == EXIT_OK and payload["ledger"]
+        final, h = parse_graph6(payload["graphs"][-1]), parse_graph6("G??F~w")
+        for rec in payload["ledger"]:
+            assert pair_fixed_check(final, h, tuple(rec["pair"])).passed(), rec
 
     @pytest.mark.parametrize("argv, message", [
         (["--strategy", "k2p", "--h", "D]o", "--m", "0"], "m must be at least 1"),

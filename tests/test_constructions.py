@@ -56,20 +56,20 @@ class TestGlue:
 class TestBlowup:
     def test_c5_clique_mode(self):
         c5 = cycle_graph(5)
-        res = blowup_graph(c5, (0, 1), CLIQUE_MODE, 3)
-        assert res.graph.n == 11
-        assert is_free(res.graph, c5)
+        g = blowup_graph(c5, (0, 1), CLIQUE_MODE, 3)
+        assert g.n == 11
+        assert is_free(g, c5)
 
     def test_m1_is_perturbation(self):
         c5 = cycle_graph(5)
-        res = blowup_graph(c5, (0, 1), CLIQUE_MODE, 1)
-        assert is_isomorphic(res.graph, c5.toggled(0, 1))
+        g = blowup_graph(c5, (0, 1), CLIQUE_MODE, 1)
+        assert is_isomorphic(g, c5.toggled(0, 1))
 
     def test_revert_recreates_pattern_anchored(self):
+        # The pair's images are vertices 0 and 1 of the blow-up.
         c5 = cycle_graph(5)
-        res = blowup_graph(c5, (0, 1), CLIQUE_MODE, 3)
-        reverted = res.graph.toggled(*res.pair_images)
-        anchors = {0: res.pair_images[0], 1: res.pair_images[1]}
+        reverted = blowup_graph(c5, (0, 1), CLIQUE_MODE, 3).toggled(0, 1)
+        anchors = {0: 0, 1: 1}
         assert find_induced(reverted, c5, anchors) is not None
 
     def test_capacity(self):
@@ -84,7 +84,7 @@ class TestBlowup:
                 continue
             assert any(
                 blowup_mode(h, e) is not None
-                and is_free(blowup_graph(h, e, blowup_mode(h, e), 3).graph, h)
+                and is_free(blowup_graph(h, e, blowup_mode(h, e), 3), h)
                 for e in h.edges())
 
     def test_every_moded_pair_gives_free_blowup(self):
@@ -96,7 +96,7 @@ class TestBlowup:
             for pair in combinations(range(h.n), 2):
                 mode = blowup_mode(h, pair)
                 if mode is not None:
-                    assert is_free(blowup_graph(h, pair, mode, 3).graph, h), \
+                    assert is_free(blowup_graph(h, pair, mode, 3), h), \
                         (h, pair, mode)
 
     def test_matches_naive_blowup_relabelled_pair_first(self):
@@ -110,9 +110,8 @@ class TestBlowup:
                 for m in (1, 2, 3):
                     naive, (iu, iv) = naive_blowup_graph(h, pair, mode, m)
                     rest = [w for w in range(naive.n) if w not in (iu, iv)]
-                    res = blowup_graph(h, pair, mode, m)
-                    assert res.pair_images == (0, 1)
-                    assert res.graph == naive.induced([iu, iv] + rest), (h, pair, m)
+                    assert blowup_graph(h, pair, mode, m) == naive.induced([iu, iv] + rest), \
+                        (h, pair, m)
 
     @pytest.mark.parametrize("args", [((0, 0), CLIQUE_MODE, 2), ((0, 1), "x", 2),
                                       ((0, 1), CLIQUE_MODE, 0), ((0, 5), CLIQUE_MODE, 2)])
@@ -181,10 +180,19 @@ class TestFixPair:
 
     def test_k2p_nonedge_fix(self):
         k23 = complete_multipartite(2, 3)
-        state = initial_state(path_graph(4), m=2)
+        state = initial_state(path_graph(4), m=3)
         nxt = fix_pair(state, (0, 2), "k2p", k23)
         assert is_free(nxt.graph, k23)
         assert find_induced(nxt.graph.toggled(0, 2), k23) is not None
+
+    @pytest.mark.parametrize("p", [3, 4, 5])
+    def test_k2p_needs_m_at_least_p(self, p):
+        # With m < p, deleting a fixed edge leaves only an induced K_{2,m}.
+        kp = complete_multipartite(2, p)
+        for pair in ((1, 2), (0, 2)):
+            with pytest.raises(PreconditionError, match=f"m >= p = {p}, got m = {p - 1}"):
+                fix_pair(initial_state(path_graph(4), m=p - 1), pair, "k2p", kp)
+            fix_pair(initial_state(path_graph(4), m=p), pair, "k2p", kp)
 
     def test_k11p_edge_fix_p3(self):
         k113 = complete_multipartite(1, 1, 3)
@@ -221,7 +229,7 @@ class TestFixPair:
 
     def test_pair_status_picks_the_ledger_label(self):
         k23 = complete_multipartite(2, 3)
-        state = initial_state(path_graph(4), m=2)
+        state = initial_state(path_graph(4), m=3)
         assert fix_pair(state, (1, 2), "k2p", k23).fixed_ledger[-1].strategy == K2P_EDGE
         assert fix_pair(state, (0, 2), "k2p", k23).fixed_ledger[-1].strategy == K2P_NONEDGE
 

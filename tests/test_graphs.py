@@ -72,8 +72,9 @@ class TestGraph6:
             with pytest.raises(Graph6Error, match=message) as exc:
                 parse_graph6(data)
             assert exc.value.offset == offset
-        with pytest.raises(ValueError):
-            emit_graph6(empty_graph(63))
+        # Above 62 vertices the encoder switches to the four-byte header.
+        assert emit_graph6(empty_graph(63))[:4] == chr(126) + chr(63) + chr(63) + chr(126)
+        assert parse_graph6(emit_graph6(empty_graph(63))) == empty_graph(63)
 
     def test_long_form_header(self):
         g = empty_graph(64)
@@ -82,14 +83,13 @@ class TestGraph6:
         assert parse_graph6(encoded) == g
 
     def test_label_round_trip_at_cap(self):
-        from indsat.graphs import graph6_label
         rng = random.Random(6464)
         for n in (63, 64, 65, 100, 191):
             g = random_graph(rng, n)
-            assert parse_graph6(graph6_label(g)) == g
-        assert graph6_label(parse_graph6("Dr[")) == "Dr["
+            assert parse_graph6(emit_graph6(g)) == g
+        assert emit_graph6(parse_graph6("Dr[")) == "Dr["
         with pytest.raises(ValueError):  # beyond the four-byte header
-            graph6_label(SimpleNamespace(n=258048))
+            emit_graph6(SimpleNamespace(n=258048))
 
     @given(st.integers(1, 9), st.randoms())
     @settings(max_examples=60, deadline=None)
@@ -101,7 +101,6 @@ class TestGraph6:
     def test_agrees_with_networkx(self, n):
         # Short and long headers, empty to complete, against an independent codec.
         nx = pytest.importorskip("networkx")
-        from indsat.graphs import graph6_label
         rng = random.Random(n)
         for density in (0.0, 0.1, 0.5, 0.9, 1.0):
             for _ in range(6):
@@ -109,7 +108,7 @@ class TestGraph6:
                 g = Graph.from_edges(n, nxg.edges())
                 data = nx.to_graph6_bytes(nxg, header=False).strip()
                 assert parse_graph6(data) == g
-                assert graph6_label(g).encode("ascii") == data
+                assert emit_graph6(g).encode("ascii") == data
 
 
 class TestComplement:
@@ -430,3 +429,37 @@ class TestIsomorphism:
     def test_counts_per_class(self):
         # graphs_on itself def-checks class counts; spot check n = 5.
         assert len(graphs_on(5)) == 34
+
+    def test_agrees_with_networkx(self):
+        # Random relabellings must match; double-edge swaps keep the degree
+        # sequence, so degrees alone cannot tell the swapped graph apart.
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(1013)
+        distinct = 0
+        for g in _networkx_sample():
+            order = list(range(g.n))
+            rng.shuffle(order)
+            relabelled = g.induced(order)
+            assert is_isomorphic(g, relabelled), emit_graph6(g)
+            swapped = g
+            for _ in range(3):
+                swapped = _double_edge_swap(rng, swapped)
+            assert swapped.degree_sequence() == g.degree_sequence()
+            want = nx.is_isomorphic(_to_networkx(nx, g), _to_networkx(nx, swapped))
+            assert is_isomorphic(g, swapped) == want, (emit_graph6(g), emit_graph6(swapped))
+            distinct += not want
+        assert distinct >= 50
+
+
+def _double_edge_swap(rng, g):
+    """Replace edges ab, cd by ad, cb when both are non-edges (a random try;
+    g itself when the tried pair of edges does not allow it)."""
+    edges = g.edges()
+    if len(edges) < 2:
+        return g
+    (a, b), (c, d) = rng.sample(edges, 2)
+    if rng.random() < 0.5:
+        c, d = d, c
+    if len({a, b, c, d}) < 4 or g.has_edge(a, d) or g.has_edge(c, b):
+        return g
+    return g.toggled(a, b).toggled(c, d).toggled(a, d).toggled(c, b)

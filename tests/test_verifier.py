@@ -15,7 +15,6 @@ from indsat.verifier import (induced_saturated, is_free,
                              neighborhood_two_clique_cover, pair_fixed_check,
                              replay_construction_witnesses, sample_window)
 from gensmall import graphs_up_to
-from oracles_naive import naive_rg_host
 
 
 class TestIsFree:
@@ -59,8 +58,7 @@ class TestInducedSaturated:
 class TestPairFixedCheck:
     def test_blowup_pair_passes_exhaustive_k2(self):
         c5 = cycle_graph(5)
-        res = blowup_graph(c5, (0, 1), CLIQUE_MODE, 4)
-        result = pair_fixed_check(res.graph, c5, res.pair_images,
+        result = pair_fixed_check(blowup_graph(c5, (0, 1), CLIQUE_MODE, 4), c5, (0, 1),
                                   adversary_budget=2, trials=25, seed=3)
         assert result.passed()
         assert result.exhaustive_size == 2
@@ -204,38 +202,53 @@ class TestReplays:
         assert find_induced(perturbed, bull_graph()) is not None
         assert find_induced(window, bull_graph()) is None
 
-    @pytest.mark.parametrize("add", [False, True])
-    def test_rg_host_matches_per_pair_comparisons(self, add):
-        from indsat.verifier import _RG_ADD_SPANS, _RG_DELETE_SPANS, _rg_host
-        for r in _RG_ADD_SPANS if add else _RG_DELETE_SPANS:
-            pool_vals, host = _rg_host(r)
-            want_vals, want_masks = naive_rg_host(r)
-            assert pool_vals == want_vals
-            assert list(host.adj) == want_masks
-            # The perturbed pair {0, r} has the status of the scenario.
-            assert host.has_edge(0, 1) == add
-
     def test_all_witness_replays_pass(self):
         report = replay_construction_witnesses()
         assert report.all_passed(), [s for s in report.scenarios if not s["passed"]]
 
     def test_corrupted_scenario_fails(self):
-        # A stored z3 scenario replays; one moved point or the wrong pair
+        # Each stored scenario replays; one moved point or the wrong pair
         # leaves a window that is not the pattern after the perturbation.
+        from indsat.graphs import parse_graph6
         from indsat.oracles import Z3_AGREE_KIND
-        from indsat.verifier import _Z3_SCENARIOS, ReplayReport, _replay, final_graph_pattern
+        from indsat.verifier import (_WINDOW_SCENARIOS, _Z3_SCENARIOS, ReplayReport,
+                                     _replay, final_graph_pattern)
         name, points, pair = _Z3_SCENARIOS[0]
-        report = ReplayReport()
-        _replay(report, name, Z3_AGREE_KIND, points, pair, final_graph_pattern())
-        _replay(report, "moved_point", Z3_AGREE_KIND, [((5, 5, 5), 0)] + points[1:], pair,
-                final_graph_pattern())
-        _replay(report, "wrong_pair", Z3_AGREE_KIND, points, (0, 5), final_graph_pattern())
-        good, moved, wrong = report.to_json()["scenarios"]
-        assert good["passed"] and good["embedding"] == list(range(7))
-        for scenario in (moved, wrong):
-            assert scenario["passed"] is False and scenario["embedding"] is None
-        assert wrong["perturbed_pair"] == [0, 5]
-        assert report.all_passed() is False
+        cases = [(name, Z3_AGREE_KIND, final_graph_pattern(), points, pair,
+                  [((5, 5, 5), 0)] + points[1:], (0, 5))]
+        for name, kind, pattern, window, pair in (_WINDOW_SCENARIOS[0], _WINDOW_SCENARIOS[2]):
+            values = [Fraction(v) for v in window]
+            moved = values[:-1] + [values[-1] + Fraction(1, 3)]
+            wrong = (pair[0], next(v for v in range(len(values)) if v not in pair))
+            cases.append((name, kind, parse_graph6(pattern), values, pair, moved, wrong))
+        for name, kind, pattern, values, pair, moved, wrong in cases:
+            report = ReplayReport()
+            _replay(report, name, kind, values, pair, pattern)
+            _replay(report, "moved_point", kind, moved, pair, pattern)
+            _replay(report, "wrong_pair", kind, values, wrong, pattern)
+            good, moved_run, wrong_run = report.to_json()["scenarios"]
+            assert good["passed"] and good["embedding"] == list(range(pattern.n)), name
+            for scenario in (moved_run, wrong_run):
+                assert scenario["passed"] is False and scenario["embedding"] is None, name
+            assert wrong_run["perturbed_pair"] == list(wrong)
+            assert report.all_passed() is False
+
+    def test_replay_searches_no_embedding(self, monkeypatch):
+        # The stored windows are checked by comparison alone.
+        import indsat.graphs
+        import indsat.verifier
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("find_induced called")
+
+        monkeypatch.setattr(indsat.graphs, "find_induced", no_search)
+        monkeypatch.setattr(indsat.verifier, "find_induced", no_search)
+        assert replay_construction_witnesses().all_passed()
+
+    def test_bull_spelling(self):
+        from indsat.graphs import parse_graph6
+        from indsat.verifier import _BULL
+        assert parse_graph6(_BULL) == bull_graph()
 
     def test_report_serializes(self):
         report = replay_construction_witnesses()
