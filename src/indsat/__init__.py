@@ -5,8 +5,7 @@ from .classifier import (Certificate, SweepReport, classify, replay_certificate,
                          special_table, structure_check_12, sweep)
 from .cores import (ONE_ONE, THREE, THREE_STAR, TWO, TWO_EDGE, TWO_NONEDGE,
                     CoreKind, core, core_fixed_point_check, kl_core)
-from .constructions import (PrefixState, blowup_graph, core_extension_step,
-                            fix_pair, schedule_fixes)
+from .constructions import PrefixState, blowup_graph, fix_pair, schedule_fixes
 from .gatekeeper import (GatekeeperResult, blowup_mode, check_gatekeeper,
                          has_fixing_operation)
 from .graphs import (Graph, Graph6Error, complement, emit_graph6, enumerate_2cuts,

@@ -107,8 +107,10 @@ def _cmd_gatekeepers(args) -> int:
 def _cmd_verify(args) -> int:
     g = graph_from_spec(args.g6)
     h = graph_from_spec(args.h)
-    free = is_free(g, h)
     saturated, failing = induced_saturated(g, h)
+    # induced_saturated reports a verdict or a failing pair only on an h-free
+    # graph, so the freeness search runs again only when it reports neither.
+    free = saturated or failing is not None or is_free(g, h)
     payload = {"input": emit_graph6(g), "h": emit_graph6(h), "h_free": free,
                "induced_saturated": saturated,
                "failing_pair": list(failing) if failing else None,

@@ -1,6 +1,6 @@
-"""Finite-prefix builders: pair blow-ups, the fixing operations, core
-extension steps, and the scheduled fix sequence.  Every graph here grows by
-appended blocks (`_add_block`), so earlier vertices keep their labels.
+"""Finite-prefix builders: pair blow-ups, the fixing operations and the
+scheduled fix sequence.  Every graph here grows by appended blocks
+(`_add_block`), so earlier vertices keep their labels.
 
 Infinite ingredients (infinite cliques, independent sets, trees) are
 truncated to m clones per class; prefix growth is capped at 64 vertices and
@@ -10,13 +10,12 @@ reports overflow instead of growing unboundedly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Optional, Sequence
+from typing import Optional
 
 from .gatekeeper import (CLIQUE_MODE, INDEP_MODE, GatekeeperResult,
                          has_fixing_operation)
-from .graphs import Graph, _bits, clique_cover_at_most, complement, find_induced
-from .recognizers import is_3conn_nonclique, match_k2p_k11p
+from .graphs import Graph, _bits, clique_cover_at_most, find_induced
+from .recognizers import match_k2p_k11p
 
 
 # Prefix budget: the desk-scale cap on every graph this module constructs.
@@ -142,8 +141,8 @@ def initial_state(seed: Graph, m: int) -> PrefixState:
                        queue=queue, fixed_ledger=())
 
 
-def _advance(state: PrefixState, new_graph: Graph,
-             record: Optional[tuple[tuple[int, int], str]] = None) -> PrefixState:
+def _advance(state: PrefixState, new_graph: Graph, pair: tuple[int, int],
+             strategy: str) -> PrefixState:
     old_n = state.graph.n
     for v in range(old_n):
         if new_graph.adj[v] & ((1 << old_n) - 1) != state.graph.adj[v]:
@@ -152,9 +151,7 @@ def _advance(state: PrefixState, new_graph: Graph,
     new_pairs = [(u, v) for u in range(new_graph.n) for v in range(u + 1, new_graph.n)
                  if v >= old_n]
     entries = tuple(QueueEntry(gen, j + 1, p) for j, p in enumerate(sorted(new_pairs)))
-    ledger = state.fixed_ledger
-    if record is not None:
-        ledger = ledger + (FixRecord(record[0], record[1], gen),)
+    ledger = state.fixed_ledger + (FixRecord(pair, strategy, gen),)
     return PrefixState(graph=new_graph, m=state.m,
                        generation=gen, queue=state.queue + entries,
                        fixed_ledger=ledger)
@@ -313,98 +310,7 @@ def fix_pair(state: PrefixState, pair: tuple[int, int], family: str, h: Graph,
             new_graph = _k11p_edge_fix(g, pair, match[1], state.m)
         else:
             new_graph = _add_block(g, state.m, _mask(pair), clique=False)[0]
-    return _advance(state, new_graph, record=(pair, _LABELS[family][not is_edge]))
-
-
-# ---------------------------------------------------------------------------
-# Core extension steps (the five operations that lift a fixing operation from
-# a core C to graphs reducing onto it).
-
-
-def _is_clique_minus_edge(core: Graph) -> bool:
-    return core.n >= 2 and core.edge_count() == core.n * (core.n - 1) // 2 - 1
-
-
-def min_degree(g: Graph) -> int:
-    if g.n == 0:
-        return 0
-    return min(g.degree(v) for v in range(g.n))
-
-
-def core_extension_step(state: PrefixState, rule: int, core: Graph,
-                        k: Optional[int] = None, l: Optional[int] = None,
-                        tuples: Optional[Sequence[tuple[int, ...]]] = None) -> PrefixState:
-    """Attach m-clone gadgets for every eligible vertex tuple of the current
-    graph, following one of the five core-extension operations.
-
-    `tuples` restricts the attachment sites (all eligible tuples by default);
-    passing an empty list makes the step the identity apart from bookkeeping.
-    """
-    g = state.graph
-    m = state.m
-    snapshot = list(range(g.n))
-
-    if rule == 1:
-        if k is None:
-            raise ValueError("rule 1 needs k")
-        if core.n and k >= min_degree(core):
-            raise PreconditionError(f"rule 1 needs k < delta(core) = {min_degree(core)}")
-        sites = tuples if tuples is not None else list(combinations(snapshot, k))
-        new_graph = g
-        for site in sites:
-            new_graph = _add_block(new_graph, m, _mask(site), clique=False)[0]
-    elif rule == 2:
-        if l is None:
-            raise ValueError("rule 2 needs l")
-        comp_core = complement(core)
-        if core.n and l >= min_degree(comp_core):
-            raise PreconditionError(
-                f"rule 2 needs l < delta(complement core) = {min_degree(comp_core)}")
-        sites = tuples if tuples is not None else list(combinations(snapshot, l))
-        new_graph = g
-        for site in sites:
-            attach = _mask(snapshot) & ~_mask(site)
-            new_graph = _add_block(new_graph, m, attach, clique=True)[0]
-    elif rule in (3, 4):
-        if min_degree(core) < 2:
-            raise PreconditionError("rules 3 and 4 need delta(core) >= 2")
-        want_adjacent = rule == 4
-        for v in range(core.n):
-            if core.degree(v) == 2:
-                a, b = core.neighbors(v)
-                if core.has_edge(a, b) != want_adjacent:
-                    continue
-                raise PreconditionError(
-                    f"rule {rule} forbidden: core has a degree-2 vertex with "
-                    f"{'adjacent' if want_adjacent else 'non-adjacent'} neighbors")
-        if tuples is not None:
-            sites = tuples
-        else:
-            sites = [(u, v) for u, v in combinations(snapshot, 2)
-                     if g.has_edge(u, v) == want_adjacent]
-        new_graph = g
-        for site in sites:
-            new_graph = _add_block(new_graph, m, _mask(site), clique=False)[0]
-    elif rule == 5:
-        if not is_3conn_nonclique(core):
-            raise PreconditionError("rule 5 needs a 3-connected non-clique core")
-        minus_edge = _is_clique_minus_edge(core)
-        sites = tuples if tuples is not None else list(combinations(snapshot, 2))
-        new_graph = g
-        for site in sites:
-            a, b = site
-            if minus_edge and not g.has_edge(a, b):
-                # Two independent sets, fully joined to each other and to a, b.
-                new_graph, first = _add_block(new_graph, m, _mask(site), clique=False)
-                new_graph = _add_block(new_graph, m, _mask(site) | _mask(first),
-                                       clique=False)[0]
-            else:
-                new_graph = _add_block(new_graph, m, _mask(site), clique=True)[0]
-    else:
-        raise ValueError(f"rule must be 1..5, got {rule}")
-
-    # Extension steps fix nothing: they enlarge the graph and enqueue new pairs.
-    return _advance(state, new_graph)
+    return _advance(state, new_graph, pair, _LABELS[family][not is_edge])
 
 
 # ---------------------------------------------------------------------------

@@ -191,15 +191,23 @@ def vertex_to_json(kind: OracleKind, v: OracleVertex):
     return [list(v[0]), v[1]]
 
 
+def _from_json(data, cast):
+    # bool subclasses int, but a JSON true is neither a coordinate nor a rational.
+    if isinstance(data, bool) or cast is int and type(data) is not int:
+        want = "JSON integers" if cast is int else "rationals"
+        raise ValueError(f"oracle specs need {want} here, got {data!r}")
+    return cast(data)
+
+
 def vertex_from_json(kind: OracleKind, data) -> OracleVertex:
     tag = kind.tag
     if tag == UP_RIGHT:
-        return (Fraction(data[0]), Fraction(data[1]))
+        return (_from_json(data[0], Fraction), _from_json(data[1], Fraction))
     if tag in (TORERO, RATIONAL_GEOMETRIC):
-        return Fraction(data)
+        return _from_json(data, Fraction)
     if tag == GRID_CLIQUE:
-        return tuple(int(c) for c in data)
-    return (tuple(int(c) for c in data[0]), int(data[1]))
+        return tuple(_from_json(c, int) for c in data)
+    return (tuple(_from_json(c, int) for c in data[0]), _from_json(data[1], int))
 
 
 def kind_to_json(kind: OracleKind) -> dict:
@@ -210,4 +218,4 @@ def kind_to_json(kind: OracleKind) -> dict:
 
 
 def kind_from_json(data: dict) -> OracleKind:
-    return OracleKind(data["tag"], data.get("p", 0))
+    return OracleKind(data["tag"], _from_json(data.get("p", 0), int))

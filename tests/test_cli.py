@@ -8,6 +8,7 @@ from indsat.cli import (EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED,
                         generate_docs_examples, graph_from_spec, main)
 from indsat.graphs import (bull_graph, complete_graph, cycle_graph, emit_graph6,
                            icosahedron_complement, parse_graph6, path_graph)
+from indsat import verifier
 from indsat.verifier import pair_fixed_check
 
 SCHEMA = json.loads(Path("src/indsat/schema.json").read_text())
@@ -85,6 +86,27 @@ class TestVerifyCommand:
                      "--k", "1", "--trials", "3", "--seed", "5"])
         assert payload["pair_fixed_check"]["status"] == "fail"
         validate(payload)
+
+    @pytest.mark.parametrize("g6, h, code, h_free, searches", [
+        (emit_graph6(icosahedron_complement()), "P5", EXIT_OK, True, 1),  # saturated
+        ("C4", "P4", EXIT_VERIFY_FAILED, True, 1),                        # a failing pair
+        # induced_saturated reports (False, None) on a graph containing h,
+        # which leaves freeness open: one more search settles it.
+        ("P5", "P4", EXIT_VERIFY_FAILED, False, 2)])
+    def test_freeness_search_runs_once(self, capsys, monkeypatch, g6, h, code,
+                                       h_free, searches):
+        g = graph_from_spec(g6)
+        hosts = []
+        real = verifier.find_induced
+
+        def counting(host, pattern):
+            hosts.append(host)
+            return real(host, pattern)
+
+        monkeypatch.setattr(verifier, "find_induced", counting)
+        assert main(["verify", "--g6", g6, "--h", h]) == code
+        assert json.loads(capsys.readouterr().out)["h_free"] is h_free
+        assert hosts.count(g) == searches
 
     @pytest.mark.parametrize("flag", [["--k", "-3"], ["--k", "1", "--trials", "-1"]])
     def test_negative_budget_exit_1(self, capsys, flag):
@@ -206,6 +228,31 @@ class TestOtherCommands:
         captured = capsys.readouterr()
         assert code == EXIT_USAGE and captured.out == ""
         assert "malformed oracle spec" in json.loads(captured.err)["error"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--kind", "z3_agree", "--vertices", "[[[0.5,0,0],0],[[0,0,0],1.7]]"], "0.5"),
+        (["--kind", "z3_agree", "--vertices", "[[[0,0,0],0],[[0,0,0],true]]"], "True"),
+        (["--kind", "grid_clique:2", "--vertices", "[[1.5,2],[1.9,2]]"], "1.5"),
+        (["--kind", "grid_clique:2", "--vertices", '[["1",2],[3,2]]'], "'1'"),
+        (["--kind", "rational_geometric", "--vertices", "[true,false]"], "True"),
+        (["--kind", "up_right", "--vertices", '[[0,false],["1/2",1]]'], "False"),
+        (["--vertices", '{"kind":{"tag":"grid_clique","p":true},"vertices":[[0],[1]]}'],
+         "True")])
+    def test_oracle_vertices_are_not_coerced(self, capsys, argv, message):
+        # Floats were truncated and booleans read as 0 and 1.
+        code = main(["oracle", *argv])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert message in json.loads(captured.err)["error"]
+
+    def test_oracle_accepts_exact_json_numbers(self, capsys):
+        # Integers stay integers, and a float is read exactly (0.5 is 1/2).
+        code, payload = run_json(capsys, ["oracle", "--kind", "torero",
+                                          "--vertices", '[0.5, "3/4"]'])
+        assert code == EXIT_OK and payload["labels"] == ["1/2", "3/4"]
+        code, payload = run_json(capsys, ["oracle", "--kind", "z3_agree", "--vertices",
+                                          "[[[0,0,0],0],[[0,0,0],1]]"])
+        assert code == EXIT_OK and payload["labels"] == [[[0, 0, 0], 0], [[0, 0, 0], 1]]
 
     @pytest.mark.parametrize("argv", [
         ["--kind", "torero", "--vertices", '["5"]'],

@@ -4,11 +4,11 @@ import pytest
 
 from indsat.constructions import (CapacityError, K2P_EDGE, K2P_NONEDGE,
                                   PreconditionError, _gatekeeper_fix, _grow,
-                                  blowup_graph, core_extension_step, fix_pair,
-                                  initial_state, priority_position, schedule_fixes)
+                                  blowup_graph, fix_pair, initial_state,
+                                  priority_position, schedule_fixes)
 from indsat.gatekeeper import CLIQUE_MODE, blowup_mode, has_fixing_operation
-from indsat.graphs import (Graph, bull_graph, complete_graph, complete_multipartite,
-                           cycle_graph, empty_graph, find_induced, is_isomorphic,
+from indsat.graphs import (Graph, complete_graph, complete_multipartite,
+                           cycle_graph, find_induced, is_isomorphic,
                            parse_graph6, path_graph)
 from indsat.recognizers import classify_trivial
 from indsat.verifier import is_free
@@ -261,66 +261,6 @@ class TestFixPair:
                         gadget, (iu, iv) = naive_blowup_graph(h, hpair, mode, m)
                         assert (_gatekeeper_fix(g, (x, y), h, m, gk)
                                 == naive_glue(g, gadget, [x, y], [iu, iv])), (g, h, m)
-
-
-class TestCoreExtension:
-    def test_rule1_keeps_c5_freeness(self):
-        # New vertices of degree k < delta(C5) = 2 can never sit in a C5.
-        c5 = cycle_graph(5)
-        state = initial_state(bull_graph(), m=1)
-        nxt = core_extension_step(state, 1, core=c5, k=1,
-                                  tuples=[(0,), (2,), (4,)])
-        assert is_free(nxt.graph, c5)
-        assert nxt.graph.n == 8
-
-    def test_rule1_k2_for_min_degree_3_core(self):
-        k4 = complete_graph(4)
-        state = initial_state(path_graph(4), m=2)
-        nxt = core_extension_step(state, 1, core=k4, k=2, tuples=[(0, 3)])
-        assert is_free(nxt.graph, k4)
-
-    def test_rule1_degree_2_attachment_can_break_c5_freeness(self):
-        # Confirms the k < delta(C) guard is not vacuous: a degree-2 vertex
-        # attached across P4's ends closes a C5.
-        g = path_graph(4)
-        closed = Graph.from_edges(5, g.edges() + [(0, 4), (3, 4)])
-        assert not is_free(closed, cycle_graph(5))
-
-    def test_rule1_zero_tuples_is_identity(self):
-        state = initial_state(cycle_graph(5), m=2)
-        nxt = core_extension_step(state, 1, core=cycle_graph(5), k=1, tuples=[])
-        assert nxt.graph == state.graph
-
-    def test_rule1_degree_guard(self):
-        state = initial_state(cycle_graph(5), m=1)
-        with pytest.raises(PreconditionError):
-            core_extension_step(state, 1, core=cycle_graph(5), k=2, tuples=[])
-
-    def test_rule5_clique_minus_edge_variant(self):
-        # K5 minus an edge is 3-connected, not a clique, and clique-minus-edge:
-        # non-adjacent attachment pairs get the two-independent-sets gadget.
-        core = complete_graph(5).toggled(0, 1)
-        state = initial_state(path_graph(2), m=2)
-        nxt = core_extension_step(state, 5, core=core, tuples=[(0, 1)])
-        # Pair (0,1) of P2 is an edge: single clique block of size m.
-        assert nxt.graph.n == 4
-        state2 = initial_state(empty_graph(2), m=2)
-        nxt2 = core_extension_step(state2, 5, core=core, tuples=[(0, 1)])
-        # Non-adjacent pair: two independent blocks, fully joined.
-        assert nxt2.graph.n == 6
-        blocks = [v for v in range(2, 6)]
-        first, second = blocks[:2], blocks[2:]
-        assert all(not nxt2.graph.has_edge(*first) for _ in (0,))
-        assert all(nxt2.graph.has_edge(a, b) for a in first for b in second)
-
-    def test_rule3_guard(self):
-        state = initial_state(path_graph(3), m=1)
-        # C5 has degree-2 vertices with non-adjacent neighbors: rule 3 invalid.
-        with pytest.raises(PreconditionError):
-            core_extension_step(state, 3, core=cycle_graph(5), tuples=[])
-        # K4 has min degree 3: fine.
-        nxt = core_extension_step(state, 3, core=complete_graph(4))
-        assert nxt.graph.n >= state.graph.n
 
 
 class TestScheduleFixes:
