@@ -56,26 +56,21 @@ def _emit(payload: dict, out: "str | None") -> None:
         print(text)
 
 
-def _input_graphs(args) -> list[Graph]:
+def _cmd_classify(args) -> int:
     if args.g6 is not None:
-        return [graph_from_spec(args.g6)]
-    graphs = []
+        _emit(classify(graph_from_spec(args.g6)).to_json(), args.out)
+        return EXIT_OK
+    graphs, errors = [], []
     lines = Path(args.input).read_text().splitlines()
     for lineno, line in enumerate(lines, start=1):
         if line.strip():
             try:
                 graphs.append(parse_graph6(line))
             except Graph6Error as exc:
-                raise ValueError(f"line {lineno}: {exc}") from exc
-    return graphs
-
-
-def _cmd_classify(args) -> int:
-    graphs = _input_graphs(args)
-    certs = [classify(g) for g in graphs]
-    payload = certs[0].to_json() if len(certs) == 1 else {
-        "certificates": [c.to_json() for c in certs]}
-    _emit(payload, args.out)
+                errors.append(f"line {lineno}: {exc}")
+    if errors:  # every malformed line, in one JSON error
+        raise ValueError("; ".join(errors))
+    _emit({"certificates": [classify(g).to_json() for g in graphs]}, args.out)
     return EXIT_OK
 
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .gatekeeper import (CLIQUE_MODE, INDEP_MODE, GatekeeperResult,
-                         has_fixing_operation)
+from .gatekeeper import CLIQUE_MODE, INDEP_MODE, has_fixing_operation
 from .graphs import Graph, _bits, clique_cover_at_most, find_induced
 from .recognizers import match_k2p_k11p
 
@@ -132,79 +131,57 @@ class PrefixState:
         return min(live, key=lambda e: e.position)
 
 
+def _queue_entries(gen: int, n: int, old_n: int) -> tuple[QueueEntry, ...]:
+    """Generation gen's queue entries: the pairs of an n-vertex graph with an
+    endpoint at old_n or later, ranked in lexicographic order."""
+    pairs = [(u, v) for u in range(n) for v in range(max(u + 1, old_n), n)]
+    return tuple(QueueEntry(gen, j, p) for j, p in enumerate(pairs, start=1))
+
+
 def initial_state(seed: Graph, m: int) -> PrefixState:
     if m < 1:
         raise ValueError(f"truncation m must be at least 1, got {m}")
-    pairs = [(u, v) for u in range(seed.n) for v in range(u + 1, seed.n)]
-    queue = tuple(QueueEntry(1, j + 1, p) for j, p in enumerate(pairs))
     return PrefixState(graph=seed, m=m, generation=1,
-                       queue=queue, fixed_ledger=())
+                       queue=_queue_entries(1, seed.n, 0), fixed_ledger=())
 
 
 def _advance(state: PrefixState, new_graph: Graph, pair: tuple[int, int],
              strategy: str) -> PrefixState:
-    old_n = state.graph.n
-    for v in range(old_n):
-        if new_graph.adj[v] & ((1 << old_n) - 1) != state.graph.adj[v]:
-            raise AssertionError("fix must keep the previous graph induced")
     gen = state.generation + 1
-    new_pairs = [(u, v) for u in range(new_graph.n) for v in range(u + 1, new_graph.n)
-                 if v >= old_n]
-    entries = tuple(QueueEntry(gen, j + 1, p) for j, p in enumerate(sorted(new_pairs)))
+    entries = _queue_entries(gen, new_graph.n, state.graph.n)
     ledger = state.fixed_ledger + (FixRecord(pair, strategy, gen),)
-    return PrefixState(graph=new_graph, m=state.m,
-                       generation=gen, queue=state.queue + entries,
-                       fixed_ledger=ledger)
+    return PrefixState(graph=new_graph, m=state.m, generation=gen,
+                       queue=state.queue + entries, fixed_ledger=ledger)
 
 
 # ---------------------------------------------------------------------------
 # The fixing operations.
 
 
-def _grow(g: Graph, new_rows: list[int]) -> Graph:
-    """Extend g by new vertices; new_rows[i] is the neighborhood bitmask of
-    new vertex g.n + i among the vertices before it."""
-    n = g.n + len(new_rows)
+def _add_block(g: Graph, size: int, attach: int, clique: bool) -> tuple[Graph, int]:
+    """Append `size` new vertices that each see the vertex mask `attach` of g
+    and, in a clique block, one another; returns the graph and the block's
+    vertex mask.  The only way this module grows a graph."""
+    n = g.n + size
     if n > MAX_VERTICES:
         raise CapacityError(f"graph would have {n} vertices")
+    if attach >> g.n:  # also catches a negative mask
+        raise ValueError(f"new vertex {g.n} may only see vertices before it")
+    block = (1 << n) - (1 << g.n)
     rows = list(g.adj)
-    for mask in new_rows:
-        v = len(rows)
-        if mask >> v:  # also catches a negative mask
-            raise ValueError(f"new vertex {v} may only see vertices before it")
-        rows.append(mask)
-        for w in _bits(mask):
-            rows[w] |= 1 << v
-    return Graph._derived(n, rows)
+    for w in _bits(attach):
+        rows[w] |= block
+    rows += [attach | (block & ~(1 << v) if clique else 0) for v in range(g.n, n)]
+    return Graph._derived(n, rows), block
 
 
 def _twin_duplicate(g: Graph, pair: tuple[int, int]) -> Graph:
-    """Twin duplication: false twins fix an edge, true twins a non-edge."""
+    """Twin duplication: false twins fix an edge, true twins a non-edge.
+    x' is added first, so y' sees x' exactly when y sees x."""
     x, y = pair
-    if g.has_edge(x, y):
-        g1 = _grow(g, [g.adj[x]])                    # x' with N(x') = N(x)
-        return _grow(g1, [g1.adj[y]])                # y' with N(y') = N(y), sees x'
-    g1 = _grow(g, [g.adj[x] | 1 << x])               # x' true twin, adjacent to x
-    return _grow(g1, [g1.adj[y] | 1 << y])
-
-
-def _mask(vertices) -> int:
-    out = 0
-    for v in vertices:
-        out |= 1 << v
-    return out
-
-
-def _add_block(g: Graph, size: int, attach_mask: int, clique: bool) -> tuple[Graph, list[int]]:
-    base = g.n
-    rows = []
-    for idx in range(size):
-        mask = attach_mask
-        if clique:
-            for prev in range(idx):
-                mask |= 1 << (base + prev)
-        rows.append(mask)
-    return _grow(g, rows), list(range(base, base + size))
+    true_twins = not g.has_edge(x, y)
+    g1, _ = _add_block(g, 1, g.adj[x] | true_twins << x, clique=False)
+    return _add_block(g1, 1, g1.adj[y] | true_twins << y, clique=False)[0]
 
 
 def _glue_blowup(g: Graph, at: tuple[int, int], h: Graph, pair: tuple[int, int],
@@ -220,18 +197,15 @@ def _glue_blowup(g: Graph, at: tuple[int, int], h: Graph, pair: tuple[int, int],
             attach = 0
             for nb in perturbed.neighbors(w):
                 attach |= image.get(nb, 0)
-            g, block = _add_block(g, m, attach, clique=mode == CLIQUE_MODE)
-            image[w] = _mask(block)
+            g, image[w] = _add_block(g, m, attach, clique=mode == CLIQUE_MODE)
     return g
 
 
-def _gatekeeper_fix(g: Graph, pair: tuple[int, int], h: Graph, m: int,
-                    gatekeepers: Optional[GatekeeperResult]) -> Graph:
+def _gatekeeper_fix(g: Graph, pair: tuple[int, int], h: Graph, m: int) -> Graph:
     """Glue a blown-up copy of h, perturbed at a gatekeeper pair of the
     opposite status, onto the pair being fixed."""
     is_edge = g.has_edge(*pair)
-    if gatekeepers is None:
-        gatekeepers = has_fixing_operation(h)
+    gatekeepers = has_fixing_operation(h)
     # Deleting an edge must re-create h with a non-edge of h landing on the
     # pair, so an edge fix consumes h's non-edge gatekeeper; dually for edges.
     if is_edge:
@@ -244,15 +218,12 @@ def _gatekeeper_fix(g: Graph, pair: tuple[int, int], h: Graph, m: int,
     return _glue_blowup(g, pair, h, hpair, mode, m)
 
 
-def _k2p_fix(g: Graph, pair: tuple[int, int], p: int, m: int, edge: bool) -> Graph:
+def _k2p_fix(g: Graph, pair: tuple[int, int], p: int, m: int) -> Graph:
+    """K_{2,p} non-edge fix: clique W sees x, cliques W_1..W_{p-1} see y and W."""
     x, y = pair
-    if edge:
-        # Independent set joined to both endpoints (a K_{1,1,m} gluing).
-        return _add_block(g, m, _mask([x, y]), clique=False)[0]
-    # Clique W sees x; cliques W_1..W_{p-1} each see y and all of W.
-    g1, w_block = _add_block(g, m, _mask([x]), clique=True)
+    g1, w_block = _add_block(g, m, 1 << x, clique=True)
     for _ in range(p - 1):
-        g1, _block = _add_block(g1, m, _mask([y]) | _mask(w_block), clique=True)
+        g1, _ = _add_block(g1, m, 1 << y | w_block, clique=True)
     return g1
 
 
@@ -265,14 +236,14 @@ def _k11p_edge_fix(g: Graph, pair: tuple[int, int], p: int, m: int) -> Graph:
     # Tree with root of degree 1 and inner degree p-1, cut after two levels
     # and blown into m-cliques; the root's blow-up is the glued pair itself,
     # so its one child block sees x and y, and p-2 blocks below see that one.
-    g1, t_block = _add_block(g, m, _mask([x, y]), clique=True)
+    g1, t_block = _add_block(g, m, 1 << x | 1 << y, clique=True)
     for _child in range(p - 2):
-        g1 = _add_block(g1, m, _mask(t_block), clique=True)[0]
+        g1, _ = _add_block(g1, m, t_block, clique=True)
     return g1
 
 
-def fix_pair(state: PrefixState, pair: tuple[int, int], family: str, h: Graph,
-             gatekeepers: Optional[GatekeeperResult] = None) -> PrefixState:
+def fix_pair(state: PrefixState, pair: tuple[int, int], family: str,
+             h: Graph) -> PrefixState:
     """Apply one fixing operation of the family to a pair of the current
     prefix graph; the pair's status picks the edge or non-edge variant.
 
@@ -291,25 +262,27 @@ def fix_pair(state: PrefixState, pair: tuple[int, int], family: str, h: Graph,
     if family == "twin":
         new_graph = _twin_duplicate(g, pair)
     elif family == "gatekeeper":
-        new_graph = _gatekeeper_fix(g, pair, h, state.m, gatekeepers)
+        new_graph = _gatekeeper_fix(g, pair, h, state.m)
     else:
         match = match_k2p_k11p(h)
         if match is None or match[0] != family:
             shape = "K_{2,p}" if family == "k2p" else "K_{1,1,p}"
             raise PreconditionError(
                 f"{family.upper()} strategies need h to be a {shape} pattern")
-        if family == "k2p":
-            # Deleting an edge fixed here leaves its ends with m common,
-            # mutually independent neighbours: an induced K_{2,m}, which
-            # contains K_{2,p} only when m >= p.
-            if state.m < match[1]:
-                raise PreconditionError(
-                    f"K_{{2,p}} strategies need m >= p = {match[1]}, got m = {state.m}")
-            new_graph = _k2p_fix(g, pair, match[1], state.m, edge=is_edge)
+        # Deleting an edge fixed by k2p leaves its ends with m common,
+        # mutually independent neighbours: an induced K_{2,m}, which
+        # contains K_{2,p} only when m >= p.
+        if family == "k2p" and state.m < match[1]:
+            raise PreconditionError(
+                f"K_{{2,p}} strategies need m >= p = {match[1]}, got m = {state.m}")
+        if is_edge == (family == "k2p"):
+            # K_{2,p} edge fix and K_{1,1,p} non-edge fix: m independent
+            # vertices that see both ends of the pair.
+            new_graph = _add_block(g, state.m, 1 << x | 1 << y, clique=False)[0]
         elif is_edge:
             new_graph = _k11p_edge_fix(g, pair, match[1], state.m)
         else:
-            new_graph = _add_block(g, state.m, _mask(pair), clique=False)[0]
+            new_graph = _k2p_fix(g, pair, match[1], state.m)
     return _advance(state, new_graph, pair, _LABELS[family][not is_edge])
 
 
@@ -328,7 +301,6 @@ def schedule_fixes(seed: Graph, h: Graph, steps: int, m: int,
         raise ValueError("seed needs at least two vertices to have a pair")
     if find_induced(seed, h) is not None:
         raise PreconditionError("seed must avoid the pattern being fixed against")
-    gatekeepers = has_fixing_operation(h) if family == "gatekeeper" else None
     states = [initial_state(seed, m)]
     for _ in range(steps):
         state = states[-1]
@@ -336,8 +308,7 @@ def schedule_fixes(seed: Graph, h: Graph, steps: int, m: int,
         if entry is None:
             break
         try:
-            states.append(fix_pair(state, entry.pair, family, h,
-                                   gatekeepers=gatekeepers))
+            states.append(fix_pair(state, entry.pair, family, h))
         except CapacityError:
             break
     return states

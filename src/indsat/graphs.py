@@ -265,6 +265,9 @@ def find_induced(host: Graph, pattern: Graph,
                 raise ValueError(f"anchors {p},{q} are inconsistent with pattern adjacency")
     if np_ > nh:
         return None
+    # Between equal orders an embedding is an isomorphism, so degrees must match.
+    if np_ == nh and pattern.degree_sequence() != host.degree_sequence():
+        return None
     if np_ == 0:
         return ()
 
@@ -312,12 +315,8 @@ def find_induced(host: Graph, pattern: Graph,
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
     """Isomorphism via induced-embedding search (adequate at desk scale)."""
-    if g.n != h.n or g.edge_count() != h.edge_count():
-        return False
-    if g.degree_sequence() != h.degree_sequence():
-        return False
     # An injective induced embedding between equal-size graphs is a bijection.
-    return find_induced(g, h) is not None
+    return g.n == h.n and find_induced(g, h) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from .graphs import Graph, clique_cover_at_most, find_induced, parse_graph6
+from .graphs import Graph, clique_cover_at_most, find_induced, parse_graph6, twins
 from .oracles import (GRID_CLIQUE, RATIONAL_GEOMETRIC, RATIONAL_GEOMETRIC_KIND,
                       TORERO, TORERO_KIND, UP_RIGHT, Z3_AGREE, Z3_AGREE_KIND,
                       OracleKind, fraction_to_str, oracle_window)
@@ -34,15 +34,8 @@ def _pairs_twins_first(g: Graph) -> list[tuple[int, int]]:
     """All vertex pairs, twin pairs first.  Twin pairs are the canonical
     saturation failures (perturbing twins never creates a twin-free pattern),
     so scanning them first makes the reported failing pair the meaningful one."""
-    twin, rest = [], []
-    for u, v in combinations(range(g.n), 2):
-        closed_u = g.adj[u] | 1 << u
-        closed_v = g.adj[v] | 1 << v
-        if g.adj[u] == g.adj[v] or closed_u == closed_v:
-            twin.append((u, v))
-        else:
-            rest.append((u, v))
-    return twin + rest
+    twin = {(u, v) for u in range(g.n) for kind in twins(g, u) for v in kind if u < v}
+    return sorted(combinations(range(g.n), 2), key=lambda pair: pair not in twin)
 
 
 def induced_saturated(g: Graph, h: Graph) -> tuple[bool, Optional[tuple[int, int]]]:

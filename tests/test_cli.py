@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import jsonschema
@@ -65,6 +66,28 @@ class TestClassifyCommand:
         assert out == ""
         assert json.loads(err) == {"error": "line 3: truncated bit body (byte offset 3)"}
 
+    def test_every_bad_batch_line_is_named(self, tmp_path, capsys):
+        f = tmp_path / "graphs.g6"
+        f.write_text("Bw\nxx!\n\nCF\n!\n")
+        code = main(["classify", "--input", str(f)])
+        assert code == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {"error": "line 2: truncated bit body (byte offset 3); "
+                                            "line 5: header byte outside graph6 range "
+                                            "(byte offset 0)"}
+
+    def test_one_line_file_prints_a_batch(self, tmp_path, capsys):
+        # The output shape does not depend on the line count.
+        f = tmp_path / "graphs.g6"
+        f.write_text("Dr[\n")
+        code, payload = run_json(capsys, ["classify", "--input", str(f)])
+        assert code == EXIT_OK and len(payload["certificates"]) == 1
+        single = run_json(capsys, ["classify", "--g6", "Dr["])[1]
+        assert payload["certificates"][0].keys() == single.keys()
+        assert payload["certificates"][0]["witness"] == single["witness"]
+        validate(payload)
+
 
 class TestVerifyCommand:
     def test_icosahedron_complement_p5(self, capsys):
@@ -107,6 +130,16 @@ class TestVerifyCommand:
         assert main(["verify", "--g6", g6, "--h", h]) == code
         assert json.loads(capsys.readouterr().out)["h_free"] is h_free
         assert hosts.count(g) == searches
+
+    def test_equal_order_pattern_is_quick(self, capsys):
+        # Every perturbation of K10 keeps 10 vertices but loses degree, so
+        # each search fails on the degree check instead of backtracking.
+        start = time.perf_counter()
+        code, payload = run_json(capsys, ["verify", "--g6", "I~~~~~~~w", "--h", "I~~~~~~~w",
+                                          "--pair", "3,4", "--k", "3", "--trials", "3"])
+        assert time.perf_counter() - start < 2.0
+        assert code == EXIT_VERIFY_FAILED and payload["h_free"] is False
+        validate(payload)
 
     @pytest.mark.parametrize("flag", [["--k", "-3"], ["--k", "1", "--trials", "-1"]])
     def test_negative_budget_exit_1(self, capsys, flag):
@@ -253,6 +286,20 @@ class TestOtherCommands:
         code, payload = run_json(capsys, ["oracle", "--kind", "z3_agree", "--vertices",
                                           "[[[0,0,0],0],[[0,0,0],1]]"])
         assert code == EXIT_OK and payload["labels"] == [[[0, 0, 0], 0], [[0, 0, 0], 1]]
+
+    @pytest.mark.parametrize("argv", [
+        ["--kind", "rational_geometric", "--vertices", '["1e5","0"]'],
+        ["--kind", "rational_geometric", "--vertices", '["1e999999999"]'],
+        ["--kind", "torero", "--vertices", '["1/2","25E-2"]'],
+        ["--kind", "up_right", "--vertices", '[["0","1"],["1e3","2"]]']])
+    def test_oracle_rational_exponent_rejected(self, capsys, argv):
+        # Fraction would expand "1e999999999" into a billion-digit integer.
+        start = time.perf_counter()
+        code = main(["oracle", *argv])
+        captured = capsys.readouterr()
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_USAGE and captured.out == ""
+        assert "no exponent" in json.loads(captured.err)["error"]
 
     @pytest.mark.parametrize("argv", [
         ["--kind", "torero", "--vertices", '["5"]'],

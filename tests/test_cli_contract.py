@@ -2,9 +2,9 @@
 either writes JSON to stdout and exits 0, 2 or 3, or writes a JSON error to
 stderr and exits 1.  It never raises.
 
-Inputs stay small (graphs of at most 10 vertices, short vertex lists, small
-counts) and carry no decimal exponents: `Fraction` parses a string such as
-"1e999999999" by building the full integer, which does not finish.
+Inputs stay small: graphs of at most 10 vertices, short vertex lists and
+files, small counts.  Oracle rationals may carry decimal exponents, which the
+CLI refuses (`Fraction` would expand "1e999999999" in full).
 """
 
 import contextlib
@@ -48,7 +48,7 @@ GRAPH_SPECS = st.one_of(
 
 # A few fixed rationals, in the spellings JSON and Fraction accept.
 _NUMBERS = st.one_of(st.integers(-5, 5), st.sampled_from([0.5, 1.7, -2.25, 1e400]))
-_STRINGS = st.text(alphabet=st.sampled_from("0123456789/-. x"), max_size=5)
+_STRINGS = st.text(alphabet=st.sampled_from("0123456789/-. xeE"), max_size=5)
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | _NUMBERS | _STRINGS,
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
@@ -59,7 +59,8 @@ ORACLE_KINDS = st.sampled_from(["torero", "up_right", "rational_geometric", "z3_
                                 "grid_clique:2", "grid_clique:0", "grid_clique:x",
                                 "grid_clique:1:2", "bogus"])
 _RATIONALS = st.one_of(st.integers(-1, 2), st.builds(
-    lambda a, b: f"{a}/{a + b}", st.integers(1, 5), st.integers(1, 5)))
+    lambda a, b: f"{a}/{a + b}", st.integers(1, 5), st.integers(1, 5)),
+    st.sampled_from(["1e5", "25E-2", "-1.5e1", "1e999999999"]))
 _INTS = st.integers(-2, 2)
 
 
@@ -125,7 +126,9 @@ ARGV = st.one_of(
     ORACLE_WINDOWS,
     _argv("oracle", _opt("--kind", ORACLE_KINDS), ORACLE_SPECS.map(
         lambda s: ["--vertices", s])),
-    st.just(["classify", "--out", "no-such-directory/out.json", "--g6", "P4"]))
+    st.sampled_from([["classify", "--out", "no-such-directory/out.json", "--g6", "P4"],
+                     ["replay"], ["replay", "--out", "no-such-directory/out.json"],
+                     ["sweep", "--input", MISSING_FILE]]))
 
 
 def check_contract(argv):
@@ -156,3 +159,18 @@ def test_batch_classify_writes_json_or_a_json_error(lines):
         f = Path(tmp) / "graphs.g6"
         f.write_text("\n".join(lines))
         check_contract(["classify", "--input", str(f)])
+
+
+# Sweep files mix graphs over --nmax, blank lines and malformed lines.
+SWEEP_LINES = st.one_of(small_graph6(), small_graph6(), st.sampled_from(["", "  "]),
+                        GRAPH_SPECS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(SWEEP_LINES, max_size=5), st.sampled_from(["0", "4", "8", "-1", "x"]),
+       st.sampled_from(["1", "1", "0", "-2", "x"]))
+def test_sweep_writes_json_or_a_json_error(lines, nmax, workers):
+    with tempfile.TemporaryDirectory() as tmp:
+        f = Path(tmp) / "graphs.g6"
+        f.write_text("\n".join(lines))
+        check_contract(["sweep", "--input", str(f), "--nmax", nmax, "--workers", workers])

@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 
 from indsat.constructions import (CapacityError, K2P_EDGE, K2P_NONEDGE,
-                                  PreconditionError, _gatekeeper_fix, _grow,
+                                  PreconditionError, _add_block, _gatekeeper_fix,
                                   blowup_graph, fix_pair, initial_state,
                                   priority_position, schedule_fixes)
 from indsat.gatekeeper import CLIQUE_MODE, blowup_mode, has_fixing_operation
@@ -122,13 +122,26 @@ class TestBlowup:
 
 class TestGrow:
     def test_new_rows_see_only_earlier_vertices(self):
-        g = _grow(path_graph(2), [0b11, 0b101])
+        g, block = _add_block(path_graph(2), 1, 0b11, clique=False)
+        assert block == 0b100
+        g, block = _add_block(g, 1, 0b1 | block, clique=False)
+        assert block == 0b1000
         assert g == Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3), (2, 3)])
+
+    @pytest.mark.parametrize("clique", [False, True])
+    def test_block_is_a_clique_or_independent(self, clique):
+        g, block = _add_block(path_graph(2), 3, 0b10, clique)
+        assert block == 0b11100
+        inside = [(2, 3), (2, 4), (3, 4)] if clique else []
+        assert g == Graph.from_edges(5, [(0, 1), (1, 2), (1, 3), (1, 4), *inside])
 
     @pytest.mark.parametrize("rows", [[1 << 2], [0, 1 << 4], [-1]])
     def test_loop_or_later_vertex_rejected(self, rows):
+        # One-vertex blocks, each seeing the vertex mask rows[i].
+        g = path_graph(2)
         with pytest.raises(ValueError, match="only see vertices before it"):
-            _grow(path_graph(2), rows)
+            for attach in rows:
+                g, _ = _add_block(g, 1, attach, clique=False)
 
 
 class TestPriorityEnumeration:
@@ -259,7 +272,7 @@ class TestFixPair:
                         continue
                     for m in (1, 2, 3):
                         gadget, (iu, iv) = naive_blowup_graph(h, hpair, mode, m)
-                        assert (_gatekeeper_fix(g, (x, y), h, m, gk)
+                        assert (_gatekeeper_fix(g, (x, y), h, m)
                                 == naive_glue(g, gadget, [x, y], [iu, iv])), (g, h, m)
 
 

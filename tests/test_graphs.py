@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -202,6 +203,14 @@ class TestFindInduced:
 
     def test_no_p5_in_icosahedron_complement(self):
         assert find_induced(icosahedron_complement(), path_graph(5)) is None
+
+    @pytest.mark.parametrize("base", [complete_graph(10), empty_graph(10)])
+    def test_equal_order_degree_mismatch_is_quick(self, base):
+        # Without the degree check this search tried every bijection (3.4 s).
+        start = time.perf_counter()
+        assert find_induced(base.toggled(3, 4), base) is None
+        assert find_induced(base, base.toggled(3, 4)) is None
+        assert time.perf_counter() - start < 0.1
 
     def test_anchor_validation(self):
         host, pattern = cycle_graph(5), path_graph(3)
