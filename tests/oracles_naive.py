@@ -6,10 +6,13 @@ dict adjacency) and stays independent of the bitset code paths it checks.
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, permutations, product
+from math import comb
 
 from indsat.gatekeeper import CLIQUE_MODE
 from indsat.graphs import Graph
+from indsat.verifier import EXHAUSTIVE_PAIRSET_LIMIT, PairFixedResult
 
 
 def naive_find_induced(host: Graph, pattern: Graph, anchors=None):
@@ -118,6 +121,49 @@ def naive_twins(g: Graph, v: int) -> tuple[list[int], list[int]]:
                   if u != v and adj[u] | {u} == adj[v] | {v}]
     false_twins = [u for u in range(g.n) if u != v and adj[u] == adj[v]]
     return true_twins, false_twins
+
+
+def naive_induced_saturated(g: Graph, h: Graph):
+    """induced_saturated by definition: every perturbed graph is searched
+    whole.  Pairs with a twin come first, each group in lexicographic order."""
+    if g.n < 2 or naive_find_induced(g, h) is not None:
+        return False, None
+    pairs = list(combinations(range(g.n), 2))
+    twin_pairs = [(u, v) for u, v in pairs if any(v in kind for kind in naive_twins(g, u))]
+    for pair in twin_pairs + [p for p in pairs if p not in twin_pairs]:
+        if naive_find_induced(g.toggled(*pair), h) is None:
+            return False, pair
+    return True, None
+
+
+def naive_pair_fixed_check(g: Graph, h: Graph, pair: tuple[int, int],
+                           adversary_budget: int = 0, trials: int = 0,
+                           seed: int = 0) -> PairFixedResult:
+    """pair_fixed_check by definition: the same adversary sets in the same
+    order, each perturbed graph searched whole."""
+    u, v = pair
+    others = ([p for p in combinations(range(g.n), 2) if p != (min(pair), max(pair))]
+              if adversary_budget >= 1 else [])
+    sets = []  # (extra pairs, sizes covered exhaustively before them)
+    done = 0
+    for size in range(min(adversary_budget, 2) + 1):
+        if comb(len(others), size) > EXHAUSTIVE_PAIRSET_LIMIT:
+            break
+        sets += [(extra, done) for extra in combinations(others, size)]
+        done = size
+    if adversary_budget >= 1 and others:
+        rng = random.Random(seed)
+        for _ in range(trials):
+            size = rng.randint(1, adversary_budget)
+            sets.append((tuple(rng.sample(others, min(size, len(others)))), done))
+    for checked, (extra, before) in enumerate(sets, 1):
+        perturbed = g
+        for a, b in ((u, v),) + extra:
+            perturbed = perturbed.toggled(a, b)
+        if naive_find_induced(perturbed, h) is None:
+            return PairFixedResult("fail", ((u, v),) + extra, adversary_budget, trials,
+                                   seed, checked, before)
+    return PairFixedResult("pass", None, adversary_budget, trials, seed, len(sets), done)
 
 
 def naive_is_permutation_graph(g: Graph) -> bool:

@@ -122,9 +122,9 @@ class TestVerifyCommand:
         hosts = []
         real = verifier.find_induced
 
-        def counting(host, pattern):
+        def counting(host, pattern, anchors=None):
             hosts.append(host)
-            return real(host, pattern)
+            return real(host, pattern, anchors)
 
         monkeypatch.setattr(verifier, "find_induced", counting)
         assert main(["verify", "--g6", g6, "--h", h]) == code

@@ -15,8 +15,11 @@ import tempfile
 from pathlib import Path
 
 import jsonschema
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from indsat import cli
+from indsat.classifier import StructureReport
 from indsat.cli import EXIT_INCOMPLETE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, main
 from indsat.constructions import FAMILIES
 from indsat.graphs import Graph, emit_graph6
@@ -131,7 +134,7 @@ ARGV = st.one_of(
                      ["sweep", "--input", MISSING_FILE]]))
 
 
-def check_contract(argv):
+def check_contract(argv) -> int:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -143,6 +146,7 @@ def check_contract(argv):
         assert code in (EXIT_OK, EXIT_INCOMPLETE, EXIT_VERIFY_FAILED), code
         assert err == ""
         jsonschema.validate(json.loads(out), SCHEMA)
+    return code
 
 
 @settings(max_examples=200, deadline=None,
@@ -159,6 +163,29 @@ def test_batch_classify_writes_json_or_a_json_error(lines):
         f = Path(tmp) / "graphs.g6"
         f.write_text("\n".join(lines))
         check_contract(["classify", "--input", str(f)])
+
+
+# Small reports in the shape structure_check_12 returns, one passing and one
+# with a counterexample, so that structure12 runs without its 2 s search.
+STRUCTURE_REPORTS = {
+    True: StructureReport(configurations=2, shapes={"9x3": 2}, k33_shortcuts=1,
+                          subset_searches=1),
+    False: StructureReport(configurations=2, shapes={"9x3": 2}, k33_shortcuts=1,
+                           subset_searches=1, all_passed=False,
+                           counterexamples=[{"a_size": 9, "missed": [[0, 1], [0, 2], [1, 2]]}]),
+}
+
+
+@pytest.mark.parametrize("argv, passed, code", [
+    (["docs", "--out", "no-such-directory/out.md"], True, EXIT_USAGE),
+    (["structure12"], True, EXIT_OK),
+    (["structure12"], False, EXIT_VERIFY_FAILED),
+    (["structure12", "--out", "no-such-directory/out.json"], True, EXIT_USAGE),
+])
+def test_fixed_argv_write_json_or_a_json_error(monkeypatch, argv, passed, code):
+    monkeypatch.setattr(cli, "structure_check_12",
+                        lambda progress=False: STRUCTURE_REPORTS[passed])
+    assert check_contract(argv) == code
 
 
 # Sweep files mix graphs over --nmax, blank lines and malformed lines.

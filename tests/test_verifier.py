@@ -1,13 +1,17 @@
+import json
 import random
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from indsat import verifier
 from indsat.constructions import blowup_graph, initial_state, fix_pair, schedule_fixes
 from indsat.gatekeeper import CLIQUE_MODE
-from indsat.graphs import (bull_graph, complete_graph, cycle_graph,
-                           icosahedron_complement, path_graph)
+from indsat.graphs import (Graph, bull_graph, complete_graph, complete_multipartite,
+                           cycle_graph, empty_graph, icosahedron_complement, parse_graph6,
+                           path_graph)
 from indsat.oracles import (RATIONAL_GEOMETRIC_KIND, TORERO_KIND,
                             grid_clique, oracle_window)
 from indsat.verifier import (induced_saturated, is_free,
@@ -15,6 +19,9 @@ from indsat.verifier import (induced_saturated, is_free,
                              neighborhood_two_clique_cover, pair_fixed_check,
                              replay_construction_witnesses, sample_window)
 from gensmall import graphs_up_to
+from oracles_naive import naive_induced_saturated, naive_pair_fixed_check, random_graph
+
+GOLDEN_PREFIXES = Path(__file__).parent / "golden" / "prefix.json"
 
 
 class TestIsFree:
@@ -107,6 +114,124 @@ class TestPairFixedCheck:
         assert payload["adversary_budget"] == 1
         assert payload["seed"] == 9
         assert "evidence" in payload["note"]
+
+
+def assert_matches_naive(g: Graph, h: Graph, pair, trials: int, seed: int) -> list[bool]:
+    """Both checks agree with their whole-graph oracles at budgets 0-3;
+    returns the pair_fixed_check verdicts."""
+    assert induced_saturated(g, h) == naive_induced_saturated(g, h)
+    verdicts = []
+    for budget in range(4):
+        fast = pair_fixed_check(g, h, pair, budget, trials, seed)
+        slow = naive_pair_fixed_check(g, h, pair, budget, trials, seed)
+        assert fast.to_json() == slow.to_json(), (g.n, pair, budget)
+        verdicts.append(fast.passed())
+    return verdicts
+
+
+class TestLocalSearchMatchesNaive:
+    """The anchored searches decide every perturbed graph as a search of the
+    whole graph does, so every report is the oracle's."""
+
+    PATTERNS = {"P4": path_graph(4), "C5": cycle_graph(5), "bull": bull_graph(),
+                "K23": complete_multipartite(2, 3)}
+
+    @pytest.mark.parametrize("name", PATTERNS)
+    @pytest.mark.parametrize("h_free", [True, False])
+    def test_random_graphs(self, name, h_free):
+        # h_free=False leaves every miss to the whole-graph fallback.
+        h = self.PATTERNS[name]
+        rng = random.Random(f"{name}-{h_free}")
+        verdicts = []
+        checked = 0
+        while checked < 6:
+            g = random_graph(rng, rng.randint(5, 7), rng.choice((0.3, 0.5, 0.7)))
+            if is_free(g, h) != h_free:
+                continue
+            checked += 1
+            pair = tuple(rng.sample(range(g.n), 2))
+            verdicts += assert_matches_naive(g, h, pair, trials=4,
+                                             seed=rng.randrange(1000))
+        assert not all(verdicts)
+
+    @pytest.mark.parametrize("case", range(5))
+    def test_golden_prefixes(self, case):
+        spec = json.loads(GOLDEN_PREFIXES.read_text())[case]
+        h = parse_graph6(spec["h"])
+        ledger = [tuple(rec["pair"]) for rec in spec["ledger"]]
+        for text in spec["graphs"]:
+            g = parse_graph6(text)
+            if g.n > 10:
+                break
+            fixed = [pair for pair in ledger if max(pair) < g.n]
+            for pair in fixed[1:]:
+                assert (pair_fixed_check(g, h, pair).to_json()
+                        == naive_pair_fixed_check(g, h, pair).to_json())
+            if fixed:
+                assert_matches_naive(g, h, fixed[0], trials=5, seed=case)
+
+    def test_pair_anchored_in_both_orientations(self):
+        # K_{2,3} with parts {2, 3} and {0, 1, 4}, less the edge (0, 2).
+        # Adding it back creates the only K_{2,3}, with the pair's first end
+        # on the side of three, so the anchor maps a later pattern vertex to 0.
+        k23 = complete_multipartite(2, 3)
+        g = Graph.from_edges(5, [(a, b) for a in (2, 3) for b in (0, 1, 4)
+                                 if (a, b) != (2, 0)])
+        assert pair_fixed_check(g, k23, (0, 2)).passed()
+        assert_matches_naive(g, k23, (0, 2), trials=3, seed=7)
+
+    @pytest.mark.parametrize("g, h", [
+        (cycle_graph(5), empty_graph(0)),       # h on 0 vertices
+        (cycle_graph(5), empty_graph(1)),       # h on 1 vertex
+        (cycle_graph(4), cycle_graph(5)),       # h larger than g
+        (cycle_graph(5), cycle_graph(5)),       # h equal to g
+        (path_graph(4), path_graph(4)),
+    ])
+    def test_degenerate_patterns(self, g, h):
+        assert_matches_naive(g, h, (0, 2), trials=3, seed=7)
+
+
+class TestLocalSearchMechanism:
+    @staticmethod
+    def record_searches(monkeypatch) -> list:
+        """(host, anchored?) of every find_induced call the verifier makes."""
+        calls = []
+        real = verifier.find_induced
+
+        def recording(host, pattern, anchors=None):
+            calls.append((host, bool(anchors)))
+            return real(host, pattern, anchors)
+
+        monkeypatch.setattr(verifier, "find_induced", recording)
+        return calls
+
+    def test_passing_check_searches_only_around_the_toggled_pairs(self, monkeypatch):
+        calls = self.record_searches(monkeypatch)
+        g = parse_graph6("Iltqt\\Xsw")  # the twin prefix of P4 on 10 vertices
+        result = pair_fixed_check(g, path_graph(4), (0, 3), adversary_budget=2,
+                                  trials=20, seed=5)
+        assert result.passed() and result.sets_checked == 1011
+        assert all(anchored for _, anchored in calls)
+        assert len(calls) >= result.sets_checked
+
+    def test_failing_check_searches_the_base_graph_once(self, monkeypatch):
+        calls = self.record_searches(monkeypatch)
+        g = parse_graph6("Iltqt\\Xsw")
+        result = pair_fixed_check(g, path_graph(4), (0, 2), adversary_budget=2,
+                                  trials=10, seed=1)
+        assert not result.passed() and result.sets_checked == 135
+        # is_free(g, h) on the first anchored miss, after 134 passing sets
+        assert [host for host, anchored in calls if not anchored] == [g]
+
+    def test_graph_containing_h_is_searched_once(self, monkeypatch):
+        # Each anchored miss on a P6 falls back to a whole-graph search of
+        # the perturbed graph; is_free(P6, P4) runs on the first miss only.
+        calls = self.record_searches(monkeypatch)
+        g = path_graph(6)
+        result = pair_fixed_check(g, path_graph(4), (0, 1), adversary_budget=1)
+        assert not result.passed() and result.sets_checked == 10
+        unanchored = [host for host, anchored in calls if not anchored]
+        assert unanchored.count(g) == 1 and len(unanchored) == 4
 
 
 class TestSaturationImpliesFree:
