@@ -1,7 +1,8 @@
 """Command-line surface: classify, sweep, cores, gatekeepers, verify, prefix,
 oracle, structure12, replay, docs.
 
-All output is JSON (stdout or --out); all randomness is seeded and echoed.
+Every subcommand except `docs`, which prints Markdown, writes JSON (stdout
+or --out); all randomness is seeded and echoed.
 Exit codes: 0 success, 1 usage or parse error, 2 sweep incompleteness,
 3 verification failure.
 """
@@ -230,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     g6_help = "inline graph6 string or named graph"
 
     def common(p, g6=True):
-        p.add_argument("--out", help="write JSON here instead of stdout")
+        p.add_argument("--out", help="write the output here instead of stdout")
         if g6:
             p.add_argument("--g6", required=True, help=g6_help)
 

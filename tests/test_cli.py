@@ -118,18 +118,20 @@ class TestVerifyCommand:
         ("P5", "P4", EXIT_VERIFY_FAILED, False, 2)])
     def test_freeness_search_runs_once(self, capsys, monkeypatch, g6, h, code,
                                        h_free, searches):
-        g = graph_from_spec(g6)
+        # is_free searches g with its twins deleted (C4 loses two vertices),
+        # so count every unanchored search; the others are local searches.
         hosts = []
         real = verifier.find_induced
 
         def counting(host, pattern, anchors=None):
-            hosts.append(host)
+            if not anchors:
+                hosts.append(host)
             return real(host, pattern, anchors)
 
         monkeypatch.setattr(verifier, "find_induced", counting)
         assert main(["verify", "--g6", g6, "--h", h]) == code
         assert json.loads(capsys.readouterr().out)["h_free"] is h_free
-        assert hosts.count(g) == searches
+        assert len(hosts) == searches
 
     def test_equal_order_pattern_is_quick(self, capsys):
         # Every perturbation of K10 keeps 10 vertices but loses degree, so

@@ -10,8 +10,8 @@ from indsat import verifier
 from indsat.constructions import blowup_graph, initial_state, fix_pair, schedule_fixes
 from indsat.gatekeeper import CLIQUE_MODE
 from indsat.graphs import (Graph, bull_graph, complete_graph, complete_multipartite,
-                           cycle_graph, empty_graph, icosahedron_complement, parse_graph6,
-                           path_graph)
+                           cycle_graph, empty_graph, find_induced, icosahedron_complement,
+                           parse_graph6, path_graph)
 from indsat.oracles import (RATIONAL_GEOMETRIC_KIND, TORERO_KIND,
                             grid_clique, oracle_window)
 from indsat.verifier import (induced_saturated, is_free,
@@ -19,15 +19,76 @@ from indsat.verifier import (induced_saturated, is_free,
                              neighborhood_two_clique_cover, pair_fixed_check,
                              replay_construction_witnesses, sample_window)
 from gensmall import graphs_up_to
-from oracles_naive import naive_induced_saturated, naive_pair_fixed_check, random_graph
+from oracles_naive import (naive_find_induced, naive_induced_saturated,
+                           naive_pair_fixed_check, naive_twins, random_graph)
 
 GOLDEN_PREFIXES = Path(__file__).parent / "golden" / "prefix.json"
 
 
+def with_twins(rng: random.Random, g: Graph, count: int) -> Graph:
+    """g with `count` vertices appended, each a true or a false twin of a
+    random earlier vertex."""
+    rows = list(g.adj)
+    for _ in range(count):
+        v, n = rng.randrange(len(rows)), len(rows)
+        row = rows[v] | (1 << v if rng.random() < 0.5 else 0)
+        rows = [r | (row >> w & 1) << n for w, r in enumerate(rows)] + [row]
+    return Graph(len(rows), rows)
+
+
 class TestIsFree:
+    # (pattern, has true twins, has false twins)
+    PATTERNS_BY_TWINS = {
+        "P4": (path_graph(4), False, False), "C5": (cycle_graph(5), False, False),
+        "bull": (bull_graph(), False, False),
+        "C4": (cycle_graph(4), False, True), "K23": (complete_multipartite(2, 3), False, True),
+        "2K2": (Graph.from_edges(4, [(0, 1), (2, 3)]), True, False),
+        "K113": (complete_multipartite(1, 1, 3), True, True),
+    }
+
     def test_examples(self):
         assert is_free(icosahedron_complement(), path_graph(5))
         assert not is_free(complete_graph(5), complete_graph(3))
+
+    @pytest.mark.parametrize("name", PATTERNS_BY_TWINS)
+    def test_twin_injected_hosts_match_naive(self, name):
+        h, true_twins, false_twins = self.PATTERNS_BY_TWINS[name]
+        assert any(naive_twins(h, v)[0] for v in range(h.n)) == true_twins
+        assert any(naive_twins(h, v)[1] for v in range(h.n)) == false_twins
+        rng = random.Random(name)
+        verdicts = set()
+        for trial in range(40):
+            # Every fourth host is h itself with twins added, so it contains h.
+            base = (h if trial % 4 == 0 else
+                    random_graph(rng, rng.randint(1, 6), rng.choice((0.3, 0.5, 0.7))))
+            g = with_twins(rng, base, rng.randint(0, 3))
+            verdict = is_free(g, h)
+            assert verdict == (naive_find_induced(g, h) is None), (g, name)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_empty_and_one_vertex_patterns(self):
+        for g in (empty_graph(0), empty_graph(1), path_graph(2), with_twins(
+                random.Random(1), path_graph(3), 4)):
+            assert not is_free(g, empty_graph(0))
+            assert is_free(g, empty_graph(1)) == (g.n == 0)
+
+    @pytest.mark.parametrize("name", PATTERNS_BY_TWINS)
+    def test_hosts_no_larger_than_h(self, name):
+        h = self.PATTERNS_BY_TWINS[name][0]
+        for g in graphs_up_to(h.n):
+            assert is_free(g, h) == (naive_find_induced(g, h) is None), (g, name)
+
+    @pytest.mark.parametrize("case", range(5))
+    def test_golden_prefixes_match_the_unreduced_search(self, case):
+        # Each prefix is h-free and each ledger pair creates h when toggled.
+        spec = json.loads(GOLDEN_PREFIXES.read_text())[case]
+        h = parse_graph6(spec["h"])
+        ledger = [tuple(rec["pair"]) for rec in spec["ledger"]]
+        for text in spec["graphs"]:
+            g = parse_graph6(text)
+            for host in [g] + [g.toggled(*pair) for pair in ledger if max(pair) < g.n]:
+                assert is_free(host, h) == (find_induced(host, h) is None), (text, h)
 
 
 class TestInducedSaturated:
@@ -220,8 +281,9 @@ class TestLocalSearchMechanism:
         result = pair_fixed_check(g, path_graph(4), (0, 2), adversary_budget=2,
                                   trials=10, seed=1)
         assert not result.passed() and result.sets_checked == 135
-        # is_free(g, h) on the first anchored miss, after 134 passing sets
-        assert [host for host, anchored in calls if not anchored] == [g]
+        # is_free(g, h) on the first anchored miss, after 134 passing sets.
+        # P4 has no twins and g is a cograph, so its twins reduce it to vertex 0.
+        assert [host for host, anchored in calls if not anchored] == [g.induced([0])]
 
     def test_graph_containing_h_is_searched_once(self, monkeypatch):
         # Each anchored miss on a P6 falls back to a whole-graph search of
@@ -232,6 +294,16 @@ class TestLocalSearchMechanism:
         assert not result.passed() and result.sets_checked == 10
         unanchored = [host for host, anchored in calls if not anchored]
         assert unanchored.count(g) == 1 and len(unanchored) == 4
+
+    def test_is_free_searches_the_twin_reduced_host(self, monkeypatch):
+        calls = self.record_searches(monkeypatch)
+        specs = json.loads(GOLDEN_PREFIXES.read_text())
+        twin = parse_graph6(specs[0]["graphs"][-1])  # P2/P4 twin prefix
+        k113 = parse_graph6(specs[4]["graphs"][-1])  # K_{1,1,3} has both twin kinds
+        assert twin.n == 64 and is_free(twin, path_graph(4))
+        assert is_free(k113, complete_multipartite(1, 1, 3))
+        assert [host.n for host, _ in calls] == [1, k113.n]
+        assert calls[1][0] is k113
 
 
 class TestSaturationImpliesFree:
