@@ -14,6 +14,7 @@ import json
 import os
 import re
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 from . import cores as cores_mod
@@ -137,10 +138,19 @@ def _cmd_prefix(args) -> int:
     return EXIT_OK
 
 
+def _decimal_literal(text: str) -> Decimal:
+    """A JSON float read from its decimal text, so that 0.1 is 1/10 exactly."""
+    # Fraction would expand an exponent such as 1e999999999 digit by digit.
+    if "e" in text.lower():
+        raise ValueError(f"malformed oracle spec: numbers take no exponent, got {text!r}")
+    return Decimal(text)
+
+
 def _cmd_oracle(args) -> int:
     # Unlike Path.exists, isfile is False (no error) for a list too long for a name.
     text = args.vertices
-    spec = json.loads(Path(text).read_text() if os.path.isfile(text) else text)
+    spec = json.loads(Path(text).read_text() if os.path.isfile(text) else text,
+                      parse_float=_decimal_literal)
     try:
         if isinstance(spec, dict):
             kind = kind_from_json(spec["kind"])

@@ -5,11 +5,23 @@ is decided exactly, never through floating point.  sqrt(2) comparisons go
 through quadratic-field sign computation, and pi comparisons through nested
 rational enclosures from Machin's formula, tightened until one side is
 certain (any rational input differs from pi, so every comparison decides).
+
+`oracle_adjacent` is the single-pair definition.  `oracle_window` checks
+each vertex once and then decides every pair on integers, building exactly
+the graph that `oracle_adjacent` gives pair by pair:
+- torero and rational-geometric values are put over one common denominator
+  D, so u + v > 1 becomes U + V > D, and |U - V| is compared with
+  floor(lo D) and ceil(hi D) for the coarsest enclosure (lo, hi) of pi; only
+  a difference between the two goes to `compare_to_pi`;
+- up-and-right pairs are cross-multiplied over their own denominators (a
+  window-wide one grows with the window);
+- grid and Z^3 pairs use the same rule as `oracle_adjacent`.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -132,12 +144,8 @@ def _check_vertex(kind: OracleKind, v: OracleVertex) -> None:
             raise ValueError(f"z3 vertex must be ((i,j,k), clone>=0), got {v!r}")
 
 
-def oracle_adjacent(kind: OracleKind, u: OracleVertex, v: OracleVertex) -> bool:
-    """Exact adjacency decision for two distinct vertices of the same kind."""
-    _check_vertex(kind, u)
-    _check_vertex(kind, v)
-    if u == v:
-        raise ValueError("oracle_adjacent needs two distinct vertices")
+def _adjacent(kind: OracleKind, u: OracleVertex, v: OracleVertex) -> bool:
+    """The adjacency rule on two checked, distinct vertices."""
     tag = kind.tag
     if tag == UP_RIGHT:
         (q, r), (s, t) = u, v
@@ -159,6 +167,53 @@ def oracle_adjacent(kind: OracleKind, u: OracleVertex, v: OracleVertex) -> bool:
     return any(a == b for a, b in zip(pu, pv))
 
 
+def oracle_adjacent(kind: OracleKind, u: OracleVertex, v: OracleVertex) -> bool:
+    """Exact adjacency decision for two distinct vertices of the same kind."""
+    _check_vertex(kind, u)
+    _check_vertex(kind, v)
+    if u == v:
+        raise ValueError("oracle_adjacent needs two distinct vertices")
+    return _adjacent(kind, u, v)
+
+
+def _scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """A common denominator D of the values and each value times D."""
+    d = math.lcm(*(q.denominator for q in values))
+    return d, [q.numerator * (d // q.denominator) for q in values]
+
+
+def _window_rule(kind: OracleKind, vertices: tuple):
+    """Adjacency of window positions i < j, equal to `_adjacent` on every pair."""
+    tag = kind.tag
+    if tag == TORERO:
+        d, scaled = _scaled(vertices)
+        return lambda i, j: scaled[i] + scaled[j] > d
+    if tag == RATIONAL_GEOMETRIC:
+        d, scaled = _scaled(vertices)
+        lo, hi = pi_bounds(0)
+        near = lo.numerator * d // lo.denominator  # floor(lo D): closer is adjacent
+        far = -(-hi.numerator * d // hi.denominator)  # ceil(hi D): farther is not
+
+        def rule(i, j):
+            gap = abs(scaled[i] - scaled[j])
+            return gap <= near or gap < far and compare_to_pi(Fraction(gap, d)) < 0
+        return rule
+    if tag == UP_RIGHT:
+        # With a = q_u - q_v and b = r_u - r_v, a + b sqrt(2) and a - b sqrt(2)
+        # share a sign iff b = 0 or a^2 > 2 b^2.  Over the pair's own
+        # denominators that is (A dr_u dr_v)^2 > 2 (B dq_u dq_v)^2.
+        parts = [(q.numerator, q.denominator, r.numerator, r.denominator)
+                 for q, r in vertices]
+
+        def rule(i, j):
+            nq, dq, nr, dr = parts[i]
+            mq, eq, mr, er = parts[j]
+            a, b = nq * eq - mq * dq, nr * er - mr * dr
+            return b == 0 or (a * dr * er) ** 2 > 2 * (b * dq * eq) ** 2
+        return rule
+    return lambda i, j: _adjacent(kind, vertices[i], vertices[j])
+
+
 def oracle_window(kind: OracleKind,
                   vertices: Sequence[OracleVertex]) -> tuple[Graph, tuple[OracleVertex, ...]]:
     """Finite induced sample: graph plus the vertex labeling, index-aligned."""
@@ -168,8 +223,8 @@ def oracle_window(kind: OracleKind,
     if len(set(vertices)) != len(vertices):
         raise ValueError("duplicate oracle vertices in window")
     n = len(vertices)
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-             if oracle_adjacent(kind, vertices[i], vertices[j])]
+    adjacent = _window_rule(kind, vertices)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if adjacent(i, j)]
     return Graph.from_edges(n, edges), vertices
 
 

@@ -12,6 +12,7 @@ from math import comb
 
 from indsat.gatekeeper import CLIQUE_MODE
 from indsat.graphs import Graph
+from indsat.oracles import oracle_adjacent
 from indsat.verifier import EXHAUSTIVE_PAIRSET_LIMIT, PairFixedResult
 
 
@@ -245,3 +246,10 @@ def naive_glue(g: Graph, g2: Graph, a, a2) -> Graph:
     image = {**dict(zip(a2, a)), **{w: g.n + i for i, w in enumerate(rest)}}
     edges = g.edges() + [(image[w], image[w2]) for w, w2 in g2.edges()]
     return Graph.from_edges(g.n + len(rest), edges)
+
+
+def naive_oracle_window(kind, vertices) -> Graph:
+    """The window graph with every pair decided by `oracle_adjacent`."""
+    return Graph.from_edges(len(vertices), [
+        (i, j) for i, j in combinations(range(len(vertices)), 2)
+        if oracle_adjacent(kind, vertices[i], vertices[j])])

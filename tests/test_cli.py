@@ -289,11 +289,21 @@ class TestOtherCommands:
                                           "[[[0,0,0],0],[[0,0,0],1]]"])
         assert code == EXIT_OK and payload["labels"] == [[[0, 0, 0], 0], [[0, 0, 0], 1]]
 
+    def test_oracle_reads_json_floats_from_their_decimal_text(self, capsys):
+        # As binary doubles, 0.1 + 0.9 came out just above 1 and made an edge.
+        for vertices in ('[0.1, 0.9]', '["1/10", "9/10"]'):
+            code, payload = run_json(capsys, ["oracle", "--kind", "torero",
+                                              "--vertices", vertices])
+            assert code == EXIT_OK and payload["labels"] == ["1/10", "9/10"]
+            assert payload["graph"] == "A?"
+
     @pytest.mark.parametrize("argv", [
         ["--kind", "rational_geometric", "--vertices", '["1e5","0"]'],
         ["--kind", "rational_geometric", "--vertices", '["1e999999999"]'],
         ["--kind", "torero", "--vertices", '["1/2","25E-2"]'],
-        ["--kind", "up_right", "--vertices", '[["0","1"],["1e3","2"]]']])
+        ["--kind", "up_right", "--vertices", '[["0","1"],["1e3","2"]]'],
+        ["--kind", "rational_geometric", "--vertices", '[1e400, 0]'],
+        ["--kind", "torero", "--vertices", '[0.5, 25E-2]']])
     def test_oracle_rational_exponent_rejected(self, capsys, argv):
         # Fraction would expand "1e999999999" into a billion-digit integer.
         start = time.perf_counter()

@@ -1,10 +1,13 @@
+import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from indsat import oracles
 from indsat.graphs import find_induced, path_graph
 from indsat.oracles import (RATIONAL_GEOMETRIC_KIND,
                             TORERO_KIND, UP_RIGHT_KIND, Z3_AGREE_KIND,
@@ -12,6 +15,7 @@ from indsat.oracles import (RATIONAL_GEOMETRIC_KIND,
                             kind_from_json, kind_to_json, oracle_adjacent,
                             oracle_window, pi_bounds, quad_sign,
                             vertex_from_json, vertex_to_json)
+from oracles_naive import naive_oracle_window
 
 mpmath.mp.dps = 60
 _PI = mpmath.pi
@@ -139,6 +143,136 @@ class TestWindows:
             vals = sample_window(UP_RIGHT_KIND, rng.randint(2, 8), rng)
             window, _ = oracle_window(UP_RIGHT_KIND, vals)
             assert is_permutation_graph(window) is not None
+
+
+ALL_KINDS = (TORERO_KIND, UP_RIGHT_KIND, RATIONAL_GEOMETRIC_KIND, grid_clique(2),
+             grid_clique(3), Z3_AGREE_KIND)
+# Convergents of pi and of sqrt(2), and the enclosures of pi that window pairs meet.
+PI_NEIGHBORS = [Fraction(22, 7), Fraction(333, 106), Fraction(355, 113),
+                Fraction(103993, 33102), *pi_bounds(0), *pi_bounds(1)]
+SQRT2_NEIGHBORS = [Fraction(99, 70), Fraction(140, 99), Fraction(577, 408),
+                   Fraction(665857, 470832)]
+
+
+def _construct_verify_mix(seed):
+    """Windows drawn the way the construct-verify benchmark draws them:
+    sizes 2-10 in turn, 504 per kind."""
+    from indsat.verifier import sample_window
+    rng = random.Random(seed)
+    return [(kind, sample_window(kind, 2 + i % 9, rng))
+            for kind in ALL_KINDS for i in range(504)]
+
+
+def _assert_same_as_naive(kind, vertices):
+    window, labels = oracle_window(kind, vertices)
+    assert labels == tuple(vertices)
+    assert window == naive_oracle_window(kind, list(vertices)), (kind, vertices)
+
+
+def _coprime_denominators(count, digits):
+    """`count` pairwise-coprime integers of `digits` digits, found greedily."""
+    out, product, c = [], 1, 10 ** (digits - 1)
+    while len(out) < count:
+        c += 1
+        if math.gcd(c, product) == 1:
+            out.append(c)
+            product *= c
+    return out
+
+
+class TestWindowDifferential:
+    """`oracle_window` decides pairs on integers; `oracle_adjacent` is the definition."""
+
+    def test_construct_verify_mix(self):
+        for kind, vertices in _construct_verify_mix(2016):
+            _assert_same_as_naive(kind, vertices)
+
+    def test_torero_sums_at_one(self):
+        rng = random.Random(3)
+        for _ in range(200):
+            halves = {Fraction(rng.randint(1, d - 1), d) for d in rng.sample(range(2, 40), 4)}
+            vertices = sorted(halves | {1 - q for q in halves})
+            _assert_same_as_naive(TORERO_KIND, vertices)
+
+    def test_rational_geometric_differences_next_to_pi(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            base = Fraction(rng.randint(-500, 500), rng.randint(1, 60))
+            vertices = {base}
+            for c in rng.sample(PI_NEIGHBORS, 3):
+                vertices |= {base + c, base - c, base + c + Fraction(1, 10 ** 9)}
+            _assert_same_as_naive(RATIONAL_GEOMETRIC_KIND, sorted(vertices))
+
+    def test_up_right_slopes_next_to_sqrt2(self):
+        rng = random.Random(13)
+        for _ in range(300):
+            q0 = Fraction(rng.randint(-50, 50), rng.randint(1, 30))
+            r0 = Fraction(rng.randint(-50, 50), rng.randint(1, 30))
+            vertices = {(q0, r0)}
+            for slope in rng.sample(SQRT2_NEIGHBORS, 2):
+                step = Fraction(rng.randint(1, 20), rng.randint(1, 20))
+                # Differences a, b with a/b next to sqrt(2), in all four signs.
+                for sq, sr in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                    vertices.add((q0 + sq * slope.numerator * step,
+                                  r0 + sr * slope.denominator * step))
+            _assert_same_as_naive(UP_RIGHT_KIND, sorted(vertices))
+
+    def test_up_right_equal_coordinates(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            qs = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(3)]
+            rs = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(3)]
+            vertices = {(q, r) for q in qs for r in rs}
+            _assert_same_as_naive(UP_RIGHT_KIND, sorted(vertices))
+
+    def test_thirty_digit_denominators(self):
+        rng = random.Random(19)
+        big = lambda: rng.randint(10 ** 29, 10 ** 30)
+        for _ in range(100):
+            size = rng.randint(2, 10)
+            torero = {Fraction(rng.randint(1, d - 1), d) for d in (big() for _ in range(size))}
+            geometric = {Fraction(rng.randint(-8 * d, 8 * d), d)
+                         for d in (big() for _ in range(size))}
+            up_right = {(Fraction(rng.randint(-8 * d, 8 * d), d),
+                         Fraction(rng.randint(-8 * e, 8 * e), e))
+                        for d, e in ((big(), big()) for _ in range(size))}
+            _assert_same_as_naive(TORERO_KIND, sorted(torero))
+            _assert_same_as_naive(RATIONAL_GEOMETRIC_KIND, sorted(geometric))
+            _assert_same_as_naive(UP_RIGHT_KIND, sorted(up_right))
+
+
+class TestWindowCost:
+    def test_each_vertex_is_checked_once(self, monkeypatch):
+        calls = []
+        check = oracles._check_vertex
+        monkeypatch.setattr(oracles, "_check_vertex",
+                            lambda kind, v: calls.append(v) or check(kind, v))
+        mix = _construct_verify_mix(7)
+        for kind, vertices in mix:
+            oracle_window(kind, vertices)
+        assert len(calls) == sum(len(vertices) for _, vertices in mix)
+
+    def test_up_right_with_coprime_200_digit_denominators(self):
+        # A window-wide common denominator would have 24,000 digits here.
+        rng = random.Random(23)
+        dens = _coprime_denominators(120, 200)
+        vertices = [(Fraction(rng.randint(-8 * d, 8 * d), d),
+                     Fraction(rng.randint(-8 * e, 8 * e), e))
+                    for d, e in zip(dens[::2], dens[1::2])]
+        start = time.perf_counter()
+        window, _ = oracle_window(UP_RIGHT_KIND, vertices)
+        assert time.perf_counter() - start < 3.0
+        assert window.n == 60
+
+    def test_rational_geometric_with_800_digit_denominators(self):
+        # pi * D to the unit would need pi to 2,400 digits here.
+        rng = random.Random(29)
+        dens = _coprime_denominators(3, 800)
+        vertices = [Fraction(rng.randint(-8 * d, 8 * d), d) for d in dens]
+        start = time.perf_counter()
+        window, _ = oracle_window(RATIONAL_GEOMETRIC_KIND, vertices)
+        assert time.perf_counter() - start < 0.5
+        assert window == naive_oracle_window(RATIONAL_GEOMETRIC_KIND, vertices)
 
 
 class TestSerialization:
