@@ -8,11 +8,11 @@ enumeration, clique covers and twin detection.  All values are immutable
 after construction and every operation is a pure function, so graphs can be
 shared freely between threads or worker processes.
 
-Validation happens once, where rows enter from outside: `Graph(...)`,
-`Graph.from_edges` and `parse_graph6` check every row (O(n^2)).  Graphs
-derived from an existing graph -- `toggled`, `induced` and `complement` --
-check only their own arguments and inherit validity, since each maps a
-symmetric loop-free row set to another one.
+Validation happens once, where data enters from outside: `Graph(...)`
+checks every row (O(n^2)); `Graph.from_edges` checks each edge and
+`parse_graph6` each byte, and both write both bits of every pair.  Graphs
+derived from a graph -- `toggled`, `induced` and `complement` -- check only
+their arguments, as each maps symmetric loop-free rows to such rows.
 """
 
 from __future__ import annotations
@@ -64,6 +64,8 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        if n < 0:
+            raise ValueError(f"negative vertex count {n}")
         rows = [0] * n
         for u, v in edges:
             if u == v:
@@ -72,7 +74,7 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return cls(n, rows)
+        return cls._derived(n, rows)
 
     def has_edge(self, u: int, v: int) -> bool:
         # Hot path: plain comparisons and `== 1` (not bool()) keep the check cheap.
@@ -201,7 +203,7 @@ def parse_graph6(text: "str | bytes") -> Graph:
         if bit:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-    return Graph(n, rows)
+    return Graph._derived(n, rows)
 
 
 def emit_graph6(g: Graph) -> str:

@@ -251,6 +251,8 @@ def _from_json(data, cast):
     if isinstance(data, bool) or cast is int and type(data) is not int:
         want = "JSON integers" if cast is int else "rationals"
         raise ValueError(f"oracle specs need {want} here, got {data!r}")
+    if isinstance(data, float):  # already binary: 0.1 is 3602879701896397/2**55
+        raise ValueError(f"oracle rationals need decimal text or a Decimal, not {data!r}")
     # Fraction expands a decimal exponent in full: "1e999999999" never finishes.
     if isinstance(data, str) and "e" in data.lower():
         raise ValueError(f"oracle rationals take no exponent, got {data!r}")

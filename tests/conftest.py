@@ -1,4 +1,7 @@
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))
+TESTS = Path(__file__).resolve().parent
+sys.path.insert(0, str(TESTS))
+# The benchmark's pinned class stream (`stream`) and correctness gates (`gates`).
+sys.path.insert(0, str(TESTS.parent / "perfbench"))

@@ -145,9 +145,30 @@ class TestVertexRange:
 
 
 class TestDerivedGraphs:
-    """toggled, induced and complement skip the O(n^2) row checks of
-    Graph(...), so their arguments are checked and their results must be
-    valid by construction."""
+    """toggled, induced, complement, from_edges and parse_graph6 skip the
+    O(n^2) row checks of Graph(...), so their arguments are checked and their
+    results must be valid by construction."""
+
+    @given(st.integers(0, 40), st.randoms())
+    @settings(max_examples=60, deadline=None)
+    def test_from_edges_and_parse_graph6_match_the_row_constructor(self, n, rng):
+        pairs = list(combinations(range(n), 2))
+        edges = [rng.choice(pairs)[::rng.choice((1, -1))]
+                 for _ in range(rng.randint(0, 2 * len(pairs)))] if pairs else []
+        rows = [0] * n
+        for u, v in edges:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        g = Graph.from_edges(n, edges)
+        assert g == Graph(n, rows)
+        assert parse_graph6(emit_graph6(g)) == Graph(n, rows)
+
+    @pytest.mark.parametrize("n, edges, message", [
+        (-1, [], "negative vertex count"), (3, [(1, 1)], "self-loop"),
+        (3, [(0, 3)], "out of range"), (3, [(-1, 2)], "out of range")])
+    def test_from_edges_rejects_bad_input(self, n, edges, message):
+        with pytest.raises(ValueError, match=message):
+            Graph.from_edges(n, edges)
 
     @pytest.mark.parametrize("vertices, bad", [([-1, 3], -1), ([0, 7], 7)])
     def test_induced_rejects_out_of_range_vertex(self, vertices, bad):
@@ -436,8 +457,11 @@ class TestIsomorphism:
         assert not is_isomorphic(path_graph(4), cycle_graph(4))
 
     def test_counts_per_class(self):
-        # graphs_on itself def-checks class counts; spot check n = 5.
+        # stream.check pins every class count and the stream's sha256 on each
+        # load; spot check n = 5.  Only n = 1..9 have pinned classes.
         assert len(graphs_on(5)) == 34
+        with pytest.raises(ValueError, match="no pinned classes"):
+            graphs_on(0)
 
     def test_agrees_with_networkx(self):
         # Random relabellings must match; double-edge swaps keep the degree

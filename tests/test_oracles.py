@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -291,3 +292,13 @@ class TestSerialization:
     def test_kind_round_trip(self):
         for kind in (UP_RIGHT_KIND, TORERO_KIND, grid_clique(4), Z3_AGREE_KIND):
             assert kind_from_json(kind_to_json(kind)) == kind
+
+    def test_floats_refused_decimals_exact(self):
+        # A plain json.loads hands over binary floats; 0.1 is not 1/10.
+        for kind, data in ((TORERO_KIND, 0.1), (RATIONAL_GEOMETRIC_KIND, 1e-300),
+                           (UP_RIGHT_KIND, ["1/2", 0.5])):
+            with pytest.raises(ValueError, match="decimal text or a Decimal"):
+                vertex_from_json(kind, data)
+        assert vertex_from_json(TORERO_KIND, Decimal("0.1")) == _frac(1, 10)
+        assert vertex_from_json(TORERO_KIND, "0.1") == _frac(1, 10)
+        assert vertex_from_json(UP_RIGHT_KIND, [Decimal("0.5"), 3]) == (_frac(1, 2), 3)
