@@ -14,7 +14,6 @@ import json
 import os
 import re
 import sys
-from decimal import Decimal
 from pathlib import Path
 
 from . import cores as cores_mod
@@ -138,19 +137,12 @@ def _cmd_prefix(args) -> int:
     return EXIT_OK
 
 
-def _decimal_literal(text: str) -> Decimal:
-    """A JSON float read from its decimal text, so that 0.1 is 1/10 exactly."""
-    # Fraction would expand an exponent such as 1e999999999 digit by digit.
-    if "e" in text.lower():
-        raise ValueError(f"malformed oracle spec: numbers take no exponent, got {text!r}")
-    return Decimal(text)
-
-
 def _cmd_oracle(args) -> int:
     # Unlike Path.exists, isfile is False (no error) for a list too long for a name.
     text = args.vertices
+    # JSON floats stay decimal text, so that 0.1 is read as 1/10 exactly.
     spec = json.loads(Path(text).read_text() if os.path.isfile(text) else text,
-                      parse_float=_decimal_literal)
+                      parse_float=str)
     try:
         if isinstance(spec, dict):
             kind = kind_from_json(spec["kind"])
@@ -161,7 +153,8 @@ def _cmd_oracle(args) -> int:
             kind = kind_from_json({"tag": args.kind})
         raw = spec["vertices"] if isinstance(spec, dict) else spec
         vertices = [vertex_from_json(kind, v) for v in raw]
-    except (KeyError, IndexError, TypeError, ZeroDivisionError, OverflowError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError,
+            OverflowError) as exc:
         raise ValueError(f"malformed oracle spec: {type(exc).__name__}: {exc}") from exc
     window, labels = oracle_window(kind, vertices)
     _emit({"kind": kind.tag, "graph": emit_graph6(window),

@@ -1,21 +1,19 @@
 """Exact adjacency oracles for the five explicit infinite constructions.
 
 Vertices are symbolic (rationals, rational pairs, integer tuples); adjacency
-is decided exactly, never through floating point.  sqrt(2) comparisons go
-through quadratic-field sign computation, and pi comparisons through nested
-rational enclosures from Machin's formula, tightened until one side is
-certain (any rational input differs from pi, so every comparison decides).
-
-`oracle_adjacent` is the single-pair definition.  `oracle_window` checks
-each vertex once and then decides every pair on integers, building exactly
-the graph that `oracle_adjacent` gives pair by pair:
+is decided exactly, never through floating point.  Each kind has one rule,
+`_window_rule`, which decides the pairs of a window on integers:
 - torero and rational-geometric values are put over one common denominator
   D, so u + v > 1 becomes U + V > D, and |U - V| is compared with
   floor(lo D) and ceil(hi D) for the coarsest enclosure (lo, hi) of pi; only
-  a difference between the two goes to `compare_to_pi`;
-- up-and-right pairs are cross-multiplied over their own denominators (a
-  window-wide one grows with the window);
-- grid and Z^3 pairs use the same rule as `oracle_adjacent`.
+  a difference between the two goes to `compare_to_pi`, which tightens
+  rational enclosures from Machin's formula until one side is certain (any
+  rational differs from pi, so every comparison decides);
+- up-and-right pairs compare a^2 with 2 b^2, cross-multiplied over the
+  pair's own denominators (a window-wide one grows with the window);
+- grid and Z^3 pairs compare coordinates.
+`oracle_window` checks each vertex once; `oracle_adjacent` decides a
+window of two vertices.
 """
 
 from __future__ import annotations
@@ -23,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -63,24 +62,6 @@ Z3_AGREE_KIND = OracleKind(Z3_AGREE)
 #   grid_clique(p)      tuple of p ints
 #   z3_agree            ((i, j, k), clone_index)
 OracleVertex = Union[Fraction, tuple]
-
-
-def quad_sign(a: Fraction, b: Fraction) -> int:
-    """Sign of a + b*sqrt(2) for rational a, b, decided by comparing a^2 with 2 b^2."""
-    if b == 0:
-        return (a > 0) - (a < 0)
-    if a == 0:
-        return 1 if b > 0 else -1
-    if a > 0 and b > 0:
-        return 1
-    if a < 0 and b < 0:
-        return -1
-    # Opposite signs: |a| vs |b|*sqrt(2), i.e. a^2 vs 2 b^2, never equal
-    # for rational a, b not both zero (sqrt(2) is irrational).
-    bigger_rational = a * a > 2 * b * b
-    if a > 0:
-        return 1 if bigger_rational else -1
-    return -1 if bigger_rational else 1
 
 
 def _atan_inverse_bounds(x: int, terms: int) -> tuple[Fraction, Fraction]:
@@ -144,36 +125,13 @@ def _check_vertex(kind: OracleKind, v: OracleVertex) -> None:
             raise ValueError(f"z3 vertex must be ((i,j,k), clone>=0), got {v!r}")
 
 
-def _adjacent(kind: OracleKind, u: OracleVertex, v: OracleVertex) -> bool:
-    """The adjacency rule on two checked, distinct vertices."""
-    tag = kind.tag
-    if tag == UP_RIGHT:
-        (q, r), (s, t) = u, v
-        plus = quad_sign(q - s, r - t)
-        minus = quad_sign(q - s, t - r)
-        # Same strict order under both linear forms means "up and right".
-        return plus == minus
-    if tag == TORERO:
-        return u + v > 1
-    if tag == RATIONAL_GEOMETRIC:
-        return compare_to_pi(abs(u - v)) < 0
-    if tag == GRID_CLIQUE:
-        return sum(1 for a, b in zip(u, v) if a != b) == 1
-    # Z3_AGREE: clones of one point form a clique; distinct points are
-    # adjacent when they agree in at least one coordinate.
-    pu, pv = u[0], v[0]
-    if pu == pv:
-        return True
-    return any(a == b for a, b in zip(pu, pv))
-
-
 def oracle_adjacent(kind: OracleKind, u: OracleVertex, v: OracleVertex) -> bool:
     """Exact adjacency decision for two distinct vertices of the same kind."""
     _check_vertex(kind, u)
     _check_vertex(kind, v)
     if u == v:
         raise ValueError("oracle_adjacent needs two distinct vertices")
-    return _adjacent(kind, u, v)
+    return _window_rule(kind, (u, v))(0, 1)
 
 
 def _scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -183,7 +141,7 @@ def _scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
 
 
 def _window_rule(kind: OracleKind, vertices: tuple):
-    """Adjacency of window positions i < j, equal to `_adjacent` on every pair."""
+    """Adjacency of window positions i < j: the one rule of each kind."""
     tag = kind.tag
     if tag == TORERO:
         d, scaled = _scaled(vertices)
@@ -199,9 +157,13 @@ def _window_rule(kind: OracleKind, vertices: tuple):
             return gap <= near or gap < far and compare_to_pi(Fraction(gap, d)) < 0
         return rule
     if tag == UP_RIGHT:
-        # With a = q_u - q_v and b = r_u - r_v, a + b sqrt(2) and a - b sqrt(2)
-        # share a sign iff b = 0 or a^2 > 2 b^2.  Over the pair's own
-        # denominators that is (A dr_u dr_v)^2 > 2 (B dq_u dq_v)^2.
+        # u and v are adjacent when they lie in the same strict order under
+        # both linear forms q + r sqrt(2) and q - r sqrt(2), that is when
+        # a + b sqrt(2) and a - b sqrt(2) share a sign, for a = q_u - q_v and
+        # b = r_u - r_v.  That holds iff |a| > |b| sqrt(2), i.e. a^2 > 2 b^2:
+        # for b = 0 distinct vertices have a != 0, and for b != 0 equality is
+        # impossible, as sqrt(2) is irrational.  Over the pair's own
+        # denominators: (A dr_u dr_v)^2 > 2 (B dq_u dq_v)^2.
         parts = [(q.numerator, q.denominator, r.numerator, r.denominator)
                  for q, r in vertices]
 
@@ -209,9 +171,12 @@ def _window_rule(kind: OracleKind, vertices: tuple):
             nq, dq, nr, dr = parts[i]
             mq, eq, mr, er = parts[j]
             a, b = nq * eq - mq * dq, nr * er - mr * dr
-            return b == 0 or (a * dr * er) ** 2 > 2 * (b * dq * eq) ** 2
+            return (a * dr * er) ** 2 > 2 * (b * dq * eq) ** 2
         return rule
-    return lambda i, j: _adjacent(kind, vertices[i], vertices[j])
+    if tag == GRID_CLIQUE:  # exactly one coordinate differs
+        return lambda i, j: sum(a != b for a, b in zip(vertices[i], vertices[j])) == 1
+    # Z3_AGREE: at least one coordinate agrees; clones of one point share all three.
+    return lambda i, j: any(a == b for a, b in zip(vertices[i][0], vertices[j][0]))
 
 
 def oracle_window(kind: OracleKind,
@@ -251,9 +216,10 @@ def _from_json(data, cast):
     if isinstance(data, bool) or cast is int and type(data) is not int:
         want = "JSON integers" if cast is int else "rationals"
         raise ValueError(f"oracle specs need {want} here, got {data!r}")
-    if isinstance(data, float):  # already binary: 0.1 is 3602879701896397/2**55
-        raise ValueError(f"oracle rationals need decimal text or a Decimal, not {data!r}")
-    # Fraction expands a decimal exponent in full: "1e999999999" never finishes.
+    # A float is already binary (0.1 is 3602879701896397/2**55), and Fraction
+    # expands the exponent of a Decimal or of decimal text in full.
+    if isinstance(data, (float, Decimal)):
+        raise ValueError(f"oracle rationals need decimal text, not {data!r}")
     if isinstance(data, str) and "e" in data.lower():
         raise ValueError(f"oracle rationals take no exponent, got {data!r}")
     return cast(data)

@@ -2,17 +2,21 @@
 
 Everything here is written definition-first (permutations, set arithmetic,
 dict adjacency) and stays independent of the bitset code paths it checks.
+The oracle constructions are decided from their definitions too, with pi and
+sqrt(2) evaluated by mpmath rather than through `indsat.oracles`.
 """
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb
 
+import mpmath
+
 from indsat.gatekeeper import CLIQUE_MODE
 from indsat.graphs import Graph
-from indsat.oracles import oracle_adjacent
 from indsat.verifier import EXHAUSTIVE_PAIRSET_LIMIT, PairFixedResult
 
 
@@ -248,8 +252,57 @@ def naive_glue(g: Graph, g2: Graph, a, a2) -> Graph:
     return Graph.from_edges(g.n + len(rest), edges)
 
 
+@lru_cache(maxsize=None)
+def _constants(digits: int):
+    """pi, sqrt(2) and 10**(10 - digits) to `digits` digits."""
+    with mpmath.workdps(digits):
+        return +mpmath.pi, mpmath.sqrt(2), mpmath.mpf(10) ** (10 - digits)
+
+
+def _signs(values, scale) -> list[int]:
+    """Signs of the nonzero reals `values(pi, sqrt2)`, computed in mpmath at
+    30 digits, then 60, 120, ... until every |x| > scale * 10**(10 - digits),
+    far above the rounding error of terms no larger than `scale`."""
+    digits = 30
+    while True:
+        with mpmath.workdps(digits):
+            pi, root2, tiny = _constants(digits)
+            xs = values(pi, root2)
+            least = scale * tiny
+            if all(abs(x) > least for x in xs):
+                return [1 if x > 0 else -1 for x in xs]
+        digits *= 2
+
+
+def _real(q):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def naive_oracle_adjacent(kind, u, v) -> bool:
+    """Adjacency of two distinct vertices, read off each construction."""
+    if kind.tag == "torero":  # rationals in (0, 1) summing to more than 1
+        return u + v > 1
+    if kind.tag == "rational_geometric":  # rationals closer than pi
+        gap = abs(u - v)
+        return _signs(lambda pi, _: [_real(gap) - pi], 1 + gap) == [-1]
+    if kind.tag == "up_right":
+        # Up and right in the plane with axes q + r sqrt(2) and q - r sqrt(2);
+        # for b = 0 both are a, which distinct vertices make nonzero.
+        a, b = u[0] - v[0], u[1] - v[1]
+
+        def forms(_, root2):
+            x, y = _real(a), _real(b) * root2
+            return [x + y, x - y]
+        plus, minus = _signs(forms, 1 + abs(a) + 2 * abs(b))
+        return plus == minus
+    if kind.tag == "grid_clique":  # exactly one coordinate differs
+        return sum(a != b for a, b in zip(u, v)) == 1
+    # z3_agree: at least one of the three coordinates agrees.
+    return any(a == b for a, b in zip(u[0], v[0]))
+
+
 def naive_oracle_window(kind, vertices) -> Graph:
-    """The window graph with every pair decided by `oracle_adjacent`."""
+    """The window graph with every pair decided by `naive_oracle_adjacent`."""
     return Graph.from_edges(len(vertices), [
         (i, j) for i, j in combinations(range(len(vertices)), 2)
-        if oracle_adjacent(kind, vertices[i], vertices[j])])
+        if naive_oracle_adjacent(kind, vertices[i], vertices[j])])

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+from collections import Counter
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -93,14 +94,20 @@ class TestCertificateReplay:
             assert replay_certificate(classify(g))
 
     def test_replay_every_tenth_stream_class(self):
-        # 1,360 of the 13,598 pinned classes on <= 8 vertices: each certificate
-        # names the case of the benchmark's per-graph reference, and replays.
+        # Every 10th of the 13,598 pinned classes on <= 8 vertices, and every
+        # class whose case letter occurs fewer than 20 times (1,410 in all):
+        # each certificate names the case of the benchmark's per-graph
+        # reference, and replays.  Together they hold every letter.
         lines, _ = stream.load()
         reference = gates.load_reference(len(lines))
-        for line, letter in list(zip(lines, reference))[::10]:
+        counts = Counter(reference)
+        picked = [(line, letter) for i, (line, letter) in enumerate(zip(lines, reference))
+                  if i % 10 == 0 or counts[letter] < 20]
+        for line, letter in picked:
             cert = classify(parse_graph6(line))
             assert gates.case_letter(cert.case, cert.complemented) == letter, line
             assert replay_certificate(cert), line
+        assert len(counts) == 17 and {letter for _, letter in picked} == set(counts)
 
     # One graph per core case: k2p, k11p (with a non-empty trace), 3-conn,
     # (1,1)-core P4 and gatekeeper.

@@ -1,8 +1,10 @@
+import ast
 import math
 import random
 import time
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -14,9 +16,9 @@ from indsat.oracles import (RATIONAL_GEOMETRIC_KIND,
                             TORERO_KIND, UP_RIGHT_KIND, Z3_AGREE_KIND,
                             compare_to_pi, fraction_to_str, grid_clique,
                             kind_from_json, kind_to_json, oracle_adjacent,
-                            oracle_window, pi_bounds, quad_sign,
+                            oracle_window, pi_bounds,
                             vertex_from_json, vertex_to_json)
-from oracles_naive import naive_oracle_window
+from oracles_naive import naive_oracle_adjacent, naive_oracle_window
 
 mpmath.mp.dps = 60
 _PI = mpmath.pi
@@ -26,29 +28,29 @@ def _frac(a, b=1):
     return Fraction(a, b)
 
 
-class TestQuadValue:
-    def test_sign_against_mpmath(self):
-        rng = random.Random(5)
-        for _ in range(500):
-            a = Fraction(rng.randint(-50, 50), rng.randint(1, 20))
-            b = Fraction(rng.randint(-50, 50), rng.randint(1, 20))
-            val = mpmath.mpf(a.numerator) / a.denominator + \
-                (mpmath.mpf(b.numerator) / b.denominator) * mpmath.sqrt(2)
-            want = 0 if val == 0 else (1 if val > 0 else -1)
-            assert quad_sign(a, b) == want
+ALL_KINDS = (TORERO_KIND, UP_RIGHT_KIND, RATIONAL_GEOMETRIC_KIND, grid_clique(2),
+             grid_clique(3), Z3_AGREE_KIND)
 
-    def test_exact_zero(self):
-        assert quad_sign(_frac(0), _frac(0)) == 0
 
-    @given(st.fractions(min_value=-10, max_value=10),
-           st.fractions(min_value=-10, max_value=10),
-           st.fractions(min_value=-10, max_value=10),
-           st.fractions(min_value=-10, max_value=10))
-    @settings(max_examples=200, deadline=None)
-    def test_order_is_strict_total(self, a, b, c, d):
-        forward = quad_sign(a - c, b - d)
-        assert forward == -quad_sign(c - a, d - b)
-        assert (forward == 0) == ((a, b) == (c, d))
+def _vertices(kind):
+    """A hypothesis strategy for the vertices of `kind`."""
+    rational = st.fractions(min_value=-10, max_value=10, max_denominator=50)
+    coordinate = st.integers(-3, 3)
+    if kind == TORERO_KIND:
+        return st.fractions(min_value=0, max_value=1, max_denominator=50).filter(
+            lambda q: 0 < q < 1)
+    if kind == UP_RIGHT_KIND:
+        return st.tuples(rational, rational)
+    if kind == RATIONAL_GEOMETRIC_KIND:
+        return rational
+    if kind == Z3_AGREE_KIND:
+        return st.tuples(st.tuples(coordinate, coordinate, coordinate), st.integers(0, 2))
+    return st.tuples(*[coordinate] * kind.p)
+
+
+_DISTINCT_PAIRS = st.one_of(
+    *[st.tuples(st.just(kind), _vertices(kind), _vertices(kind)) for kind in ALL_KINDS]
+).filter(lambda pair: pair[1] != pair[2])
 
 
 class TestPi:
@@ -114,6 +116,30 @@ class TestAdjacency:
         with pytest.raises(ValueError):
             oracle_adjacent(TORERO_KIND, _frac(1, 2), _frac(1, 2))  # not distinct
 
+    def test_up_right_seeded_pairs_match_reference(self):
+        # Every 5th pair shares its second coordinate (b = 0: adjacent) and
+        # every 7th its first (a = 0: not adjacent).
+        rng = random.Random(5)
+        draw = lambda: Fraction(rng.randint(-50, 50), rng.randint(1, 20))
+        for i in range(500):
+            u, v = (draw(), draw()), (draw(), draw())
+            if i % 5 == 0:
+                v = (v[0], u[1])
+            if i % 7 == 0:
+                v = (u[0], v[1])
+            if u == v:
+                continue
+            assert oracle_adjacent(UP_RIGHT_KIND, u, v) == \
+                naive_oracle_adjacent(UP_RIGHT_KIND, u, v), (u, v)
+
+    @given(_DISTINCT_PAIRS)
+    @settings(max_examples=200, deadline=None)
+    def test_symmetric_and_equal_to_reference(self, pair):
+        kind, u, v = pair
+        forward = oracle_adjacent(kind, u, v)
+        assert forward == oracle_adjacent(kind, v, u)
+        assert forward == naive_oracle_adjacent(kind, u, v)
+
 
 class TestWindows:
     def test_torero_window_p4_free_seeded(self):
@@ -146,8 +172,6 @@ class TestWindows:
             assert is_permutation_graph(window) is not None
 
 
-ALL_KINDS = (TORERO_KIND, UP_RIGHT_KIND, RATIONAL_GEOMETRIC_KIND, grid_clique(2),
-             grid_clique(3), Z3_AGREE_KIND)
 # Convergents of pi and of sqrt(2), and the enclosures of pi that window pairs meet.
 PI_NEIGHBORS = [Fraction(22, 7), Fraction(333, 106), Fraction(355, 113),
                 Fraction(103993, 33102), *pi_bounds(0), *pi_bounds(1)]
@@ -182,7 +206,8 @@ def _coprime_denominators(count, digits):
 
 
 class TestWindowDifferential:
-    """`oracle_window` decides pairs on integers; `oracle_adjacent` is the definition."""
+    """`oracle_window` decides pairs on integers; `naive_oracle_window` decides
+    each pair from its construction, with pi and sqrt(2) from mpmath."""
 
     def test_construct_verify_mix(self):
         for kind, vertices in _construct_verify_mix(2016):
@@ -294,11 +319,30 @@ class TestSerialization:
             assert kind_from_json(kind_to_json(kind)) == kind
 
     def test_floats_refused_decimals_exact(self):
-        # A plain json.loads hands over binary floats; 0.1 is not 1/10.
+        # A plain json.loads hands over binary floats; 0.1 is not 1/10.  A
+        # Decimal is refused too: Fraction would expand its exponent in full.
         for kind, data in ((TORERO_KIND, 0.1), (RATIONAL_GEOMETRIC_KIND, 1e-300),
-                           (UP_RIGHT_KIND, ["1/2", 0.5])):
-            with pytest.raises(ValueError, match="decimal text or a Decimal"):
+                           (UP_RIGHT_KIND, ["1/2", 0.5]), (TORERO_KIND, Decimal("0.1")),
+                           (UP_RIGHT_KIND, [Decimal("0.5"), 3])):
+            with pytest.raises(ValueError, match="need decimal text"):
                 vertex_from_json(kind, data)
-        assert vertex_from_json(TORERO_KIND, Decimal("0.1")) == _frac(1, 10)
         assert vertex_from_json(TORERO_KIND, "0.1") == _frac(1, 10)
-        assert vertex_from_json(UP_RIGHT_KIND, [Decimal("0.5"), 3]) == (_frac(1, 2), 3)
+        assert vertex_from_json(UP_RIGHT_KIND, ["0.5", 3]) == (_frac(1, 2), 3)
+
+    def test_decimal_with_huge_exponent_refused_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="need decimal text"):
+            vertex_from_json(RATIONAL_GEOMETRIC_KIND, Decimal("1E+999999999"))
+        assert time.perf_counter() - start < 1.0
+
+
+def test_naive_oracles_import_only_shared_types():
+    # The reference oracles may share plain data types with the library, but
+    # no code path that they check.
+    allowed = {"Graph", "CLIQUE_MODE", "EXHAUSTIVE_PAIRSET_LIMIT", "PairFixedResult"}
+    tree = ast.parse(Path(__file__).with_name("oracles_naive.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "indsat" for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "indsat":
+            assert {a.name for a in node.names} <= allowed, node.module
