@@ -226,6 +226,8 @@ def _sweep_line(job: tuple[int, str, int]) -> tuple[int, str, str, str]:
         g = parse_graph6(line)
     except Graph6Error as exc:
         return lineno, "error", "", str(exc)
+    if g.n == 0:
+        return lineno, "error", "", "graph on 0 vertices"
     if g.n > n_max:
         return lineno, "error", "", f"graph on {g.n} vertices exceeds nmax {n_max}"
     cert = classify(g)
@@ -236,7 +238,8 @@ def _sweep_line(job: tuple[int, str, int]) -> tuple[int, str, str, str]:
 
 def sweep(lines: Iterable[str], n_max: int, workers: int = 1) -> SweepReport:
     """Classify every graph6 line; totals are invariant under worker count
-    and line order.  Malformed lines are reported and the sweep continues."""
+    and line order.  Malformed lines and graphs on 0 vertices are reported
+    and the sweep continues."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     jobs = [(lineno, line.strip(), n_max)

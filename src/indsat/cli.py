@@ -66,10 +66,14 @@ def _cmd_classify(args) -> int:
     for lineno, line in enumerate(lines, start=1):
         if line.strip():
             try:
-                graphs.append(parse_graph6(line))
+                g = parse_graph6(line)
             except Graph6Error as exc:
                 errors.append(f"line {lineno}: {exc}")
-    if errors:  # every malformed line, in one JSON error
+                continue
+            if g.n == 0:
+                errors.append(f"line {lineno}: graph on 0 vertices")
+            graphs.append(g)
+    if errors:  # every malformed or empty line, in one JSON error
         raise ValueError("; ".join(errors))
     _emit({"certificates": [classify(g).to_json() for g in graphs]}, args.out)
     return EXIT_OK

@@ -4,6 +4,12 @@ Permutation-graph recognition is deliberately brute force: backtracking over
 the vertex ordering with incremental consistency pruning.  Inputs stay at or
 below 13 vertices, and an exhaustive search is easier to trust and test than
 a decomposition-based recognizer.
+
+`close_to_permutation` tries toggles only inside a minimal obstruction.
+Permutation graphs are closed under induced subgraphs, so when G[S] is not
+one, no toggle of a pair without both ends in S can make G one.  S is shrunk
+from V in one pass, dropping each vertex whose removal leaves G[S] no
+permutation graph; no vertex of the S left can then be dropped.
 """
 
 from __future__ import annotations
@@ -176,19 +182,39 @@ def is_permutation_graph(g: Graph) -> Optional[PermutationWitness]:
 
 def close_to_permutation(g: Graph) -> Optional[tuple[tuple[int, int], tuple[int, int]]]:
     """Witness (edge, non-edge) when g is not a permutation graph but one
-    deletion and one addition each yield permutation graphs."""
+    deletion and one addition each yield permutation graphs.
+
+    The witness is the first edge and the first non-edge, in `g.edges()` and
+    `g.non_edges()` order, whose toggle gives a permutation graph; only pairs
+    inside an obstruction are tried.  Permutation graphs are closed under
+    induced subgraphs, so if G[S] is not one, toggling a pair without both
+    ends in S leaves G[S], and the result is no permutation graph either.
+    S is shrunk from V in one pass, dropping v whenever G[S - v] is still
+    no permutation graph.  The result is minimal: a kept v had G[S' - v] a
+    permutation graph for some S' containing the final S, and so G[S - v]
+    is one too.  The pairs skipped fail anyway, so the witness is the one a
+    scan of every pair finds.
+    """
     if g.n > PERMUTATION_BUDGET:
         raise BudgetError(f"permutation search budget is {PERMUTATION_BUDGET} vertices, got {g.n}")
     if is_permutation_graph(g) is not None:
         return None
-    edge_witness = None
-    for e in g.edges():
-        if is_permutation_graph(g.toggled(*e)) is not None:
-            edge_witness = e
-            break
+    inside = list(range(g.n))
+    for v in range(g.n):
+        rest = [w for w in inside if w != v]
+        if is_permutation_graph(g.induced(rest)) is None:
+            inside = rest
+    mask = sum(1 << v for v in inside)
+
+    def first_fix(pairs):
+        for u, v in pairs:
+            if (mask >> u & 1 and mask >> v & 1
+                    and is_permutation_graph(g.toggled(u, v)) is not None):
+                return u, v
+        return None
+
+    edge_witness = first_fix(g.edges())
     if edge_witness is None:
         return None
-    for f in g.non_edges():
-        if is_permutation_graph(g.toggled(*f)) is not None:
-            return edge_witness, f
-    return None
+    nonedge_witness = first_fix(g.non_edges())
+    return None if nonedge_witness is None else (edge_witness, nonedge_witness)

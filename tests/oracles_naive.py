@@ -185,6 +185,20 @@ def naive_is_permutation_graph(g: Graph) -> bool:
     return False
 
 
+def naive_close_to_permutation(g: Graph, is_permutation):
+    """(edge, non-edge) from a scan of every edge, then every non-edge, in
+    `g.edges()` / `g.non_edges()` order: the first of each whose toggle
+    `is_permutation` accepts, when g itself is rejected.  The recognizer is
+    passed in, so this module imports none."""
+    if is_permutation(g):
+        return None
+    edge = next((e for e in g.edges() if is_permutation(g.toggled(*e))), None)
+    if edge is None:
+        return None
+    nonedge = next((f for f in g.non_edges() if is_permutation(g.toggled(*f))), None)
+    return None if nonedge is None else (edge, nonedge)
+
+
 def random_graph(rng, n: int, p: float = 0.5) -> Graph:
     edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
     return Graph.from_edges(n, edges)

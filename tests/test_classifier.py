@@ -275,6 +275,12 @@ class TestSweep:
         assert report.graphs_processed == 0
         assert "exceeds nmax" in report.errors[0][1]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_zero_vertex_line_reported_and_sweep_continues(self, workers):
+        report = sweep(["?", "A_"], n_max=8, workers=workers)
+        assert report.errors == [(1, "graph on 0 vertices")]
+        assert report.graphs_processed == 1 and report.ok()
+
     def test_worker_independence_small(self):
         lines = [emit_graph6(g) for g in graphs_up_to(6)]
         rep1 = sweep(lines, n_max=6, workers=1)

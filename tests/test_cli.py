@@ -77,6 +77,16 @@ class TestClassifyCommand:
                                             "line 5: header byte outside graph6 range "
                                             "(byte offset 0)"}
 
+    def test_zero_vertex_batch_line_is_named(self, tmp_path, capsys):
+        f = tmp_path / "graphs.g6"
+        f.write_text("Bw\n?\nxx!\n")
+        code = main(["classify", "--input", str(f)])
+        assert code == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {"error": "line 2: graph on 0 vertices; "
+                                            "line 3: truncated bit body (byte offset 3)"}
+
     def test_one_line_file_prints_a_batch(self, tmp_path, capsys):
         # The output shape does not depend on the line count.
         f = tmp_path / "graphs.g6"
@@ -156,6 +166,14 @@ class TestSweepCommand:
         f.write_text("Dr[\nE?qw\nD??\n")
         code, payload = run_json(capsys, ["sweep", "--input", str(f), "--nmax", "8"])
         assert code == EXIT_OK and payload["ok"]
+        validate(payload)
+
+    def test_zero_vertex_line_reported(self, tmp_path, capsys):
+        f = tmp_path / "in.g6"
+        f.write_text("Dr[\n?\nE?qw\n")
+        code, payload = run_json(capsys, ["sweep", "--input", str(f), "--nmax", "8"])
+        assert code == EXIT_OK and payload["graphs_processed"] == 2
+        assert payload["errors"] == [[2, "graph on 0 vertices"]]
         validate(payload)
 
     def test_workers_below_1_exit_1(self, tmp_path, capsys):

@@ -1,17 +1,23 @@
+import hashlib
+import json
 import random
 
+import gates
 import pytest
+import stream
 
-from indsat.graphs import (Graph, bull_graph, complete_graph,
+from indsat import recognizers
+from indsat.graphs import (Graph, bull_graph, complement, complete_graph,
                            complete_multipartite, cycle_graph, empty_graph,
-                           path_graph)
+                           parse_graph6, path_graph)
 from indsat.recognizers import (BudgetError,
                                 check_permutation_witness, classify_trivial,
                                 close_to_permutation, forest_unique_max,
                                 is_3conn_nonclique, is_bull_or_p4,
                                 is_permutation_graph, match_k2p_k11p)
 from gensmall import graphs_on, graphs_up_to
-from oracles_naive import naive_has_cycle, naive_is_permutation_graph, random_graph
+from oracles_naive import (naive_close_to_permutation, naive_has_cycle,
+                           naive_is_permutation_graph, random_graph)
 
 
 class TestTrivial:
@@ -155,3 +161,56 @@ class TestCloseToPermutation:
                 assert is_permutation_graph(g) is None
                 assert is_permutation_graph(g.toggled(*edge)) is not None
                 assert is_permutation_graph(g.toggled(*nonedge)) is not None
+
+    def test_equals_full_scan_exhaustive_n7(self):
+        # Every class on at most 7 vertices and its complement (2,504 graphs):
+        # the obstruction-local search returns what a scan of every pair does.
+        found = 0
+        for h in graphs_up_to(7):
+            for g in (h, complement(h)):
+                got = close_to_permutation(g)
+                assert got == naive_close_to_permutation(
+                    g, lambda x: is_permutation_graph(x) is not None), g
+                found += got is not None
+        assert found == 526
+
+    def test_toggles_stay_inside_the_obstruction(self, monkeypatch):
+        # C5 on vertices 3..7 with 0, 1 and 2 attached to it: the shrinking
+        # pass drops 0, 1 and 2, and every toggle tried has both ends in the C5.
+        edges = [(3, 4), (4, 5), (5, 6), (6, 7), (7, 3), (0, 3), (1, 3), (1, 4),
+                 (2, 5)]
+        g = Graph.from_edges(8, edges)
+        tried = []
+        real = recognizers.is_permutation_graph
+
+        def recording(x):
+            tried.append(x)
+            return real(x)
+
+        monkeypatch.setattr(recognizers, "is_permutation_graph", recording)
+        got = close_to_permutation(g)
+        assert got == naive_close_to_permutation(g, lambda x: real(x) is not None)
+        assert got == ((3, 7), (5, 7))
+        toggles = [[v for v in range(8) if x.adj[v] != g.adj[v]]
+                   for x in tried if x.n == g.n and x != g]
+        assert toggles and all(set(pair) <= {3, 4, 5, 6, 7} for pair in toggles)
+
+    def test_witness_pin_on_stream_close_to_permutation_classes(self):
+        """Pinned witnesses of every 4th stream class lettered `g` (509 of the
+        2,033 classes, all uncomplemented).
+
+        Recipe: for each picked line in stream order, feed the sha256
+        `json.dumps([line, list(edge), list(nonedge)])` plus a newline, where
+        (edge, nonedge) = close_to_permutation(parse_graph6(line)).  The value
+        was computed with the scan over every edge and every non-edge, before
+        the search was confined to an obstruction."""
+        lines, _ = stream.load()
+        reference = gates.load_reference(len(lines))
+        picked = [line for line, letter in zip(lines, reference) if letter == "g"][::4]
+        digest = hashlib.sha256()
+        for line in picked:
+            edge, nonedge = close_to_permutation(parse_graph6(line))
+            digest.update(json.dumps([line, list(edge), list(nonedge)]).encode() + b"\n")
+        assert len(picked) == 509
+        assert digest.hexdigest() == \
+            "54924953d3d4f929b841a60cc460f9feb6ade8e1cb94a3f004ee6b857b8ccc4b"
