@@ -25,9 +25,9 @@ from . import cores
 from .gatekeeper import has_fixing_operation
 from .graphs import (Graph, Graph6Error, _component_mask, _separator, complement,
                      emit_graph6, is_isomorphic, parse_graph6)
-from .recognizers import (PERMUTATION_BUDGET, TRIVIAL_NONE, classify_trivial,
-                          close_to_permutation, forest_unique_max, is_bull_or_p4,
-                          is_3conn_nonclique, match_k2p_k11p)
+from .recognizers import (TRIVIAL_NONE, classify_trivial, close_to_permutation,
+                          forest_unique_max, is_bull_or_p4, is_3conn_nonclique,
+                          match_k2p_k11p)
 
 NOT_APPLICABLE_TRIVIAL = "not_applicable_trivial"
 FOREST_UNIQUE_MAX = "forest_unique_max"
@@ -124,12 +124,11 @@ def _first_case(target: Graph) -> Optional[tuple[str, dict]]:
         witness["shape"] = "p4" if core11.graph.n == 4 else "bull"
         return CORE_11_BULL_P4, witness
 
-    if target.n <= PERMUTATION_BUDGET:
-        ctp = close_to_permutation(target)
-        if ctp is not None:
-            edge, nonedge = ctp
-            return CLOSE_TO_PERMUTATION, {"delete_edge": list(edge),
-                                          "add_nonedge": list(nonedge)}
+    ctp = close_to_permutation(target)
+    if ctp is not None:
+        edge, nonedge = ctp
+        return CLOSE_TO_PERMUTATION, {"delete_edge": list(edge),
+                                      "add_nonedge": list(nonedge)}
 
     core_cache = {"two": core2, "three": core3}
     for kind_name in GATEKEEPER_CORE_ORDER:

@@ -162,7 +162,10 @@ def _bits(mask: int) -> list[int]:
 
 def parse_graph6(text: "str | bytes") -> Graph:
     """Decode one graph6 value; tolerates the ``>>graph6<<`` header prefix."""
-    data = text.encode("ascii") if isinstance(text, str) else bytes(text)
+    try:
+        data = text.encode("ascii") if isinstance(text, str) else bytes(text)
+    except UnicodeEncodeError as exc:
+        raise Graph6Error("non-ASCII character", exc.start) from None
     if data.startswith(_G6_HEADER):
         data = data[len(_G6_HEADER):]
     data = data.rstrip(b"\r\n")

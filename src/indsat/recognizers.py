@@ -1,9 +1,22 @@
 """Structural pattern tests feeding the classifier.
 
-Permutation-graph recognition is deliberately brute force: backtracking over
-the vertex ordering with incremental consistency pruning.  Inputs stay at or
-below 13 vertices, and an exhaustive search is easier to trust and test than
-a decomposition-based recognizer.
+Permutation graphs are recognized without search, by the lemma of Pnueli,
+Lempel and Even (1971): G is a permutation graph iff G and its complement
+are both comparability graphs.  Each transitive orientation comes from
+Golumbic's TRO (Algorithmic Graph Theory and Perfect Graphs, 1980,
+Algorithm 5.1) on the edges E_i not yet oriented: take any edge of E_i, grow
+its implication class by Gamma-forcing inside E_i (a->b forces a->c when
+ac is in E_i and bc is not, and c->b when cb is in E_i and ca is not), fail
+if the class meets its own reverse, else add the class to the orientation
+and remove it from E_i.
+
+Realizer rule.  With T a transitive orientation of G and C one of its
+complement, T + C and T + C^-1 are linear orders: a directed triangle has
+two consecutive arcs from T or two from C, and transitivity closes them the
+other way.  `ordering` lists the vertices by in-degree in T + C, and
+`sigma[i]` is the in-degree of `ordering[i]` in T + C^-1.  A pair i < j is
+then in the same order in both exactly when its arc is in T, that is, when
+it is an edge.
 
 `close_to_permutation` tries toggles only inside a minimal obstruction.
 Permutation graphs are closed under induced subgraphs, so when G[S] is not
@@ -17,19 +30,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import (Graph, bull_graph, components_within, is_isomorphic,
+from .graphs import (Graph, _bits, bull_graph, components_within, is_isomorphic,
                      is_k_connected, path_graph)
-
-PERMUTATION_BUDGET = 13
 
 TRIVIAL_NONE = "none"
 TRIVIAL_CLIQUE = "clique"
 TRIVIAL_INDEPENDENT = "independent"
 TRIVIAL_BOTH = "both"  # zero or one vertex: vacuously clique and independent
-
-
-class BudgetError(ValueError):
-    """Input exceeds the search budget of a brute-force recognizer."""
 
 
 def classify_trivial(g: Graph) -> str:
@@ -119,65 +126,55 @@ def check_permutation_witness(g: Graph, w: PermutationWitness) -> bool:
     return True
 
 
+def _transitive_orientation(rows) -> Optional[list[int]]:
+    """Out-rows of a transitive orientation of the graph with adjacency
+    `rows`, or None when it has none (TRO, see the module docstring)."""
+    n = len(rows)
+    left = list(rows)  # E_i: the edges not yet oriented
+    out = [0] * n
+    for x in range(n):
+        while left[x]:
+            y = (left[x] & -left[x]).bit_length() - 1
+            # The implication class of x->y in E_i, as out-rows and in-rows.
+            cls_out, cls_in = [0] * n, [0] * n
+            cls_out[x], cls_in[y] = 1 << y, 1 << x
+            stack = [(x, y)]
+            while stack:
+                a, b = stack.pop()
+                heads = left[a] & ~left[b] & ~(1 << b) & ~cls_out[a]
+                tails = left[b] & ~left[a] & ~(1 << a) & ~cls_in[b]
+                if heads & cls_in[a] or tails & cls_out[b]:
+                    return None
+                cls_out[a] |= heads
+                cls_in[b] |= tails
+                for c in _bits(heads):
+                    cls_in[c] |= 1 << a
+                    stack.append((a, c))
+                for c in _bits(tails):
+                    cls_out[c] |= 1 << b
+                    stack.append((c, b))
+            for v in range(n):
+                out[v] |= cls_out[v]
+                left[v] &= ~(cls_out[v] | cls_in[v])
+    return out
+
+
 def is_permutation_graph(g: Graph) -> Optional[PermutationWitness]:
-    """Search for a permutation representation; None when there is none.
-
-    Once a prefix of the ordering is placed, the second order on the placed
-    vertices is forced (edge means "same relative order", non-edge means
-    "opposite"), so the search only has to find an ordering whose forced
-    second order stays consistent.  Each new vertex either slots into the
-    forced order or the branch dies.
-    """
-    n = g.n
-    if n > PERMUTATION_BUDGET:
-        raise BudgetError(f"permutation search budget is {PERMUTATION_BUDGET} vertices, got {n}")
-    if n == 0:
-        return PermutationWitness((), ())
-
-    adj = g.adj
-    placed: list[int] = []      # ordering prefix
-    second: list[int] = []      # the forced second order, bottom to top
-
-    def insert_position(w: int) -> Optional[int]:
-        # Vertices below w in the second order must be exactly the placed
-        # vertices adjacent to w, i.e. the adjacency pattern along `second`
-        # must read True* False*.
-        aw = adj[w]
-        m = len(second)
-        pos = 0
-        while pos < m and aw >> second[pos] & 1:
-            pos += 1
-        for i in range(pos + 1, m):
-            if aw >> second[i] & 1:
-                return None
-        return pos
-
-    def backtrack(placed_mask: int) -> bool:
-        if len(placed) == n:
-            return True
-        # A vertex with no valid slot now can never get one: later insertions
-        # only subdivide the already-forced order.  Fail the branch outright.
-        options = []
-        for w in range(n):
-            if placed_mask >> w & 1:
-                continue
-            pos = insert_position(w)
-            if pos is None:
-                return False
-            options.append((w, pos))
-        for w, pos in options:
-            placed.append(w)
-            second.insert(pos, w)
-            if backtrack(placed_mask | 1 << w):
-                return True
-            placed.pop()
-            second.pop(pos)
-        return False
-
-    if not backtrack(0):
+    """A realizer of g read off transitive orientations of g and its
+    complement (see the module docstring); None when either has none."""
+    n, adj = g.n, g.adj
+    t = _transitive_orientation(adj)
+    if t is None:
         return None
-    rank = {v: r for r, v in enumerate(second)}
-    return PermutationWitness(tuple(placed), tuple(rank[v] for v in placed))
+    full = (1 << n) - 1
+    c = _transitive_orientation([full & ~row & ~(1 << v) for v, row in enumerate(adj)])
+    if c is None:
+        return None
+    ordering = [0] * n
+    for v in range(n):  # out-degree in the tournament T + C is n - 1 - in-degree
+        ordering[n - 1 - t[v].bit_count() - c[v].bit_count()] = v
+    return PermutationWitness(tuple(ordering), tuple(
+        adj[v].bit_count() - t[v].bit_count() + c[v].bit_count() for v in ordering))
 
 
 def close_to_permutation(g: Graph) -> Optional[tuple[tuple[int, int], tuple[int, int]]]:
@@ -195,8 +192,6 @@ def close_to_permutation(g: Graph) -> Optional[tuple[tuple[int, int], tuple[int,
     is one too.  The pairs skipped fail anyway, so the witness is the one a
     scan of every pair finds.
     """
-    if g.n > PERMUTATION_BUDGET:
-        raise BudgetError(f"permutation search budget is {PERMUTATION_BUDGET} vertices, got {g.n}")
     if is_permutation_graph(g) is not None:
         return None
     inside = list(range(g.n))

@@ -6,7 +6,8 @@ For each of the 13,598 classes on at most 8 vertices, in stream order, the
 digest is fed `json.dumps(classify(g).to_json(with_timings=False),
 sort_keys=True)` followed by a newline.  Two commits whose certificates are
 byte-identical print the same digest.  The script takes about as long as one
-classify pass (15-25 s on 2 CPUs) and is not collected by pytest.
+classify pass (7-9 s on 2 CPUs) and is not collected by pytest;
+`tests/test_classifier.py` pins the digest through `certificate_digest`.
 """
 
 from __future__ import annotations

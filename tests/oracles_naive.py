@@ -185,6 +185,51 @@ def naive_is_permutation_graph(g: Graph) -> bool:
     return False
 
 
+def naive_permutation_realizer(rows):
+    """(ordering, sigma) of the graph with adjacency bitmask rows `rows`, or
+    None: backtracking over the vertex ordering, exponential in the worst case.
+
+    Once a prefix of the ordering is placed, the second order on the placed
+    vertices is forced (edge means "same relative order", non-edge means
+    "opposite"), so each new vertex either slots into the forced order or the
+    branch dies.  A vertex with no slot now never gets one, since later
+    insertions only subdivide the forced order."""
+    n = len(rows)
+    placed, second = [], []  # the ordering prefix, the forced second order
+
+    def slot(w):
+        # The placed neighbors of w must be exactly a bottom segment of `second`.
+        pos = 0
+        while pos < len(second) and rows[w] >> second[pos] & 1:
+            pos += 1
+        if any(rows[w] >> u & 1 for u in second[pos + 1:]):
+            return None
+        return pos
+
+    def extend():
+        if len(placed) == n:
+            return True
+        options = []
+        for w in range(n):
+            if w not in placed:
+                pos = slot(w)
+                if pos is None:
+                    return False
+                options.append((w, pos))
+        for w, pos in options:
+            placed.append(w)
+            second.insert(pos, w)
+            if extend():
+                return True
+            placed.pop()
+            second.pop(pos)
+        return False
+
+    if not extend():
+        return None
+    return tuple(placed), tuple(second.index(v) for v in placed)
+
+
 def naive_close_to_permutation(g: Graph, is_permutation):
     """(edge, non-edge) from a scan of every edge, then every non-edge, in
     `g.edges()` / `g.non_edges()` order: the first of each whose toggle

@@ -15,6 +15,7 @@ from indsat.classifier import (CLOSE_TO_PERMUTATION, CORE_11_BULL_P4, CORE_3CONN
 from indsat.graphs import (Graph, bull_graph, complement, complete_graph,
                            complete_multipartite, cycle_graph, emit_graph6,
                            find_induced, parse_graph6, path_graph)
+import certdigest
 import gates
 import stream
 from gensmall import graphs_up_to
@@ -108,6 +109,13 @@ class TestCertificateReplay:
             assert gates.case_letter(cert.case, cert.complemented) == letter, line
             assert replay_certificate(cert), line
         assert len(counts) == 17 and {letter for _, letter in picked} == set(counts)
+
+    def test_certificate_digest_of_the_stream_is_pinned(self):
+        # Every certificate of the 13,598 classes on <= 8 vertices, byte for
+        # byte without timings (recipe in tests/certdigest.py).
+        lines, _ = stream.load()
+        assert certdigest.certificate_digest(lines) == \
+            "85842c256565eeac0b6d1911fdf9f6ab6f30010c1f54c51d250a40c6a2018ea8"
 
     # One graph per core case: k2p, k11p (with a non-empty trace), 3-conn,
     # (1,1)-core P4 and gatekeeper.
@@ -246,6 +254,14 @@ class TestLargeGraphs:
         wheelish = complete_multipartite(3, 3, 3, 3)
         assert classify(wheelish).case == CORE_3CONN
 
+    @pytest.mark.parametrize("n", [13, 14, 20, 40])
+    def test_c5_plus_isolated_vertices_is_close_to_permutation(self, n):
+        # No vertex count skips the close-to-permutation check.
+        cert = classify(Graph.from_edges(n, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]))
+        assert (cert.case, cert.complemented) == (CLOSE_TO_PERMUTATION, False)
+        assert cert.witness == {"delete_edge": [0, 1], "add_nonedge": [0, 2]}
+        assert replay_certificate(cert)
+
     def test_vertex_cap_inputs(self):
         rng = random.Random(4096)
         g = random_graph(rng, 64, 0.5)
@@ -264,10 +280,10 @@ class TestSweep:
         assert report.ok()
 
     def test_malformed_lines_reported_with_numbers(self):
-        lines = ["Dr[", "garbage{{{", "", "E?qw"]
+        lines = ["Dr[", "garbage{{{", "", "E?qw", "\u00e9"]
         report = sweep(lines, n_max=8)
         assert report.graphs_processed == 2
-        assert len(report.errors) == 1 and report.errors[0][0] == 2
+        assert [lineno for lineno, _ in report.errors] == [2, 5]
 
     def test_nmax_violations_reported(self):
         lines = [emit_graph6(complete_graph(9))]

@@ -73,6 +73,9 @@ class TestGraph6:
             with pytest.raises(Graph6Error, match=message) as exc:
                 parse_graph6(data)
             assert exc.value.offset == offset
+        with pytest.raises(Graph6Error, match="non-ASCII") as exc:
+            parse_graph6("Dr\u00e9")
+        assert exc.value.offset == 2
         # Above 62 vertices the encoder switches to the four-byte header.
         assert emit_graph6(empty_graph(63))[:4] == chr(126) + chr(63) + chr(63) + chr(126)
         assert parse_graph6(emit_graph6(empty_graph(63))) == empty_graph(63)

@@ -3,21 +3,22 @@ import json
 import random
 
 import gates
-import pytest
 import stream
 
 from indsat import recognizers
 from indsat.graphs import (Graph, bull_graph, complement, complete_graph,
                            complete_multipartite, cycle_graph, empty_graph,
                            parse_graph6, path_graph)
-from indsat.recognizers import (BudgetError,
-                                check_permutation_witness, classify_trivial,
+from indsat.oracles import UP_RIGHT_KIND, oracle_window
+from indsat.recognizers import (check_permutation_witness, classify_trivial,
                                 close_to_permutation, forest_unique_max,
                                 is_3conn_nonclique, is_bull_or_p4,
                                 is_permutation_graph, match_k2p_k11p)
+from indsat.verifier import sample_window
 from gensmall import graphs_on, graphs_up_to
 from oracles_naive import (naive_close_to_permutation, naive_has_cycle,
-                           naive_is_permutation_graph, random_graph)
+                           naive_is_permutation_graph, naive_permutation_realizer,
+                           random_graph)
 
 
 class TestTrivial:
@@ -100,11 +101,28 @@ class TestPermutation:
         assert w is not None and check_permutation_witness(path_graph(4), w)
         assert is_permutation_graph(cycle_graph(5)) is None
 
-    def test_budget(self):
-        with pytest.raises(BudgetError):
-            is_permutation_graph(empty_graph(14))
-        with pytest.raises(BudgetError):
-            close_to_permutation(empty_graph(14))
+    def test_graphs_of_random_permutations_14_to_40(self):
+        # Vertex i of the realizer is relabelled label[i]; i < j is an edge
+        # exactly when pi keeps the pair in order.
+        rng = random.Random(1440)
+        for n in range(14, 41):
+            pi = rng.sample(range(n), n)
+            label = rng.sample(range(n), n)
+            g = Graph.from_edges(n, [(label[i], label[j]) for i in range(n)
+                                     for j in range(i + 1, n) if pi[i] < pi[j]])
+            w = is_permutation_graph(g)
+            assert w is not None and check_permutation_witness(g, w), n
+
+    def test_long_cycles_rejected(self):
+        for k in range(5, 31):
+            assert is_permutation_graph(cycle_graph(k)) is None, k
+
+    def test_up_right_windows_11_to_40(self):
+        rng = random.Random(1140)
+        for size in range(11, 41):
+            window, _ = oracle_window(UP_RIGHT_KIND, sample_window(UP_RIGHT_KIND, size, rng))
+            w = is_permutation_graph(window)
+            assert w is not None and check_permutation_witness(window, w), size
 
     def test_witness_invariant_holds_when_found(self):
         rng = random.Random(11)
@@ -118,6 +136,33 @@ class TestPermutation:
         for g in graphs_up_to(5):
             assert (is_permutation_graph(g) is not None) == \
                 naive_is_permutation_graph(g)
+
+    def test_backtracking_oracle_against_definition_n5(self):
+        for g in graphs_up_to(5):
+            assert (naive_permutation_realizer(g.adj) is not None) == \
+                naive_is_permutation_graph(g)
+
+    @staticmethod
+    def _agrees_with_backtracking(g):
+        w = is_permutation_graph(g)
+        assert (w is not None) == (naive_permutation_realizer(g.adj) is not None), g.adj
+        assert w is None or check_permutation_witness(g, w), g.adj
+        return w is not None
+
+    def test_backtracking_oracle_on_every_class_n7_and_complement(self):
+        # 1,252 classes on at most 7 vertices, each with its complement.
+        found = sum(self._agrees_with_backtracking(x)
+                    for h in graphs_up_to(7) for x in (h, complement(h)))
+        assert found == 1938
+
+    def test_backtracking_oracle_sampled_n8_n9(self):
+        rng = random.Random(89)
+        sample = rng.sample(graphs_on(8), 300)
+        sample += [random_graph(rng, 9, rng.choice([0.2, 0.35, 0.5, 0.65, 0.8]))
+                   for _ in range(300)]
+        found = sum(self._agrees_with_backtracking(x)
+                    for h in sample for x in (h, complement(h)))
+        assert found == 506  # of 1,200
 
     def test_sampled_against_definition_n6(self):
         rng = random.Random(23)
@@ -146,7 +191,7 @@ class TestCloseToPermutation:
         for i in range(3):
             g = g.toggled(i, 3 + i)
         got = close_to_permutation(g)
-        # Decided by brute force either way; verify internal consistency.
+        # Either outcome is allowed; verify internal consistency.
         if got is not None:
             edge, nonedge = got
             assert is_permutation_graph(g) is None
