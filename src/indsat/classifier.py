@@ -42,7 +42,7 @@ SPECIAL_Z3 = "special_z3"
 THEOREM_VIOLATION = "theorem_violation"
 UNCLASSIFIED = "unclassified"
 
-GATEKEEPER_CORE_ORDER = ("two", "three", "two_edge", "two_nonedge")
+GATEKEEPER_CORE_ORDER = (cores.TWO, cores.THREE, cores.TWO_EDGE, cores.TWO_NONEDGE)
 
 # The eight special graphs are stored through five base spellings; complements
 # are matched by flag rather than stored separately.  The seven-vertex
@@ -89,11 +89,10 @@ class Certificate:
         return out
 
 
-def _core_witness(result: cores.CoreResult, kind_name: str) -> dict:
-    return {"core_kind": kind_name,
-            "core": emit_graph6(result.graph),
+def _core_witness(result: cores.CoreResult, kind: cores.CoreKind, **extra) -> dict:
+    return {"core_kind": cores.core_name(kind), "core": emit_graph6(result.graph),
             "core_vertices": list(result.vertices),
-            "trace": [c.to_json() for c in result.trace]}
+            "trace": [c.to_json() for c in result.trace], **extra}
 
 
 def _first_case(target: Graph) -> Optional[tuple[str, dict]]:
@@ -103,26 +102,26 @@ def _first_case(target: Graph) -> Optional[tuple[str, dict]]:
         center, degree = hit
         return FOREST_UNIQUE_MAX, {"center": center, "max_degree": degree}
 
-    core2 = cores.core(target, cores.TWO)
-    match = match_k2p_k11p(core2.graph)
+    table: dict[cores.CoreKind, cores.CoreResult] = {}  # filled on first use
+
+    def core_of(kind: cores.CoreKind) -> cores.CoreResult:
+        if kind not in table:
+            table[kind] = cores.core(target, kind)
+        return table[kind]
+
+    match = match_k2p_k11p(core_of(cores.TWO).graph)
     if match is not None:
-        shape, p = match
-        witness = _core_witness(core2, "two")
-        witness["p"] = p
-        return (CORE_K2P if shape == "k2p" else CORE_K11P), witness
+        case = CORE_K2P if match[0] == "k2p" else CORE_K11P
+        return case, _core_witness(core_of(cores.TWO), cores.TWO, p=match[1])
 
-    core3 = cores.core(target, cores.THREE)
-    if is_3conn_nonclique(core3.graph):
-        return CORE_3CONN, _core_witness(core3, "three")
-    core3s = cores.core(target, cores.THREE_STAR)
-    if is_3conn_nonclique(core3s.graph):
-        return CORE_3CONN, _core_witness(core3s, "three_star")
+    for kind in (cores.THREE, cores.THREE_STAR):
+        if is_3conn_nonclique(core_of(kind).graph):
+            return CORE_3CONN, _core_witness(core_of(kind), kind)
 
-    core11 = cores.core(target, cores.ONE_ONE)
+    core11 = core_of(cores.ONE_ONE)
     if is_bull_or_p4(core11.graph):
-        witness = _core_witness(core11, "one_one")
-        witness["shape"] = "p4" if core11.graph.n == 4 else "bull"
-        return CORE_11_BULL_P4, witness
+        return CORE_11_BULL_P4, _core_witness(
+            core11, cores.ONE_ONE, shape="p4" if core11.graph.n == 4 else "bull")
 
     ctp = close_to_permutation(target)
     if ctp is not None:
@@ -130,29 +129,22 @@ def _first_case(target: Graph) -> Optional[tuple[str, dict]]:
         return CLOSE_TO_PERMUTATION, {"delete_edge": list(edge),
                                       "add_nonedge": list(nonedge)}
 
-    core_cache = {"two": core2, "three": core3}
-    for kind_name in GATEKEEPER_CORE_ORDER:
-        if kind_name in core_cache:
-            ck = core_cache[kind_name]
-        else:
-            ck = cores.core(target, cores.named_core(kind_name))
-        gk = has_fixing_operation(ck.graph)
+    for kind in GATEKEEPER_CORE_ORDER:
+        gk = has_fixing_operation(core_of(kind).graph)
         if gk.both():
-            witness = _core_witness(ck, kind_name)
-            witness.update({"edge_witness": list(gk.edge_witness),
-                            "nonedge_witness": list(gk.nonedge_witness),
-                            "edge_mode": gk.edge_mode,
-                            "nonedge_mode": gk.nonedge_mode})
-            return CORE_GATEKEEPER, witness
+            return CORE_GATEKEEPER, _core_witness(
+                core_of(kind), kind, edge_witness=list(gk.edge_witness),
+                nonedge_witness=list(gk.nonedge_witness),
+                edge_mode=gk.edge_mode, nonedge_mode=gk.nonedge_mode)
     return None
 
 
 def classify(h: Graph) -> Certificate:
     """Certificate naming the first construction that applies to h.
 
-    Graphs on at least 12 vertices must land in one of the first four cases
-    for one orientation; a fall-through there is reported as a theorem
-    violation (expected never).
+    The paper puts a graph on at least 12 vertices, or its complement, in one
+    of the first four cases.  Only less is checked: such a graph that no case
+    or special graph matches is reported as a theorem violation.
     """
     if h.n == 0:
         raise ValueError("classify needs at least one vertex")
@@ -263,7 +255,6 @@ def sweep(lines: Iterable[str], n_max: int, workers: int = 1) -> SweepReport:
         report.totals[case] = report.totals.get(case, 0) + 1
         if status == "unclassified":
             report.unclassified.append(payload)
-    report.errors.sort()
     report.unclassified.sort()
     return report
 

@@ -250,9 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="classify a canonical graph6 stream")
     common(p, g6=False)
-    p.add_argument("--input", required=True)
-    p.add_argument("--nmax", type=int, default=11)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--input", required=True, help="newline-delimited graph6 file")
+    p.add_argument("--nmax", type=int, default=11, help="max vertices; larger graphs are errors")
+    p.add_argument("--workers", type=int, default=1, help="worker processes, at least 1")
 
     p = sub.add_parser("cores", help="core reduction with removal trace")
     common(p)
@@ -267,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", required=True, help="pattern graph (graph6 or name like P5)")
     p.add_argument("--pair", help="also run the bounded fixed-pair check on 'u,v'")
     p.add_argument("--k", type=int, default=0, help="adversary budget")
-    p.add_argument("--trials", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int, default=0, help="random adversary sets to add")
+    p.add_argument("--seed", type=int, default=0, help="seed of the random adversary sets")
 
     p = sub.add_parser("prefix", help="scheduled fixing sequence from a seed")
     common(p)
@@ -315,7 +315,8 @@ def main(argv: "list[str] | None" = None) -> int:
             parser.print_help()
             return EXIT_USAGE
         return _HANDLERS[args.command](args)
-    except (Graph6Error, ValueError, OSError, json.JSONDecodeError) as exc:
+    # The recursion limit stops ~1,000-vertex patterns and JSON nested as deep.
+    except (ValueError, OSError, RecursionError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_USAGE
 

@@ -49,6 +49,7 @@ TWO_NONEDGE = CoreKind("two_nonedge")
 _NAMED = {"two": TWO, "three": THREE, "one_one": ONE_ONE,
           "three_star": THREE_STAR, "two_edge": TWO_EDGE,
           "two_nonedge": TWO_NONEDGE}
+_NAMES = {kind: name for name, kind in _NAMED.items()}
 
 
 def named_core(name: str) -> CoreKind:
@@ -62,10 +63,7 @@ def named_core(name: str) -> CoreKind:
 
 
 def core_name(kind: CoreKind) -> str:
-    for name, k in _NAMED.items():
-        if k == kind:
-            return name
-    return f"kl:{kind.k},{kind.l}"
+    return _NAMES.get(kind) or f"kl:{kind.k},{kind.l}"
 
 
 @dataclass(frozen=True)
@@ -167,11 +165,6 @@ def core(g: Graph, kind: CoreKind) -> CoreResult:
             present &= ~(1 << v)
     vertices = tuple(_bits(present))
     return CoreResult(graph=g.induced(vertices), vertices=vertices, trace=tuple(trace))
-
-
-def core_fixed_point_check(g: Graph, kind: CoreKind) -> bool:
-    """True iff no rule of the given kind fires on g."""
-    return _next_removal(g, (1 << g.n) - 1, kind) is None
 
 
 def rebuild(result: CoreResult, n: int) -> Graph:

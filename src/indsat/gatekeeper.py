@@ -15,6 +15,7 @@ the gluing can later be upgraded to infinite blow-ups.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Optional
 
 from .graphs import (Graph, colored_fragment_occurs, enumerate_2cuts,
@@ -130,15 +131,13 @@ def has_fixing_operation(h: Graph) -> GatekeeperResult:
     Scanning stops at the first witness per kind, so diagnostics are complete
     only when the corresponding witness is absent.
     """
-    diags: list[PairDiagnostic] = []
-    all_pairs = [(u, v) for u in range(h.n) for v in range(u + 1, h.n)]
-    if not is_k_connected(h, 2):
+    reason = (NOT_2CONNECTED if not is_k_connected(h, 2) else
+              COMPLETE_GRAPH if h.edge_count() == h.n * (h.n - 1) // 2 else None)
+    if reason is not None:
         return GatekeeperResult(None, None, diagnostics=tuple(
-            PairDiagnostic(p, NOT_2CONNECTED) for p in all_pairs))
-    if h.edge_count() == h.n * (h.n - 1) // 2:
-        return GatekeeperResult(None, None, diagnostics=tuple(
-            PairDiagnostic(p, COMPLETE_GRAPH) for p in all_pairs))
+            PairDiagnostic(pair, reason) for pair in combinations(range(h.n), 2)))
 
+    diags: list[PairDiagnostic] = []
     fragments = _fragments(h)
     witness = {EDGE: None, NONEDGE: None}
     mode_of = {EDGE: None, NONEDGE: None}
@@ -155,15 +154,5 @@ def has_fixing_operation(h: Graph) -> GatekeeperResult:
                 break
             cut, comp = found
             diags.append(PairDiagnostic(pair, FRAGMENT_FOUND, cut=cut, component=comp))
-    return GatekeeperResult(edge_witness=witness[EDGE],
-                            nonedge_witness=witness[NONEDGE],
-                            edge_mode=mode_of[EDGE],
-                            nonedge_mode=mode_of[NONEDGE],
-                            diagnostics=tuple(diags))
-
-
-__all__ = [
-    "EDGE", "NONEDGE", "CLIQUE_MODE", "INDEP_MODE", "NOT_2CONNECTED",
-    "COMPLETE_GRAPH", "TWIN_CONFLICT", "FRAGMENT_FOUND", "PairDiagnostic",
-    "GatekeeperResult", "blowup_mode", "check_gatekeeper", "has_fixing_operation",
-]
+    return GatekeeperResult(witness[EDGE], witness[NONEDGE], mode_of[EDGE],
+                            mode_of[NONEDGE], tuple(diags))

@@ -351,10 +351,6 @@ def colored_fragment_occurs(host: Graph, host_pair: tuple[int, int],
 # Connectivity, cuts, clique covers, twins.
 
 
-def is_connected(g: Graph) -> bool:
-    return _connected_within(g, (1 << g.n) - 1)
-
-
 def _component_mask(g: Graph, start: int, allowed: int) -> int:
     """Bitmask of the component of `start` inside the vertex set `allowed`."""
     adj = g.adj
@@ -392,12 +388,7 @@ def is_k_connected(g: Graph, k: int) -> bool:
     """True iff |V| >= k+1 and no vertex set of size <= k-1 disconnects g."""
     if k < 1:
         raise ValueError("k must be positive")
-    return _k_connected_within(g, (1 << g.n) - 1, k)
-
-
-def _k_connected_within(g: Graph, allowed: int, k: int) -> bool:
-    """is_k_connected for the subgraph induced by the vertex mask `allowed`."""
-    return allowed.bit_count() >= k + 1 and _separator(g, allowed, k) is None
+    return g.n >= k + 1 and _separator(g, (1 << g.n) - 1, k) is None
 
 
 def _separator(g: Graph, allowed: int, k: int) -> Optional[int]:
@@ -422,11 +413,11 @@ def enumerate_2cuts(g: Graph) -> list[tuple[tuple[int, int], bool, list[list[int
     Returns (pair, is_edge, components) triples; complete by brute force over
     all C(n,2) pairs.  Input must be connected with n >= 4.
     """
-    if not is_connected(g):
+    full = (1 << g.n) - 1
+    if not _connected_within(g, full):
         raise ValueError("enumerate_2cuts requires a connected graph")
     if g.n < 4:
         raise ValueError("enumerate_2cuts requires n >= 4")
-    full = (1 << g.n) - 1
     out = []
     for u, v in combinations(range(g.n), 2):
         comps = components_within(g, full & ~(1 << u) & ~(1 << v))

@@ -236,12 +236,5 @@ def vertex_from_json(kind: OracleKind, data) -> OracleVertex:
     return (tuple(_from_json(c, int) for c in data[0]), _from_json(data[1], int))
 
 
-def kind_to_json(kind: OracleKind) -> dict:
-    out = {"tag": kind.tag}
-    if kind.tag == GRID_CLIQUE:
-        out["p"] = kind.p
-    return out
-
-
 def kind_from_json(data: dict) -> OracleKind:
     return OracleKind(data["tag"], _from_json(data.get("p", 0), int))

@@ -11,8 +11,8 @@ Perturbed graphs are searched locally, by this lemma: if g is h-free and g'
 is g with a set T of pairs toggled, every induced h in g' contains both ends
 of some pair in T, since an induced h containing no pair of T would already
 be induced in g.  So the search for h in g' is anchored at each pair of T,
-with the ordered pattern pairs of the same adjacency, and it misses exactly
-when g' is h-free.
+against each pattern pair of the same adjacency in both alignments, and it
+misses exactly when g' is h-free.
 
 Freeness is decided on a twin-reduced host, by this lemma: if u and v are
 true twins in g (N[u] = N[v]) and h has no true twins, then g is h-free iff
@@ -29,10 +29,11 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Optional
 
-from .graphs import Graph, clique_cover_at_most, find_induced, parse_graph6, twins
+from .graphs import (Graph, clique_cover_at_most, colored_fragment_occurs, find_induced,
+                     parse_graph6, twins)
 from .oracles import (GRID_CLIQUE, RATIONAL_GEOMETRIC, RATIONAL_GEOMETRIC_KIND,
                       TORERO, TORERO_KIND, UP_RIGHT, Z3_AGREE, Z3_AGREE_KIND,
                       OracleKind, fraction_to_str, oracle_window)
@@ -69,11 +70,8 @@ def _creates_h(h: Graph, perturbed: Graph, pairs: tuple[tuple[int, int], ...]) -
     """Does `perturbed` have an induced h through both ends of some pair in
     `pairs`?  When `perturbed` is an h-free graph with `pairs` toggled, this
     is exactly "perturbed contains h" (the locality lemma above)."""
-    by_edge = {True: [], False: []}
-    for p, q in permutations(range(h.n), 2):
-        by_edge[h.has_edge(p, q)].append((p, q))
-    return any(find_induced(perturbed, h, {p: a, q: b}) is not None
-               for a, b in pairs for p, q in by_edge[perturbed.has_edge(a, b)])
+    return any(colored_fragment_occurs(perturbed, pair, h, h_pair)
+               for pair in pairs for h_pair in combinations(range(h.n), 2))
 
 
 def _pairs_twins_first(g: Graph) -> list[tuple[int, int]]:

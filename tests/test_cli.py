@@ -365,6 +365,22 @@ class TestOtherCommands:
         assert code == EXIT_USAGE and captured.out == ""
         assert "error" in json.loads(captured.err)
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--g6", "P1000", "--h", "P999"],
+        ["prefix", "--g6", "P1000", "--h", "P999"],
+        ["oracle", "--kind", "torero", "--vertices", "DEEP"]])
+    def test_recursion_limit_is_json_exit_1(self, capsys, tmp_path, argv):
+        # The embedding search recurses once per pattern vertex and json.loads
+        # once per nesting level, so both pass Python's default limit here.
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 20_000 + "]" * 20_000)
+        code = main([str(deep) if arg == "DEEP" else arg for arg in argv])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "Traceback" not in captured.err
+        assert "maximum recursion depth" in json.loads(lines[0])["error"]
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["classify", "--help"])

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -131,6 +132,12 @@ class TestCheckGatekeeper:
                             assert not colored_found
 
 
+def assert_one_diagnostic_per_pair(res, n: int, reason: str) -> None:
+    """A failed precondition gives one diagnostic per pair, in combinations order."""
+    assert [d.pair for d in res.diagnostics] == list(combinations(range(n), 2))
+    assert {d.reason for d in res.diagnostics} == {reason}
+
+
 class TestHasFixingOperation:
     def test_c5(self):
         res = has_fixing_operation(cycle_graph(5))
@@ -140,20 +147,20 @@ class TestHasFixingOperation:
     def test_p4_no_witnesses(self):
         res = has_fixing_operation(path_graph(4))
         assert res.edge_witness is None and res.nonedge_witness is None
-        assert {d.reason for d in res.diagnostics} == {NOT_2CONNECTED}
+        assert_one_diagnostic_per_pair(res, 4, NOT_2CONNECTED)
 
     def test_c5_with_pendant_not_2connected_but_core_fixes(self):
         from indsat.cores import TWO, core
         res = has_fixing_operation(c5_with_pendant())
         assert not res.both()
-        assert {d.reason for d in res.diagnostics} == {NOT_2CONNECTED}
+        assert_one_diagnostic_per_pair(res, 6, NOT_2CONNECTED)
         core_res = core(c5_with_pendant(), TWO)
         assert has_fixing_operation(core_res.graph).both()
 
     def test_complete_graph_short_circuits(self):
         res = has_fixing_operation(complete_graph(4))
         assert not res.both()
-        assert {d.reason for d in res.diagnostics} == {COMPLETE_GRAPH}
+        assert_one_diagnostic_per_pair(res, 4, COMPLETE_GRAPH)
 
     def test_diagnostics_complete_when_no_witness(self):
         res = has_fixing_operation(path_graph(4))

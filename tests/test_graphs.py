@@ -6,11 +6,11 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from indsat.graphs import (Graph, Graph6Error, _k_connected_within, _separator,
+from indsat.graphs import (Graph, Graph6Error, _separator,
                            bull_graph, clique_cover_at_most, colored_fragment_occurs,
                            complement, complete_graph, complete_multipartite,
                            cycle_graph, emit_graph6, empty_graph, enumerate_2cuts,
-                           find_induced, icosahedron_complement, is_connected,
+                           find_induced, icosahedron_complement,
                            is_isomorphic, is_k_connected, parse_graph6,
                            path_graph, twins)
 from gensmall import graphs_on, graphs_up_to
@@ -327,7 +327,8 @@ class TestConnectivity:
             subset = [v for v in range(g.n) if rng.random() < 0.7]
             mask = sum(1 << v for v in subset)
             for k in (1, 2, 3):
-                assert _k_connected_within(g, mask, k) == \
+                # _separator expects k + 1 or more vertices, as is_k_connected checks.
+                assert (len(subset) >= k + 1 and _separator(g, mask, k) is None) == \
                     naive_k_connected(g.induced(subset), k)
 
     def test_separator_is_small_and_disconnects(self):
@@ -385,7 +386,7 @@ class TestConnectivity:
 
     def test_3connected_excludes_cut_structures(self):
         for g in graphs_up_to(6):
-            if not is_connected(g) or g.n < 4:
+            if not naive_is_connected(g) or g.n < 4:
                 continue
             has_cut_vertex = any(len(naive_components(g, {v})) >= 2
                                  for v in range(g.n))

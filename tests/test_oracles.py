@@ -15,7 +15,7 @@ from indsat.graphs import find_induced, path_graph
 from indsat.oracles import (RATIONAL_GEOMETRIC_KIND,
                             TORERO_KIND, UP_RIGHT_KIND, Z3_AGREE_KIND,
                             compare_to_pi, fraction_to_str, grid_clique,
-                            kind_from_json, kind_to_json, oracle_adjacent,
+                            oracle_adjacent,
                             oracle_window, pi_bounds,
                             vertex_from_json, vertex_to_json)
 from oracles_naive import naive_oracle_adjacent, naive_oracle_window
@@ -313,10 +313,6 @@ class TestSerialization:
                  (Z3_AGREE_KIND, ((0, 1, 3), 2))]
         for kind, v in cases:
             assert vertex_from_json(kind, vertex_to_json(kind, v)) == v
-
-    def test_kind_round_trip(self):
-        for kind in (UP_RIGHT_KIND, TORERO_KIND, grid_clique(4), Z3_AGREE_KIND):
-            assert kind_from_json(kind_to_json(kind)) == kind
 
     def test_floats_refused_decimals_exact(self):
         # A plain json.loads hands over binary floats; 0.1 is not 1/10.  A

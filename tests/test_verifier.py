@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from indsat import verifier
+from indsat import graphs, verifier
 from indsat.constructions import blowup_graph, initial_state, fix_pair, schedule_fixes
 from indsat.gatekeeper import CLIQUE_MODE
 from indsat.graphs import (Graph, bull_graph, complete_graph, complete_multipartite,
@@ -255,15 +255,17 @@ class TestLocalSearchMatchesNaive:
 class TestLocalSearchMechanism:
     @staticmethod
     def record_searches(monkeypatch) -> list:
-        """(host, anchored?) of every find_induced call the verifier makes."""
+        """(host, anchored?) of every find_induced call the verifier makes,
+        directly or through the anchored pair search in indsat.graphs."""
         calls = []
-        real = verifier.find_induced
+        real = graphs.find_induced
 
         def recording(host, pattern, anchors=None):
             calls.append((host, bool(anchors)))
             return real(host, pattern, anchors)
 
         monkeypatch.setattr(verifier, "find_induced", recording)
+        monkeypatch.setattr(graphs, "find_induced", recording)
         return calls
 
     def test_passing_check_searches_only_around_the_toggled_pairs(self, monkeypatch):
