@@ -3,10 +3,12 @@ vertex count is unbounded; only construction prefixes are capped, in
 `constructions`).
 
 This is the kernel every other module builds on: graph6 I/O, complementation,
-induced-embedding search (plain, anchored and colored), connectivity, 2-cut
-enumeration, clique covers and twin detection.  All values are immutable
-after construction and every operation is a pure function, so graphs can be
-shared freely between threads or worker processes.
+induced-embedding search (plain, anchored and colored), connectivity and
+2-cut enumeration (a packed breadth-first search, `_disconnected`, tests a
+batch of candidate cuts at once), clique covers and twin detection.  All
+values are immutable after construction and every operation is a pure
+function, so graphs can be shared freely between threads or worker
+processes.
 
 Validation happens once, where data enters from outside: `Graph(...)`
 checks every row (O(n^2)); `Graph.from_edges` checks each edge and
@@ -17,8 +19,8 @@ their arguments, as each maps symmetric loop-free rows to such rows.
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Iterable, Mapping, Optional, Sequence
+from itertools import combinations, islice
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 # graph6 uses printable ASCII 63..126; a single header byte covers n <= 62.
 _G6_HEADER = b">>graph6<<"
@@ -366,13 +368,6 @@ def _component_mask(g: Graph, start: int, allowed: int) -> int:
     return seen
 
 
-def _connected_within(g: Graph, allowed: int) -> bool:
-    if allowed == 0:
-        return False
-    start = (allowed & -allowed).bit_length() - 1
-    return _component_mask(g, start, allowed) == allowed
-
-
 def components_within(g: Graph, allowed: int) -> list[list[int]]:
     out = []
     todo = allowed
@@ -391,38 +386,96 @@ def is_k_connected(g: Graph, k: int) -> bool:
     return g.n >= k + 1 and _separator(g, (1 << g.n) - 1, k) is None
 
 
+_PACK_BITS = 4096  # widest int one packed search builds; see `_splits`
+
+
+def _disconnected(g: Graph, allowed: int, cuts: Sequence[int]) -> int:
+    """Nonzero in block i exactly when removing cuts[i] disconnects g[allowed].
+
+    One breadth-first search runs for every cut at once, packed into one int:
+    block i, bits n*i .. n*i + n - 1 with n = g.n, holds the vertex set
+    rest_i = allowed & ~cuts[i], which must not be empty.  `ones` has bit 0
+    of every block set.  Subtracting it clears the lowest bit of each
+    nonempty block and sets the bits below it, without a borrow across
+    blocks, so `rests & ~(rests - ones)` is the lowest vertex of every rest:
+    the start of its search.  `frontier >> v & ones` marks the blocks whose
+    frontier holds v, and multiplying it by adj[v] (below 2^n, so no carry
+    crosses a block) adds v's neighbors to exactly those blocks.  A round
+    visits only the v in some block's frontier: OR-ing the frontier with
+    itself shifted by 1, 2, 4, ... blocks folds every block into block 0.
+    When the frontier dies, a block's reached set equals its rest iff that
+    rest is connected, so the result is `seen ^ rests`.
+    """
+    n, adj = g.n, g.adj
+    packed = 0
+    for cut in reversed(cuts):
+        packed = packed << n | cut
+    block = (1 << n) - 1
+    ones = ((1 << n * len(cuts)) - 1) // block
+    rests = allowed * ones & ~packed
+    seen = frontier = rests & ~(rests - ones)
+    folds = [n << i for i in range((len(cuts) - 1).bit_length())]
+    while frontier:
+        live = frontier
+        for shift in folds:
+            live |= live >> shift
+        grown = 0
+        for v in _bits(live & block):
+            grown |= (frontier >> v & ones) * adj[v]
+        frontier = grown & rests & ~seen
+        seen |= frontier
+    return seen ^ rests
+
+
+def _splits(g: Graph, allowed: int, cuts: Iterable[int]) -> Iterator[tuple[list[int], int]]:
+    """(chunk, _disconnected(g, allowed, chunk)) for consecutive chunks of
+    `cuts`, in order.  A chunk packs into at most _PACK_BITS bits (one cut
+    when g.n is wider), so memory stays flat in n and callers can stop at
+    the first chunk that splits."""
+    step = max(1, _PACK_BITS // g.n)
+    cuts = iter(cuts)
+    while chunk := list(islice(cuts, step)):
+        yield chunk, _disconnected(g, allowed, chunk)
+
+
 def _separator(g: Graph, allowed: int, k: int) -> Optional[int]:
     """First vertex mask of size < k whose removal disconnects g[allowed], or None.
 
     Masks are tried by size, then in `combinations` order, so the empty mask
-    comes back when g[allowed] is itself disconnected.  Callers pass at
-    least k + 1 vertices, so every removal leaves two or more behind.
+    comes back when g[allowed] is itself disconnected.  Each chunk of masks
+    is one packed search (`_splits`), and the first chunk that splits ends
+    the search.  Callers pass at least k + 1 vertices, so every removal
+    leaves two or more behind.
     """
     singles = [1 << v for v in _bits(allowed)]
     for size in range(k):
-        for cut in combinations(singles, size):
-            mask = sum(cut)
-            if not _connected_within(g, allowed & ~mask):
-                return mask
+        cuts = map(sum, combinations(singles, size))
+        for chunk, split in _splits(g, allowed, cuts):
+            if split:
+                return chunk[((split & -split).bit_length() - 1) // g.n]
     return None
 
 
 def enumerate_2cuts(g: Graph) -> list[tuple[tuple[int, int], bool, list[list[int]]]]:
     """All pairs whose removal disconnects g, with the remaining components.
 
-    Returns (pair, is_edge, components) triples; complete by brute force over
-    all C(n,2) pairs.  Input must be connected with n >= 4.
+    Returns (pair, is_edge, components) triples in `combinations` order;
+    complete, as packed searches (`_splits`) test all C(n,2) pairs.  Input
+    must be connected with n >= 4.
     """
     full = (1 << g.n) - 1
-    if not _connected_within(g, full):
-        raise ValueError("enumerate_2cuts requires a connected graph")
     if g.n < 4:
         raise ValueError("enumerate_2cuts requires n >= 4")
+    if _disconnected(g, full, [0]):
+        raise ValueError("enumerate_2cuts requires a connected graph")
+    pairs = (1 << u | 1 << v for u, v in combinations(range(g.n), 2))
     out = []
-    for u, v in combinations(range(g.n), 2):
-        comps = components_within(g, full & ~(1 << u) & ~(1 << v))
-        if len(comps) > 1:
-            out.append(((u, v), g.has_edge(u, v), comps))
+    for chunk, split in _splits(g, full, pairs):
+        for cut in chunk:
+            if split & full:
+                u, v = (cut & -cut).bit_length() - 1, cut.bit_length() - 1
+                out.append(((u, v), g.has_edge(u, v), components_within(g, full & ~cut)))
+            split >>= g.n
     return out
 
 

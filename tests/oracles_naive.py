@@ -80,6 +80,18 @@ def naive_k_connected(g: Graph, k: int) -> bool:
     return True
 
 
+def naive_first_cut(g: Graph, allowed: set[int], k: int):
+    """The first vertex set of size < k whose removal disconnects g[allowed]:
+    sizes in increasing order, each in `combinations` order over the sorted
+    `allowed`.  None when no such set exists."""
+    outside = set(range(g.n)) - set(allowed)
+    for size in range(k):
+        for cut in combinations(sorted(allowed), size):
+            if len(naive_components(g, outside | set(cut))) != 1:
+                return set(cut)
+    return None
+
+
 def naive_has_3conn_subset(g: Graph) -> bool:
     """Try vertex subsets in decreasing size for a 3-connected induced
     subgraph on at least 5 vertices."""

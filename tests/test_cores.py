@@ -150,6 +150,15 @@ class TestKindPlumbing:
             assert named_core(core_name(kind)) == kind
         assert named_core("kl:4,1") == kl_core(4, 1)
 
+    def test_kinds_are_equal_and_hash_by_value(self):
+        assert kl_core(2, 0) == TWO and hash(kl_core(2, 0)) == hash(TWO)
+        assert kl_core(2, 0) is not TWO and kl_core(2, 1) != TWO
+        assert CoreKind("three_star") == THREE_STAR != TWO_EDGE
+        assert named_core("kl:2,0") == TWO and named_core("kl:2,1") == kl_core(2, 1)
+        assert core_name(kl_core(2, 0)) == "two" and core_name(kl_core(2, 1)) == "kl:2,1"
+        table = {kind: core_name(kind) for kind in ALL_KINDS}
+        assert table[kl_core(3, 0)] == "three" and table[CoreKind("two_edge")] == "two_edge"
+
     def test_bad_names_rejected(self):
         with pytest.raises(ValueError):
             named_core("nope")

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from indsat import classifier, graphs
 from indsat.graphs import (Graph, Graph6Error, _separator,
                            bull_graph, clique_cover_at_most, colored_fragment_occurs,
                            complement, complete_graph, complete_multipartite,
@@ -15,7 +16,7 @@ from indsat.graphs import (Graph, Graph6Error, _separator,
                            path_graph, twins)
 from gensmall import graphs_on, graphs_up_to
 from oracles_naive import (naive_2cuts, naive_clique_cover_at_most, naive_components,
-                           naive_find_induced, naive_is_connected,
+                           naive_find_induced, naive_first_cut, naive_is_connected,
                            naive_k_connected, naive_twins, random_graph)
 
 
@@ -344,6 +345,43 @@ class TestConnectivity:
                     assert len(naive_components(g, {v for v in range(g.n)
                                                     if cut >> v & 1})) >= 2
 
+    def test_separator_returns_the_first_cut(self):
+        # Same mask as the definition: sizes in order, then `combinations` order.
+        rng = random.Random(1013)
+        for _ in range(400):
+            g = random_graph(rng, rng.randint(2, 10), rng.choice([0.2, 0.35, 0.5, 0.8]))
+            allowed = {v for v in range(g.n) if rng.random() < 0.8}
+            mask = sum(1 << v for v in allowed)
+            for k in (1, 2, 3):
+                if len(allowed) < k + 1:
+                    continue
+                first = naive_first_cut(g, allowed, k)
+                expected = None if first is None else sum(1 << v for v in first)
+                assert _separator(g, mask, k) == expected, (emit_graph6(g), mask, k)
+
+    def test_separator_at_large_n_agrees_with_networkx(self):
+        # Blocks are g.n bits wide, so cover n = 12..64; a returned cut has
+        # exactly node_connectivity vertices, the smallest size that works.
+        nx = pytest.importorskip("networkx")
+        seen = set()
+        for g, allowed in _large_connectivity_sample():
+            vertices = sorted(allowed)
+            connectivity = nx.node_connectivity(_to_networkx(nx, g.induced(vertices)))
+            seen.add(min(connectivity, 3))
+            mask = sum(1 << v for v in vertices)
+            for k in (1, 2, 3):
+                cut = _separator(g, mask, k)
+                assert (cut is None) == (connectivity >= k), (emit_graph6(g), mask, k)
+                if cut is not None:
+                    assert cut.bit_count() == connectivity and cut & ~mask == 0
+                    outside = {v for v in range(g.n) if not (mask & ~cut) >> v & 1}
+                    assert len(naive_components(g, outside)) >= 2
+            if g.n <= 12:
+                first = naive_first_cut(g, allowed, 3)
+                assert _separator(g, mask, 3) == (
+                    None if first is None else sum(1 << v for v in first))
+        assert seen == {0, 1, 2, 3}
+
     def test_k_connectivity_agrees_with_networkx(self):
         nx = pytest.importorskip("networkx")
         for g in _networkx_sample():
@@ -375,14 +413,53 @@ class TestConnectivity:
         assert {pair for pair, _, _ in enumerate_2cuts(g)} == naive_2cuts(g)
 
     def test_2cuts_vs_naive_exhaustive(self):
-        for g in graphs_up_to(6):
-            if g.n < 4 or not naive_is_connected(g):
+        # Whole triples, in order: pair, is_edge, components by lowest vertex.
+        rng = random.Random(1014)
+        sample = [g for g in graphs_up_to(6) if g.n >= 4]
+        sample += [random_graph(rng, rng.randint(4, 10), rng.choice([0.3, 0.5, 0.7]))
+                   for _ in range(300)]
+        checked = 0
+        for g in sample:
+            if not naive_is_connected(g):
                 continue
-            assert {p for p, _, _ in enumerate_2cuts(g)} == naive_2cuts(g)
+            expected = []
+            for u, v in combinations(range(g.n), 2):
+                comps = naive_components(g, {u, v})
+                if len(comps) >= 2:
+                    expected.append(((u, v), v in g.neighbors(u),
+                                     sorted(sorted(comp) for comp in comps)))
+            assert enumerate_2cuts(g) == expected, emit_graph6(g)
+            checked += 1
+        assert checked > 200
 
     def test_2cuts_requires_connected(self):
         with pytest.raises(ValueError):
             enumerate_2cuts(empty_graph(4))
+
+    def test_long_cycles_and_paths_pack_narrow_and_stop_early(self, monkeypatch):
+        # Cuts go to the packed search in chunks of at most 4,096 bits,
+        # and `_separator` stops at the first chunk that splits: about 420
+        # searches here.  One search over all C(600, 2) pairs of a
+        # 600-vertex cycle would build ints of about 10^8 bits, and going on
+        # past the first split would take about 30,000 chunked searches.
+        widths = []
+        real = graphs._disconnected
+
+        def recording(g, allowed, cuts):
+            widths.append(g.n * len(cuts))
+            assert widths[-1] <= 4096 and len(widths) < 1000
+            return real(g, allowed, cuts)
+
+        monkeypatch.setattr(graphs, "_disconnected", recording)
+        started = time.perf_counter()
+        cycle, full = cycle_graph(600), (1 << 600) - 1
+        assert _separator(cycle, full, 3) == 0b101
+        assert is_k_connected(cycle, 2) and not is_k_connected(cycle, 3)
+        assert _separator(path_graph(600), full, 3) == 0b10
+        cuts = enumerate_2cuts(cycle_graph(96))
+        assert len(cuts) == 96 * 93 // 2
+        assert cuts[0] == ((0, 2), False, [[1], list(range(3, 96))])
+        assert time.perf_counter() - started < 20
 
     def test_3connected_excludes_cut_structures(self):
         for g in graphs_up_to(6):
@@ -409,6 +486,45 @@ def _networkx_sample():
         for density in (0.2, 0.35, 0.5, 0.7):
             for _ in range(3):
                 yield random_graph(rng, n, density)
+
+
+def _large_connectivity_sample():
+    """(graph, allowed vertex set) pairs for n = 12..64: cycles, G(n, p),
+    structure12 bipartite graphs, and graphs with a cut vertex, a 2-cut or
+    two components, relabelled at random."""
+    rng = random.Random(1015)
+
+    def relabel(g):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+    def glued(sizes, shared):
+        # Random blocks on `sizes` vertices; each next block shares `shared`
+        # vertices with the previous one (0 gives separate components).
+        edges, offset = [], 0
+        for i, size in enumerate(sizes):
+            base = offset - (shared if i else 0)
+            block = random_graph(rng, size, 0.6)
+            edges += [(base + u, base + v) for u, v in block.edges()]
+            offset = base + size
+        return relabel(Graph.from_edges(offset, edges))
+
+    graphs = []
+    for n in (16, 24, 40, 64):
+        graphs.append(relabel(cycle_graph(n)))
+        graphs += [random_graph(rng, n, p) for p in (0.1, 0.25)]
+    for sizes in ((8, 10), (12, 14), (20, 30)):
+        graphs += [glued(sizes, shared) for shared in (0, 1, 2)]
+    for g in graphs:
+        yield g, set(range(g.n))
+    for a_size in range(5, 10):
+        pairs = list(combinations(range(a_size), 2))
+        for _ in range(4):
+            g = classifier._bipartite_graph(a_size, [rng.choice(pairs)
+                                                     for _ in range(12 - a_size)])
+            yield g, set(range(g.n))
+            yield g, {v for v in range(g.n) if rng.random() < 0.85} | {0, 1, 2, 3}
 
 
 class TestCliqueCover:

@@ -240,6 +240,19 @@ class TestCloseToPermutation:
                    for x in tried if x.n == g.n and x != g]
         assert toggles and all(set(pair) <= {3, 4, 5, 6, 7} for pair in toggles)
 
+    def test_cycles_match_the_naive_scan(self):
+        # C_k, C_k with a pendant and C_k with three isolated vertices.  A
+        # chord of C_k, k >= 7, leaves an induced cycle on 5 or more
+        # vertices, so no fix exists; C5 and C6 have one.
+        for k in range(5, 13):
+            ring = [(i, (i + 1) % k) for i in range(k)]
+            for g in (cycle_graph(k), Graph.from_edges(k + 1, ring + [(0, k)]),
+                      Graph.from_edges(k + 3, ring)):
+                got = close_to_permutation(g)
+                assert got == naive_close_to_permutation(
+                    g, lambda x: is_permutation_graph(x) is not None), (k, g)
+                assert (got is None) == (k >= 7), (k, g)
+
     def test_witness_pin_on_stream_close_to_permutation_classes(self):
         """Pinned witnesses of every 4th stream class lettered `g` (509 of the
         2,033 classes, all uncomplemented).
