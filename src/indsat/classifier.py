@@ -18,7 +18,8 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
+from math import comb
 from typing import Iterable, Optional, Sequence
 
 from . import cores
@@ -283,13 +284,12 @@ class StructureReport:
 
 def _bipartite_graph(a_size: int, missed: Sequence[tuple[int, int]]) -> Graph:
     """A-vertices 0..a_size-1; B-vertex i misses exactly missed[i] in A."""
-    edges = []
-    for i, miss in enumerate(missed):
-        b = a_size + i
-        for a in range(a_size):
-            if a not in miss:
-                edges.append((a, b))
-    return Graph.from_edges(a_size + len(missed), edges)
+    a_rows = [(1 << len(missed)) - 1 << a_size] * a_size
+    for i, pair in enumerate(missed):
+        for a in pair:
+            a_rows[a] &= ~(1 << a_size + i)
+    b_rows = [(1 << a_size) - 1 & ~(1 << u | 1 << v) for u, v in missed]
+    return Graph._derived(a_size + len(missed), a_rows + b_rows)
 
 
 def _has_3conn_subset(g: Graph) -> bool:
@@ -333,32 +333,43 @@ def _3conn_within(g: Graph, allowed: int) -> bool:
 def structure_check_12(progress: bool = False) -> StructureReport:
     """Every split |A|+|B| = 12 (|A| >= 5, |B| >= 3) with each B-vertex
     missing exactly two A-vertices, B-side multisets reduced by symmetry,
-    must contain a 3-connected induced subgraph on at least 5 vertices."""
+    must contain a 3-connected induced subgraph on at least 5 vertices.
+
+    Configurations, non-decreasing sequences of |B| of the P = C(|A|, 2) pairs
+    of A, are walked depth first in lexicographic order.  Lemma: if the pair
+    appended at index i leaves a 3-connected induced K_{3,3} with two earlier
+    pairs (all three cover at most |A| - 3 A-vertices), so does every completion:
+    all C(P - i + r - 1, r) of them, r B-vertices left, count as shortcuts unvisited.
+    """
     report = StructureReport()
     for a_size in range(9, 4, -1):
         b_size = 12 - a_size
-        shape = f"{a_size}x{b_size}"
         pairs = list(combinations(range(a_size), 2))
-        pair_masks = {pair: 1 << pair[0] | 1 << pair[1] for pair in pairs}
-        shape_count = 0
-        for missed in combinations_with_replacement(pairs, b_size):
-            shape_count += 1
-            report.configurations += 1
-            # Three B-vertices whose missed pairs leave 3 full A-vertices give
-            # an induced K_{3,3}, which is 3-connected on 6 vertices.
-            masks = [pair_masks[pair] for pair in missed]
-            for x, y, z in combinations(masks, 3):
-                if (x | y | z).bit_count() <= a_size - 3:
-                    report.k33_shortcuts += 1
-                    break
-            else:
-                report.subset_searches += 1
-                if not _has_3conn_subset(_bipartite_graph(a_size, missed)):
-                    report.all_passed = False
-                    report.counterexamples.append(
-                        {"a_size": a_size, "missed": [list(p) for p in missed]})
-        report.shapes[shape] = shape_count
+        masks = [1 << u | 1 << v for u, v in pairs]
+        # shortcut[k]: the unions x | y of two pairs that make a shortcut with pairs[k].
+        shortcut = [{x | y for x in masks for y in masks
+                     if (x | y | z).bit_count() <= a_size - 3} for z in masks]
+
+        def walk(start: int, chosen: list[int], unions: list[int]) -> None:
+            left = b_size - len(chosen) - 1
+            for i in range(start, len(pairs)):
+                if not shortcut[i].isdisjoint(unions):
+                    report.k33_shortcuts += comb(len(pairs) - i + left - 1, left)
+                elif left:
+                    walk(i, chosen + [i], unions + [masks[i] | masks[j] for j in chosen])
+                else:
+                    report.subset_searches += 1
+                    missed = [pairs[j] for j in chosen + [i]]
+                    if not _has_3conn_subset(_bipartite_graph(a_size, missed)):
+                        report.all_passed = False
+                        report.counterexamples.append(
+                            {"a_size": a_size, "missed": [list(p) for p in missed]})
+
+        walk(0, [], [])
+        shape, seen = f"{a_size}x{b_size}", report.k33_shortcuts + report.subset_searches
+        report.shapes[shape] = seen - report.configurations
+        report.configurations = seen
         if progress:
-            print(f"structure12: shape {shape} done ({shape_count} configurations)",
+            print(f"structure12: shape {shape} done ({report.shapes[shape]} configurations)",
                   file=sys.stderr)
     return report

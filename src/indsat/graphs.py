@@ -4,11 +4,11 @@ vertex count is unbounded; only construction prefixes are capped, in
 
 This is the kernel every other module builds on: graph6 I/O, complementation,
 induced-embedding search (plain, anchored and colored), connectivity and
-2-cut enumeration (a packed breadth-first search, `_disconnected`, tests a
-batch of candidate cuts at once), clique covers and twin detection.  All
-values are immutable after construction and every operation is a pure
-function, so graphs can be shared freely between threads or worker
-processes.
+2-cut enumeration (`_disconnected` tests a batch of candidate cuts, of
+any sizes, in one packed breadth-first search), clique covers and twin
+detection.  All values are immutable after construction and every
+operation is a pure function, so graphs can be shared freely between
+threads or worker processes.
 
 Validation happens once, where data enters from outside: `Graph(...)`
 checks every row (O(n^2)); `Graph.from_edges` checks each edge and
@@ -19,7 +19,7 @@ their arguments, as each maps symmetric loop-free rows to such rows.
 
 from __future__ import annotations
 
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 # graph6 uses printable ASCII 63..126; a single header byte covers n <= 62.
@@ -442,17 +442,16 @@ def _separator(g: Graph, allowed: int, k: int) -> Optional[int]:
     """First vertex mask of size < k whose removal disconnects g[allowed], or None.
 
     Masks are tried by size, then in `combinations` order, so the empty mask
-    comes back when g[allowed] is itself disconnected.  Each chunk of masks
-    is one packed search (`_splits`), and the first chunk that splits ends
-    the search.  Callers pass at least k + 1 vertices, so every removal
-    leaves two or more behind.
+    comes back when g[allowed] is itself disconnected.  Masks of all sizes
+    share one stream of chunks, each one packed search (`_splits`), so the
+    first split block is the first cut.  Callers pass at least k + 1
+    vertices, so every removal leaves two or more behind.
     """
     singles = [1 << v for v in _bits(allowed)]
-    for size in range(k):
-        cuts = map(sum, combinations(singles, size))
-        for chunk, split in _splits(g, allowed, cuts):
-            if split:
-                return chunk[((split & -split).bit_length() - 1) // g.n]
+    cuts = chain.from_iterable(map(sum, combinations(singles, size)) for size in range(k))
+    for chunk, split in _splits(g, allowed, cuts):
+        if split:
+            return chunk[((split & -split).bit_length() - 1) // g.n]
     return None
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb
 
 import mpmath
@@ -100,6 +100,18 @@ def naive_has_3conn_subset(g: Graph) -> bool:
             if naive_k_connected(g.induced(list(subset)), 3):
                 return True
     return False
+
+
+@lru_cache(maxsize=None)
+def naive_shortcut_free(a_size: int) -> tuple:
+    """The structure12 configurations on |A| = a_size (each a tuple of
+    12 - a_size missed pairs, in `combinations_with_replacement` order) in
+    which no three missed pairs leave three A-vertices outside all of them,
+    that is, with no induced K_{3,3}."""
+    pairs = list(combinations(range(a_size), 2))
+    return tuple(missed for missed in combinations_with_replacement(pairs, 12 - a_size)
+                 if all(a_size - len(set(x) | set(y) | set(z)) < 3
+                        for x, y, z in combinations(missed, 3)))
 
 
 def naive_has_cycle(g: Graph) -> bool:

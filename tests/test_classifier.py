@@ -3,9 +3,11 @@ import json
 import random
 from collections import Counter
 from itertools import combinations, combinations_with_replacement
+from math import comb
 
 import pytest
 
+from indsat import classifier, graphs
 from indsat.classifier import (CLOSE_TO_PERMUTATION, CORE_11_BULL_P4, CORE_3CONN,
                                CORE_GATEKEEPER, CORE_K2P, CORE_K11P,
                                FOREST_UNIQUE_MAX, NOT_APPLICABLE_TRIVIAL,
@@ -19,7 +21,7 @@ import certdigest
 import gates
 import stream
 from gensmall import graphs_up_to
-from oracles_naive import naive_has_3conn_subset, random_graph
+from oracles_naive import naive_has_3conn_subset, naive_shortcut_free, random_graph
 
 
 class TestClassifyExamples:
@@ -51,6 +53,21 @@ class TestClassifyExamples:
         from indsat.graphs import icosahedron_complement
         cert = classify(icosahedron_complement())
         assert cert.case == CORE_3CONN
+
+
+class TestLabelInvariance:
+    def test_every_tenth_stream_class_relabelled(self):
+        # Case and orientation depend only on the isomorphism class.  Witnesses
+        # name vertices, so they are not compared.
+        rng = random.Random(5)
+        lines, _ = stream.load()
+        for line in lines[::10]:
+            g = parse_graph6(line)
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            own = classify(g)
+            cert = classify(Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()]))
+            assert (cert.case, cert.complemented) == (own.case, own.complemented), (line, perm)
 
 
 class TestSpecialTable:
@@ -340,6 +357,61 @@ class TestStructure12Pieces:
         g = _bipartite_graph(5, [(0, 1)])
         assert g.n == 6 and g.degree(5) == 3
         assert not g.has_edge(0, 5) and not g.has_edge(1, 5)
+        missed = [(0, 1), (2, 3), (0, 1), (3, 4)]
+        assert _bipartite_graph(5, missed) == Graph.from_edges(
+            9, [(a, 5 + i) for i, pair in enumerate(missed) for a in range(5) if a not in pair])
+
+    @staticmethod
+    def record_searched(monkeypatch):
+        """The list that the (a_size, missed) of every configuration reaching
+        the 3-connectivity search will be appended to, in order."""
+        seen = []
+        build = classifier._bipartite_graph
+        monkeypatch.setattr(classifier, "_bipartite_graph", lambda a_size, missed: (
+            seen.append((a_size, tuple(map(tuple, missed)))) or build(a_size, missed)))
+        return seen
+
+    def test_walk_visits_exactly_the_brute_force_shortcut_free_list(self, monkeypatch):
+        seen = self.record_searched(monkeypatch)
+        report = classifier.structure_check_12()
+        assert seen == [(a_size, missed) for a_size in range(9, 4, -1)
+                        for missed in naive_shortcut_free(a_size)]
+        for a_size in range(5, 10):
+            pairs = combinations(range(a_size), 2)
+            assert report.shapes[f"{a_size}x{12 - a_size}"] == sum(
+                1 for _ in combinations_with_replacement(pairs, 12 - a_size))
+        assert report.subset_searches == len(seen) == 6465
+        assert report.k33_shortcuts == report.configurations - 6465 == 136766
+
+    def test_counterexamples_come_in_brute_force_order(self, monkeypatch):
+        # A fake 3-connectivity search fails on a seeded set of
+        # configurations; each must be reported, in brute-force order.
+        configurations = [(a_size, missed) for a_size in range(9, 4, -1)
+                          for missed in naive_shortcut_free(a_size)]
+        failing = set(random.Random(23).sample(configurations, 40))
+        seen = self.record_searched(monkeypatch)
+        monkeypatch.setattr(classifier, "_3conn_within",
+                            lambda g, allowed: seen[-1] not in failing)
+        report = classifier.structure_check_12()
+        assert not report.all_passed
+        assert report.counterexamples == [
+            {"a_size": a_size, "missed": [list(p) for p in missed]}
+            for a_size, missed in configurations if (a_size, missed) in failing]
+
+    def test_work_counts(self, monkeypatch):
+        # Each shortcut-free configuration's 3-core is 3-connected, so one
+        # packed search over all cut sizes settles it: 6,465 in all, where
+        # one search per cut size would make 19,395.  The walk counts the
+        # completions of 31,191 shortcut prefixes with one `comb` each
+        # instead of visiting them.
+        searches, prefixes = [], []
+        disconnected = graphs._disconnected
+        monkeypatch.setattr(graphs, "_disconnected", lambda *args: (
+            searches.append(1) or disconnected(*args)))
+        monkeypatch.setattr(classifier, "comb", lambda *args: (
+            prefixes.append(1) or comb(*args)))
+        assert classifier.structure_check_12().all_passed
+        assert (len(searches), len(prefixes)) == (6465, 31191)
 
 
 def _two_cliques_sharing_an_edge(size):
@@ -366,14 +438,9 @@ class TestHas3ConnSubset:
 
     def test_structure12_sample_vs_naive(self):
         from indsat.classifier import _bipartite_graph, _has_3conn_subset
-        configurations = []
-        for a_size in range(9, 4, -1):
-            pairs = list(combinations(range(a_size), 2))
-            for missed in combinations_with_replacement(pairs, 12 - a_size):
-                # Only configurations without a K_{3,3} shortcut are searched.
-                if all(a_size - len(set(x) | set(y) | set(z)) < 3
-                       for x, y, z in combinations(missed, 3)):
-                    configurations.append((a_size, missed))
+        # Only configurations without a K_{3,3} shortcut are searched.
+        configurations = [(a_size, missed) for a_size in range(9, 4, -1)
+                          for missed in naive_shortcut_free(a_size)]
         assert len(configurations) == 6465
         for a_size, missed in random.Random(12).sample(configurations, 300):
             g = _bipartite_graph(a_size, missed)

@@ -166,7 +166,8 @@ def test_batch_classify_writes_json_or_a_json_error(lines):
 
 
 # Small reports in the shape structure_check_12 returns, one passing and one
-# with a counterexample, so that structure12 runs without its 2 s search.
+# with a counterexample, so that the structure12 subcommand is tested without
+# running the check itself.
 STRUCTURE_REPORTS = {
     True: StructureReport(configurations=2, shapes={"9x3": 2}, k33_shortcuts=1,
                           subset_searches=1),

@@ -17,7 +17,8 @@ from indsat.graphs import (Graph, Graph6Error, _separator,
 from gensmall import graphs_on, graphs_up_to
 from oracles_naive import (naive_2cuts, naive_clique_cover_at_most, naive_components,
                            naive_find_induced, naive_first_cut, naive_is_connected,
-                           naive_k_connected, naive_twins, random_graph)
+                           naive_k_connected, naive_shortcut_free, naive_twins,
+                           random_graph)
 
 
 def graphs_of_order(n):
@@ -347,17 +348,23 @@ class TestConnectivity:
 
     def test_separator_returns_the_first_cut(self):
         # Same mask as the definition: sizes in order, then `combinations` order.
-        rng = random.Random(1013)
-        for _ in range(400):
-            g = random_graph(rng, rng.randint(2, 10), rng.choice([0.2, 0.35, 0.5, 0.8]))
-            allowed = {v for v in range(g.n) if rng.random() < 0.8}
-            mask = sum(1 << v for v in allowed)
-            for k in (1, 2, 3):
-                if len(allowed) < k + 1:
-                    continue
-                first = naive_first_cut(g, allowed, k)
-                expected = None if first is None else sum(1 << v for v in first)
-                assert _separator(g, mask, k) == expected, (emit_graph6(g), mask, k)
+        for g, allowed in _masked_sample():
+            _assert_first_cuts(g, allowed)
+
+    @pytest.mark.parametrize("blocks", [1, 3, 13])
+    def test_separator_first_cut_with_chunks_across_sizes(self, monkeypatch, blocks):
+        # Chunks of `blocks` cuts: at 3 and 13 the chunk at each size boundary
+        # holds cuts of two sizes, and the first split block must still win.
+        shortcut_free = [(a_size, missed) for a_size in range(5, 10)
+                         for missed in naive_shortcut_free(a_size)]
+        bipartite = [classifier._bipartite_graph(a_size, missed)
+                     for a_size, missed in random.Random(1017).sample(shortcut_free, 40)]
+        for g, allowed in (list(_masked_sample())
+                           + [(g, set(range(g.n))) for g in bipartite]
+                           + [(g, allowed) for g, allowed in _large_connectivity_sample()
+                              if g.n == 12]):
+            monkeypatch.setattr(graphs, "_PACK_BITS", blocks * g.n)
+            _assert_first_cuts(g, allowed)
 
     def test_separator_at_large_n_agrees_with_networkx(self):
         # Blocks are g.n bits wide, so cover n = 12..64; a returned cut has
@@ -525,6 +532,25 @@ def _large_connectivity_sample():
                                                      for _ in range(12 - a_size)])
             yield g, set(range(g.n))
             yield g, {v for v in range(g.n) if rng.random() < 0.85} | {0, 1, 2, 3}
+
+
+def _masked_sample():
+    """400 seeded random graphs on 2..10 vertices, each with a random
+    allowed vertex set."""
+    rng = random.Random(1013)
+    for _ in range(400):
+        g = random_graph(rng, rng.randint(2, 10), rng.choice([0.2, 0.35, 0.5, 0.8]))
+        yield g, {v for v in range(g.n) if rng.random() < 0.8}
+
+
+def _assert_first_cuts(g, allowed):
+    mask = sum(1 << v for v in allowed)
+    for k in (1, 2, 3):
+        if len(allowed) < k + 1:
+            continue
+        first = naive_first_cut(g, allowed, k)
+        expected = None if first is None else sum(1 << v for v in first)
+        assert _separator(g, mask, k) == expected, (emit_graph6(g), mask, k)
 
 
 class TestCliqueCover:
