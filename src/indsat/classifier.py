@@ -106,9 +106,10 @@ def _first_case(target: Graph) -> Optional[tuple[str, dict]]:
     table: dict[cores.CoreKind, cores.CoreResult] = {}  # filled on first use
 
     def core_of(kind: cores.CoreKind) -> cores.CoreResult:
-        if kind not in table:
-            table[kind] = cores.core(target, kind)
-        return table[kind]
+        result = table.get(kind)
+        if result is None:
+            result = table[kind] = cores.core(target, kind)
+        return result
 
     match = match_k2p_k11p(core_of(cores.TWO).graph)
     if match is not None:
@@ -130,8 +131,15 @@ def _first_case(target: Graph) -> Optional[tuple[str, dict]]:
         return CLOSE_TO_PERMUTATION, {"delete_edge": list(edge),
                                       "add_nonedge": list(nonedge)}
 
+    # The gatekeeper search is a function of the core graph alone, so a core
+    # graph that already failed here fails again and is skipped.
+    failed: set[Graph] = set()
     for kind in GATEKEEPER_CORE_ORDER:
-        gk = has_fixing_operation(core_of(kind).graph)
+        graph = core_of(kind).graph
+        if graph in failed:
+            continue
+        gk = has_fixing_operation(graph)
+        failed.add(graph)
         if gk.both():
             return CORE_GATEKEEPER, _core_witness(
                 core_of(kind), kind, edge_witness=list(gk.edge_witness),

@@ -12,9 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import Iterator
 
 from .graphs import Graph, _bits
+
+
+_TAGS = ("kl", "three_star", "two_edge", "two_nonedge")
 
 
 @dataclass(frozen=True)
@@ -29,10 +32,15 @@ class CoreKind:
     l: int = 0
 
     def __post_init__(self):
-        if self.tag not in ("kl", "three_star", "two_edge", "two_nonedge"):
+        if self.tag not in _TAGS:
             raise ValueError(f"unknown core tag {self.tag!r}")
         if self.k < 0 or self.l < 0:
             raise ValueError("k and l must be non-negative")
+        # Hash once, from ints only, so the value is the same in every process.
+        object.__setattr__(self, "_hash", hash((_TAGS.index(self.tag), self.k, self.l)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def kl_core(k: int, l: int) -> CoreKind:
@@ -100,66 +108,52 @@ class CoreResult:
     trace: tuple[RemovedCluster, ...]
 
 
-def _single_rule_fires(g: Graph, present: int, v: int, kind: CoreKind) -> Optional[str]:
-    deg = (g.adj[v] & present).bit_count()
-    n_present = present.bit_count()
-    nondeg = n_present - 1 - deg
-    if kind.tag == "kl":
-        if deg < kind.k:
-            return "degree"
-        if nondeg < kind.l:
-            return "nondegree"
-        return None
-    if kind.tag == "three_star":
-        return "degree" if deg <= 2 else None
-    # 2-edge-core and 2-non-edge-core: degree < 2 always goes; a degree-2
-    # vertex goes when its two neighbors are adjacent (resp. non-adjacent).
-    if deg < 2:
-        return "degree"
-    if deg == 2:
-        a, b = _bits(g.adj[v] & present)
-        adjacent = g.has_edge(a, b)
-        if kind.tag == "two_edge" and adjacent:
-            return "triangle"
-        if kind.tag == "two_nonedge" and not adjacent:
-            return "open_path"
-    return None
-
-
-def _pair_rule_fires(g: Graph, present: int, u: int, v: int) -> bool:
-    closed = (g.adj[u] | g.adj[v] | 1 << u | 1 << v) & present
-    return closed.bit_count() <= 4
-
-
-def _next_removal(g: Graph, present: int, kind: CoreKind) -> Optional[RemovedCluster]:
-    """The next cluster to remove from g[present] in the pinned firing order,
-    or None when no rule of the given kind fires."""
-    for v in _bits(present):
-        rule = _single_rule_fires(g, present, v, kind)
+def _removals(g: Graph, present: int, kind: CoreKind) -> Iterator[RemovedCluster]:
+    """Every cluster a rule of `kind` removes from g[present], in the pinned
+    firing order: single vertices by index, then (3*-core only) pairs in
+    lexicographic order.  `core` removes the first one each step."""
+    adj, tag, k, l = g.adj, kind.tag, kind.k, kind.l
+    last = present.bit_count() - 1  # degree plus non-degree of every vertex
+    todo = present
+    while todo:
+        v = (todo & -todo).bit_length() - 1
+        todo &= todo - 1
+        row = adj[v] & present
+        deg = row.bit_count()
+        if tag == "kl":
+            rule = "degree" if deg < k else "nondegree" if last - deg < l else None
+        elif tag == "three_star":
+            rule = "degree" if deg <= 2 else None
+        # 2-edge-core and 2-non-edge-core: degree < 2 always goes; a degree-2
+        # vertex goes when its two neighbors are adjacent (resp. non-adjacent).
+        elif deg < 2:
+            rule = "degree"
+        elif deg > 2:
+            rule = None
+        elif adj[(row & -row).bit_length() - 1] & row:  # the two neighbors are adjacent
+            rule = "triangle" if tag == "two_edge" else None
+        else:
+            rule = "open_path" if tag == "two_nonedge" else None
         if rule:
-            return RemovedCluster(
-                vertices=(v,),
-                attachment={v: tuple(_bits(g.adj[v] & present & ~(1 << v)))},
-                internal_edge=False,
-                rule=rule)
-    if kind.tag == "three_star":
+            yield RemovedCluster(vertices=(v,), attachment={v: tuple(_bits(row))},
+                                 internal_edge=False, rule=rule)
+    if tag == "three_star":
         for u, v in combinations(_bits(present), 2):
-            if _pair_rule_fires(g, present, u, v):
+            if ((adj[u] | adj[v] | 1 << u | 1 << v) & present).bit_count() <= 4:
                 rest = present & ~(1 << u) & ~(1 << v)
-                return RemovedCluster(
+                yield RemovedCluster(
                     vertices=(u, v),
-                    attachment={u: tuple(_bits(g.adj[u] & rest)),
-                                v: tuple(_bits(g.adj[v] & rest))},
+                    attachment={u: tuple(_bits(adj[u] & rest)),
+                                v: tuple(_bits(adj[v] & rest))},
                     internal_edge=g.has_edge(u, v),
                     rule="pair")
-    return None
 
 
 def core(g: Graph, kind: CoreKind) -> CoreResult:
     """Reduce g to its core of the given kind, recording a replayable trace."""
     present = (1 << g.n) - 1
     trace: list[RemovedCluster] = []
-    while (cluster := _next_removal(g, present, kind)) is not None:
+    while (cluster := next(_removals(g, present, kind), None)) is not None:
         trace.append(cluster)
         for v in cluster.vertices:
             present &= ~(1 << v)

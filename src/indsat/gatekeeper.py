@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import Optional
 
 from .graphs import (Graph, colored_fragment_occurs, enumerate_2cuts,
-                     is_k_connected, twins)
+                     is_k_connected, search_order, twins)
 
 # Gatekeeper kinds: the status of the candidate pair in h.
 EDGE = "edge"
@@ -90,24 +90,26 @@ class GatekeeperResult:
 
 
 def _fragments(h: Graph) -> dict[str, list]:
-    """(cut, component, h[component + cut]) triples per candidate kind, in
-    cut-enumeration then component order.  Only cuts that could carry a
+    """(cut, component, fragment h[component + cut], red pair, search order)
+    per candidate kind, in cut-enumeration then component order; the red pair
+    is the fragment's last two vertices.  Only cuts that could carry a
     straddling copy count: non-edge 2-cuts for an edge candidate (the glued
     pair is a non-edge of the host), edge 2-cuts for a non-edge candidate."""
     out: dict[str, list] = {EDGE: [], NONEDGE: []}
     for (u, v), is_edge, comps in enumerate_2cuts(h):
-        out[NONEDGE if is_edge else EDGE].extend(
-            ((u, v), comp, h.induced(comp + [u, v])) for comp in comps)
+        for comp in comps:
+            frag, red = h.induced(comp + [u, v]), (len(comp), len(comp) + 1)
+            out[NONEDGE if is_edge else EDGE].append(
+                ((u, v), comp, frag, red, search_order(frag, red)))
     return out
 
 
 def _first_fragment(h: Graph, pair: tuple[int, int], fragments: list
                     ) -> Optional[tuple[tuple[int, int], tuple[int, ...]]]:
-    """First (cut, component) whose marked fragment embeds in the perturbed h;
-    the fragment's red pair is its last two vertices."""
+    """First (cut, component) whose marked fragment embeds in the perturbed h."""
     host = h.toggled(*pair)
-    for cut, comp, frag in fragments:
-        if colored_fragment_occurs(host, pair, frag, (len(comp), len(comp) + 1)):
+    for cut, comp, frag, red, order in fragments:
+        if colored_fragment_occurs(host, pair, frag, red, order):
             return cut, tuple(comp)
     return None
 

@@ -123,16 +123,25 @@ class Graph:
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
         """Induced subgraph; result vertex i corresponds to vertices[i]."""
+        mask, n = 0, self.n
         for v in vertices:
-            self._check_vertex(v)
-        if len(set(vertices)) != len(vertices):
+            if not 0 <= v < n:
+                self._check_vertex(v)  # raises
+            mask |= 1 << v
+        if mask.bit_count() != len(vertices):
             raise ValueError("duplicate vertices")
+        # Column j is set in the rows of vertices[j]'s neighbors inside the
+        # mask, so the work is one step per vertex and per edge kept.
         pos = {v: i for i, v in enumerate(vertices)}
+        adj = self.adj
         rows = [0] * len(vertices)
-        for i, v in enumerate(vertices):
-            for w in _bits(self.adj[v]):
-                if w in pos:
-                    rows[i] |= 1 << pos[w]
+        for j, w in enumerate(vertices):
+            column = 1 << j
+            inside = adj[w] & mask
+            while inside:
+                low = inside & -inside
+                rows[pos[low.bit_length() - 1]] |= column
+                inside ^= low
         return Graph._derived(len(vertices), rows)
 
     def __eq__(self, other: object) -> bool:
@@ -246,18 +255,38 @@ def complement(g: Graph) -> Graph:
 
 # ---------------------------------------------------------------------------
 # Induced-embedding search.  Exhaustive backtracking; completeness is the
-# contract, speed is a courtesy.  Pattern vertices are ordered anchors-first,
-# then greedily by (adjacency to the ordered prefix, degree), and host
-# candidates are pruned with bitmask intersections.
+# contract, speed is a courtesy.  Pattern vertices are placed in
+# `search_order`, which callers that search one anchored pattern in many
+# hosts compute once, and host candidates are pruned with bitmask
+# intersections.
+
+
+def search_order(pattern: Graph, anchored: Iterable[int]) -> list[int]:
+    """Pattern vertices anchored first, in increasing order, then greedily
+    by (adjacency to the ordered prefix, degree), the lowest index on ties."""
+    padj = pattern.adj
+    order = sorted(anchored)
+    placed = sum(1 << p for p in order)
+    remaining = set(range(pattern.n)) - set(order)
+    while remaining:
+        nxt = max(remaining,
+                  key=lambda p: ((padj[p] & placed).bit_count(), padj[p].bit_count(), -p))
+        order.append(nxt)
+        placed |= 1 << nxt
+        remaining.discard(nxt)
+    return order
 
 
 def find_induced(host: Graph, pattern: Graph,
-                 anchors: Optional[Mapping[int, int]] = None) -> Optional[tuple[int, ...]]:
+                 anchors: Optional[Mapping[int, int]] = None,
+                 order: Optional[Sequence[int]] = None) -> Optional[tuple[int, ...]]:
     """Find an induced embedding of `pattern` in `host` extending `anchors`.
 
     Returns a tuple `m` with m[p] = host vertex for pattern vertex p, or None
     if no induced embedding exists.  Anchors must be injective and consistent
-    with pattern adjacency among themselves.
+    with pattern adjacency among themselves.  `order`, when given, must be
+    `search_order(pattern, anchors)`; the embedding returned is the first
+    in that order.
     """
     np_, nh = pattern.n, host.n
     anchors = dict(anchors) if anchors else {}
@@ -278,17 +307,9 @@ def find_induced(host: Graph, pattern: Graph,
     if np_ == 0:
         return ()
 
+    if order is None:
+        order = search_order(pattern, anchors)
     padj = pattern.adj
-    order = sorted(anchors)
-    placed = sum(1 << p for p in order)
-    remaining = set(range(np_)) - set(order)
-    while remaining:
-        nxt = max(remaining,
-                  key=lambda p: ((padj[p] & placed).bit_count(), padj[p].bit_count(), -p))
-        order.append(nxt)
-        placed |= 1 << nxt
-        remaining.discard(nxt)
-
     hadj = host.adj
     full = (1 << nh) - 1
     assign = [-1] * np_
@@ -331,10 +352,12 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 
 
 def colored_fragment_occurs(host: Graph, host_pair: tuple[int, int],
-                            fragment: Graph, fragment_pair: tuple[int, int]) -> bool:
+                            fragment: Graph, fragment_pair: tuple[int, int],
+                            order: Optional[Sequence[int]] = None) -> bool:
     """Does `fragment` embed induced in `host` with red pair on red pair?
 
-    Both orientations of the red-pair alignment are tried.  Pairs of
+    Both orientations of the red-pair alignment are tried, in the search
+    order `order` or else `search_order(fragment, fragment_pair)`.  Pairs of
     different status (edge vs non-edge) cannot align, so that yields False.
     """
     hu, hv = host_pair
@@ -343,8 +366,10 @@ def colored_fragment_occurs(host: Graph, host_pair: tuple[int, int],
         raise ValueError("red pair vertices must be distinct")
     if host.has_edge(hu, hv) != fragment.has_edge(fu, fv):
         return False
+    if order is None:
+        order = search_order(fragment, fragment_pair)
     for anchors in ({fu: hu, fv: hv}, {fu: hv, fv: hu}):
-        if find_induced(host, fragment, anchors) is not None:
+        if find_induced(host, fragment, anchors, order) is not None:
             return True
     return False
 

@@ -20,9 +20,11 @@ it is an edge.
 
 `close_to_permutation` tries toggles only inside a minimal obstruction.
 Permutation graphs are closed under induced subgraphs, so when G[S] is not
-one, no toggle of a pair without both ends in S can make G one.  S is shrunk
-from V in one pass, dropping each vertex whose removal leaves G[S] no
-permutation graph; no vertex of the S left can then be dropped.
+one, no toggle of a pair without both ends in S can make G one.  S is a
+vertex mask shrunk from V in one pass, dropping each vertex whose removal
+leaves G[S] no permutation graph; no vertex of the S left can then be
+dropped.  These tests and the toggle tests need only a yes or no, so they
+run TRO on rows restricted to the mask and build no subgraph or realizer.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import (Graph, _bits, bull_graph, components_within, is_isomorphic,
+from .graphs import (Graph, bull_graph, components_within, is_isomorphic,
                      is_k_connected, path_graph)
 
 TRIVIAL_NONE = "none"
@@ -135,9 +137,11 @@ def _transitive_orientation(rows) -> Optional[list[int]]:
     for x in range(n):
         while left[x]:
             y = (left[x] & -left[x]).bit_length() - 1
-            # The implication class of x->y in E_i, as out-rows and in-rows.
+            # The implication class of x->y in E_i, as out-rows and in-rows,
+            # and the mask of the vertices it touches.
             cls_out, cls_in = [0] * n, [0] * n
             cls_out[x], cls_in[y] = 1 << y, 1 << x
+            touched = 1 << x | 1 << y
             stack = [(x, y)]
             while stack:
                 a, b = stack.pop()
@@ -147,16 +151,33 @@ def _transitive_orientation(rows) -> Optional[list[int]]:
                     return None
                 cls_out[a] |= heads
                 cls_in[b] |= tails
-                for c in _bits(heads):
+                touched |= heads | tails
+                while heads:
+                    c = (heads & -heads).bit_length() - 1
+                    heads &= heads - 1
                     cls_in[c] |= 1 << a
                     stack.append((a, c))
-                for c in _bits(tails):
+                while tails:
+                    c = (tails & -tails).bit_length() - 1
+                    tails &= tails - 1
                     cls_out[c] |= 1 << b
                     stack.append((c, b))
-            for v in range(n):
+            while touched:
+                v = (touched & -touched).bit_length() - 1
+                touched &= touched - 1
                 out[v] |= cls_out[v]
                 left[v] &= ~(cls_out[v] | cls_in[v])
     return out
+
+
+def _is_permutation_within(g: Graph, mask: int) -> bool:
+    """Is g[mask] a permutation graph?  The test of `is_permutation_graph`
+    on rows restricted to the mask and empty outside it, which describe
+    g[mask] to TRO with no subgraph or realizer built."""
+    rows = [row & mask if mask >> v & 1 else 0 for v, row in enumerate(g.adj)]
+    return _transitive_orientation(rows) is not None and _transitive_orientation(
+        [(row ^ mask) & ~(1 << v) if mask >> v & 1 else 0 for v, row in enumerate(rows)]
+    ) is not None
 
 
 def is_permutation_graph(g: Graph) -> Optional[PermutationWitness]:
@@ -186,25 +207,23 @@ def close_to_permutation(g: Graph) -> Optional[tuple[tuple[int, int], tuple[int,
     inside an obstruction are tried.  Permutation graphs are closed under
     induced subgraphs, so if G[S] is not one, toggling a pair without both
     ends in S leaves G[S], and the result is no permutation graph either.
-    S is shrunk from V in one pass, dropping v whenever G[S - v] is still
-    no permutation graph.  The result is minimal: a kept v had G[S' - v] a
-    permutation graph for some S' containing the final S, and so G[S - v]
-    is one too.  The pairs skipped fail anyway, so the witness is the one a
-    scan of every pair finds.
+    S is shrunk from V in one pass, as a vertex mask, dropping v whenever
+    G[S - v] is still no permutation graph.  The result is minimal: a kept
+    v had G[S' - v] a permutation graph for some S' containing the final S,
+    and so G[S - v] is one too.  The pairs skipped fail anyway, so the
+    witness is the one a scan of every pair finds.
     """
     if is_permutation_graph(g) is not None:
         return None
-    inside = list(range(g.n))
+    full = mask = (1 << g.n) - 1
     for v in range(g.n):
-        rest = [w for w in inside if w != v]
-        if is_permutation_graph(g.induced(rest)) is None:
-            inside = rest
-    mask = sum(1 << v for v in inside)
+        if not _is_permutation_within(g, mask & ~(1 << v)):
+            mask &= ~(1 << v)
 
     def first_fix(pairs):
         for u, v in pairs:
             if (mask >> u & 1 and mask >> v & 1
-                    and is_permutation_graph(g.toggled(u, v)) is not None):
+                    and _is_permutation_within(g.toggled(u, v), full)):
                 return u, v
         return None
 

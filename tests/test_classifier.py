@@ -134,6 +134,65 @@ class TestCertificateReplay:
         assert certdigest.certificate_digest(lines) == \
             "85842c256565eeac0b6d1911fdf9f6ab6f30010c1f54c51d250a40c6a2018ea8"
 
+    def test_certificate_digest_above_8_vertices_is_pinned(self):
+        # 177 seeded graphs on 9 to 40 vertices (certdigest.large_lines):
+        # cycles, paths, C5 with isolated vertices and G(n, p).  Search
+        # orders and vertex masks can matter there and not in the stream.
+        assert certdigest.certificate_digest(certdigest.large_lines()) == \
+            "e8443b565b8bb35e0bd5ca0b1ae00b29d741296f1ec312d3df9206c946a38eb5"
+
+    def test_gatekeeper_work_counts(self, monkeypatch):
+        # Every 10th stream class.  The gatekeeper search runs at most once
+        # per distinct core graph in each orientation (`_first_case` call),
+        # and each fragment's search order is computed once, when the
+        # fragments are built, not once per find_induced call.  Searching
+        # every core would make 827 gatekeeper searches.
+        from indsat import gatekeeper
+        searched = []  # per orientation, the core graphs searched
+        counts = Counter()
+        real_first_case, real_search = classifier._first_case, classifier.has_fixing_operation
+        real_fragments, real_order = gatekeeper._fragments, gatekeeper.search_order
+        real_find, real_find_order = graphs.find_induced, graphs.search_order
+
+        def first_case(target):
+            searched.append([])
+            return real_first_case(target)
+
+        def search(core_graph):
+            searched[-1].append(core_graph)
+            return real_search(core_graph)
+
+        def fragments(h):
+            out = real_fragments(h)
+            counts["fragments"] += sum(map(len, out.values()))
+            return out
+
+        def order(*args):
+            counts["orders"] += 1
+            return real_order(*args)
+
+        def find(host, pattern, anchors=None, order=None):
+            counts["ordered searches"] += order is not None
+            return real_find(host, pattern, anchors, order)
+
+        def find_order(*args):  # the searches that bring no order
+            counts["orders in graphs"] += 1
+            return real_find_order(*args)
+
+        monkeypatch.setattr(classifier, "_first_case", first_case)
+        monkeypatch.setattr(classifier, "has_fixing_operation", search)
+        monkeypatch.setattr(gatekeeper, "_fragments", fragments)
+        monkeypatch.setattr(gatekeeper, "search_order", order)
+        monkeypatch.setattr(graphs, "find_induced", find)
+        monkeypatch.setattr(graphs, "search_order", find_order)
+        lines, _ = stream.load()
+        for line in lines[::10]:
+            classify(parse_graph6(line))
+        assert all(len(set(graphs_)) == len(graphs_) for graphs_ in searched)
+        assert counts["orders"] == counts["fragments"]
+        assert (sum(map(len, searched)), counts["orders"], counts["ordered searches"],
+                counts["orders in graphs"]) == (561, 1546, 6510, 5)
+
     # One graph per core case: k2p, k11p (with a non-empty trace), 3-conn,
     # (1,1)-core P4 and gatekeeper.
     CORE_CASES = {"D]o": CORE_K2P, "E?zw": CORE_K11P, "Es\\o": CORE_3CONN,

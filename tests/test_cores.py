@@ -1,5 +1,3 @@
-from itertools import combinations
-
 import pytest
 
 from indsat.cores import (ONE_ONE, THREE, THREE_STAR, TWO, TWO_EDGE, TWO_NONEDGE,
@@ -72,23 +70,18 @@ class TestTrace:
 
 def _all_cores_by_any_order(g: Graph, kind: CoreKind) -> set:
     """Explore every firing order over the state space of present-vertex
-    masks; return the set of reachable fixed points (as canonical g6)."""
-    from indsat.cores import _pair_rule_fires, _single_rule_fires
+    masks; return the set of reachable fixed points (as canonical g6).  The
+    moves are every cluster `_removals` lists, the rules `core` runs."""
+    from indsat.cores import _removals
 
     seen = {}
 
     def explore(present: int) -> set:
         if present in seen:
             return seen[present]
-        moves = []
+        moves = [present & ~sum(1 << v for v in cluster.vertices)
+                 for cluster in _removals(g, present, kind)]
         vertices = [v for v in range(g.n) if present >> v & 1]
-        for v in vertices:
-            if _single_rule_fires(g, present, v, kind):
-                moves.append(present & ~(1 << v))
-        if kind.tag == "three_star":
-            for u, v in combinations(vertices, 2):
-                if _pair_rule_fires(g, present, u, v):
-                    moves.append(present & ~(1 << u) & ~(1 << v))
         if not moves:
             sub = g.induced(vertices)
             seen[present] = {emit_graph6(sub)}

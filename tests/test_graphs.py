@@ -180,6 +180,24 @@ class TestDerivedGraphs:
         with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
             path_graph(4).induced(vertices)
 
+    @pytest.mark.parametrize("n", [8, 64, 100])
+    def test_induced_matches_pairwise_has_edge(self, n):
+        # Vertex lists in random order, from empty to every vertex.
+        rng = random.Random(n)
+        for p in (0.1, 0.5, 0.9):
+            g = random_graph(rng, n, p)
+            for k in (0, 1, 2, 5, n // 2, n - 1, n):
+                picked = rng.sample(range(n), k)
+                h = g.induced(picked)
+                assert h.n == k and Graph(k, list(h.adj)) == h
+                assert all(h.has_edge(i, j) == g.has_edge(picked[i], picked[j])
+                           for i in range(k) for j in range(k) if i != j), (n, p, picked)
+        for vertices, message in (([5, n, 5], f"vertex {n} out of range for n={n}"),
+                                  ([n - 1, -3], f"vertex -3 out of range for n={n}"),
+                                  ([n - 1, 0, 3, n - 1], "duplicate vertices")):
+            with pytest.raises(ValueError, match=message):
+                g.induced(vertices)
+
     @pytest.mark.parametrize("u, v, bad", [(0, 9, 9), (-1, 2, -1)])
     def test_toggled_rejects_out_of_range_vertex(self, u, v, bad):
         with pytest.raises(ValueError, match=f"vertex {bad} out of range"):

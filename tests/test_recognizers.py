@@ -1,12 +1,13 @@
 import hashlib
 import json
 import random
+from itertools import permutations
 
 import gates
 import stream
 
 from indsat import recognizers
-from indsat.graphs import (Graph, bull_graph, complement, complete_graph,
+from indsat.graphs import (Graph, _bits, bull_graph, complement, complete_graph,
                            complete_multipartite, cycle_graph, empty_graph,
                            parse_graph6, path_graph)
 from indsat.oracles import UP_RIGHT_KIND, oracle_window
@@ -173,6 +174,59 @@ class TestPermutation:
                 naive_is_permutation_graph(g)
 
 
+class TestPermutationWithinMask:
+    """`_is_permutation_within(g, mask)` against the recognizer on
+    g.induced(mask's vertices) and against the definition."""
+
+    def test_every_mask_of_every_class_up_to_6(self):
+        # The definition is memoised by isomorphism class (min over
+        # relabellings).  It takes about 24 s over the 156 six-vertex
+        # classes, so a full six-vertex mask is checked against the
+        # backtracking oracle, which TestPermutation checks against the definition.
+        by_class = {}
+
+        def definition(h):
+            key = min(tuple(h.has_edge(p[u], p[v]) for u in range(h.n)
+                            for v in range(u + 1, h.n))
+                      for p in permutations(range(h.n)))
+            if key not in by_class:
+                by_class[key] = naive_is_permutation_graph(h)
+            return by_class[key]
+
+        found = 0
+        for g in graphs_up_to(6):
+            for mask in range(1 << g.n):
+                h = g.induced(_bits(mask))
+                got = recognizers._is_permutation_within(g, mask)
+                assert got == (is_permutation_graph(h) is not None), (g, mask)
+                assert got == (definition(h) if h.n <= 5 else
+                               naive_permutation_realizer(h.adj) is not None), (g, mask)
+                found += got
+        assert found == 11265  # of 11,290 masks of 208 classes
+
+    def test_random_masks_of_random_graphs_12_to_40(self):
+        # Half the hosts are graphs of random permutations with a few pairs
+        # toggled, so that large masks are permutation graphs too.
+        rng = random.Random(1240)
+        found = tried = 0
+        for n in range(12, 41):
+            for p in (0.15, 0.5, 0.85):
+                pi = rng.sample(range(n), n)
+                near = Graph.from_edges(n, [(i, j) for i in range(n)
+                                            for j in range(i + 1, n) if pi[i] < pi[j]])
+                for _ in range(2):
+                    near = near.toggled(*rng.sample(range(n), 2))
+                for g in (random_graph(rng, n, p), near):
+                    for _ in range(8):
+                        mask = sum(1 << v for v in rng.sample(range(n), rng.randint(0, n)))
+                        got = recognizers._is_permutation_within(g, mask)
+                        h = g.induced(_bits(mask))
+                        assert got == (is_permutation_graph(h) is not None), (g, mask)
+                        found += got
+                        tried += 1
+        assert (found, tried) == (829, 1392)
+
+
 class TestCloseToPermutation:
     def test_permutation_graph_returns_none(self):
         assert close_to_permutation(path_graph(4)) is None
@@ -226,18 +280,25 @@ class TestCloseToPermutation:
                  (2, 5)]
         g = Graph.from_edges(8, edges)
         tried = []
-        real = recognizers.is_permutation_graph
+        real = recognizers._is_permutation_within
 
-        def recording(x):
-            tried.append(x)
-            return real(x)
+        def recording(x, mask):
+            tried.append((x, mask))
+            return real(x, mask)
 
-        monkeypatch.setattr(recognizers, "is_permutation_graph", recording)
+        monkeypatch.setattr(recognizers, "_is_permutation_within", recording)
         got = close_to_permutation(g)
-        assert got == naive_close_to_permutation(g, lambda x: real(x) is not None)
+        assert got == naive_close_to_permutation(
+            g, lambda x: is_permutation_graph(x) is not None)
         assert got == ((3, 7), (5, 7))
+        # The shrink tests g itself on one mask per vertex, dropping 0, 1
+        # and 2; every other test is a toggle of the whole graph.
+        assert [mask for x, mask in tried if x == g] == [
+            0b11111110, 0b11111100, 0b11111000, 0b11110000, 0b11101000,
+            0b11011000, 0b10111000, 0b01111000]
         toggles = [[v for v in range(8) if x.adj[v] != g.adj[v]]
-                   for x in tried if x.n == g.n and x != g]
+                   for x, mask in tried if x != g and mask == 0b11111111]
+        assert len(toggles) == len(tried) - 8
         assert toggles and all(set(pair) <= {3, 4, 5, 6, 7} for pair in toggles)
 
     def test_cycles_match_the_naive_scan(self):

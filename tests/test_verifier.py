@@ -260,9 +260,9 @@ class TestLocalSearchMechanism:
         calls = []
         real = graphs.find_induced
 
-        def recording(host, pattern, anchors=None):
+        def recording(host, pattern, anchors=None, order=None):
             calls.append((host, bool(anchors)))
-            return real(host, pattern, anchors)
+            return real(host, pattern, anchors, order)
 
         monkeypatch.setattr(verifier, "find_induced", recording)
         monkeypatch.setattr(graphs, "find_induced", recording)
