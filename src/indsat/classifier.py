@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import cores
 from .gatekeeper import has_fixing_operation
-from .graphs import (Graph, Graph6Error, _component_mask, _separator, complement,
+from .graphs import (Graph, Graph6Error, _separator, complement, components_within,
                      emit_graph6, is_isomorphic, parse_graph6)
 from .recognizers import (TRIVIAL_NONE, classify_trivial, close_to_permutation,
                           forest_unique_max, is_bull_or_p4, is_3conn_nonclique,
@@ -329,13 +329,7 @@ def _3conn_within(g: Graph, allowed: int) -> bool:
     cut = _separator(g, allowed, 3)
     if cut is None:
         return True
-    rest = allowed & ~cut
-    while rest:
-        piece = _component_mask(g, (rest & -rest).bit_length() - 1, rest)
-        if _3conn_within(g, piece | cut):
-            return True
-        rest &= ~piece
-    return False
+    return any(_3conn_within(g, piece | cut) for piece in components_within(g, allowed & ~cut))
 
 
 def structure_check_12(progress: bool = False) -> StructureReport:

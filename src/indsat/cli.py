@@ -315,7 +315,7 @@ def main(argv: "list[str] | None" = None) -> int:
             parser.print_help()
             return EXIT_USAGE
         return _HANDLERS[args.command](args)
-    # The recursion limit stops ~1,000-vertex patterns and JSON nested as deep.
+    # JSON nested about 1,000 levels deep passes Python's recursion limit.
     except (ValueError, OSError, RecursionError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_USAGE

@@ -249,10 +249,12 @@ def fix_pair(state: PrefixState, pair: tuple[int, int], family: str,
 
     For k2p and k11p, h must be the core pattern itself (its p is read off by
     the recognizer).  The pair joins the fixed ledger under the variant's
-    label; checking the fix is the verifier's job.
+    label, as (min, max) however it is given; checking the fix is the
+    verifier's job.
     """
     g = state.graph
-    x, y = pair
+    x, y = sorted(pair)
+    pair = (x, y)
     if x == y or not (0 <= x < g.n and 0 <= y < g.n):
         raise ValueError(f"pair {pair} not in the current graph")
     if family not in _LABELS:

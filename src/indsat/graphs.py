@@ -312,13 +312,16 @@ def find_induced(host: Graph, pattern: Graph,
     padj = pattern.adj
     hadj = host.adj
     full = (1 << nh) - 1
+    # Depth-first without recursion.  Entering depth d computes the host
+    # candidates of pattern vertex order[d]; untried[d] keeps those not yet
+    # tried, lowest bit first, and used[d] the host vertices taken above d.
     assign = [-1] * np_
-
-    def backtrack(depth: int, used: int) -> bool:
-        if depth == np_:
-            return True
+    untried = [0] * np_
+    used = [0] * np_
+    depth = taken = 0
+    while True:
         p = order[depth]
-        cand = full & ~used
+        cand = full & ~taken
         if p in anchors:
             cand &= 1 << anchors[p]
         for q in order[:depth]:
@@ -326,19 +329,19 @@ def find_induced(host: Graph, pattern: Graph,
                 cand &= hadj[assign[q]]
             else:
                 cand &= ~hadj[assign[q]]
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            v = low.bit_length() - 1
-            assign[p] = v
-            if backtrack(depth + 1, used | low):
-                return True
-        assign[p] = -1
-        return False
-
-    if backtrack(0, 0):
-        return tuple(assign)
-    return None
+        used[depth] = taken
+        while not cand:  # backtrack to the deepest depth with a candidate left
+            depth -= 1
+            if depth < 0:
+                return None
+            cand = untried[depth]
+        low = cand & -cand
+        untried[depth] = cand ^ low
+        assign[order[depth]] = low.bit_length() - 1
+        taken = used[depth] | low
+        depth += 1
+        if depth == np_:
+            return tuple(assign)
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
@@ -378,29 +381,23 @@ def colored_fragment_occurs(host: Graph, host_pair: tuple[int, int],
 # Connectivity, cuts, clique covers, twins.
 
 
-def _component_mask(g: Graph, start: int, allowed: int) -> int:
-    """Bitmask of the component of `start` inside the vertex set `allowed`."""
+def components_within(g: Graph, allowed: int) -> list[int]:
+    """Vertex masks of the components of g[allowed], by lowest vertex."""
     adj = g.adj
-    seen = frontier = 1 << start
-    while frontier:
-        nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            nxt |= adj[low.bit_length() - 1]
-            frontier ^= low
-        frontier = nxt & allowed & ~seen
-        seen |= frontier
-    return seen
-
-
-def components_within(g: Graph, allowed: int) -> list[list[int]]:
     out = []
     todo = allowed
     while todo:
-        start = (todo & -todo).bit_length() - 1
-        comp = _component_mask(g, start, todo)
-        out.append(_bits(comp))
-        todo &= ~comp
+        seen = frontier = todo & -todo
+        while frontier:
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                nxt |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = nxt & todo & ~seen
+            seen |= frontier
+        out.append(seen)
+        todo &= ~seen
     return out
 
 
@@ -498,7 +495,8 @@ def enumerate_2cuts(g: Graph) -> list[tuple[tuple[int, int], bool, list[list[int
         for cut in chunk:
             if split & full:
                 u, v = (cut & -cut).bit_length() - 1, cut.bit_length() - 1
-                out.append(((u, v), g.has_edge(u, v), components_within(g, full & ~cut)))
+                out.append(((u, v), g.has_edge(u, v),
+                            [_bits(c) for c in components_within(g, full & ~cut)]))
             split >>= g.n
     return out
 

@@ -127,11 +127,7 @@ def _check_vertex(kind: OracleKind, v: OracleVertex) -> None:
 
 def oracle_adjacent(kind: OracleKind, u: OracleVertex, v: OracleVertex) -> bool:
     """Exact adjacency decision for two distinct vertices of the same kind."""
-    _check_vertex(kind, u)
-    _check_vertex(kind, v)
-    if u == v:
-        raise ValueError("oracle_adjacent needs two distinct vertices")
-    return _window_rule(kind, (u, v))(0, 1)
+    return oracle_window(kind, (u, v))[0].has_edge(0, 1)
 
 
 def _scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:

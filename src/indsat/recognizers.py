@@ -32,8 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import (Graph, bull_graph, components_within, is_isomorphic,
-                     is_k_connected, path_graph)
+from .graphs import (Graph, bull_graph, complete_multipartite, components_within,
+                     is_isomorphic, is_k_connected, path_graph)
 
 TRIVIAL_NONE = "none"
 TRIVIAL_CLIQUE = "clique"
@@ -69,31 +69,12 @@ def forest_unique_max(g: Graph) -> Optional[tuple[int, int]]:
 
 def match_k2p_k11p(g: Graph) -> Optional[tuple[str, int]]:
     """Recognize K_{2,p} (p >= 3) or K_{1,1,p} (p >= 2) up to isomorphism."""
-    n = g.n
-    p = n - 2
-    if p < 2:
-        return None
-    small = [v for v in range(n) if g.degree(v) == 2]
-    if len(small) != p:
-        return None
-    # The p-side must be independent; the two remaining vertices must cover it.
-    big = [v for v in range(n) if v not in small]
-    if len(big) != 2:
-        return None
-    u, v = big
-    for a in small:
-        if not (g.has_edge(a, u) and g.has_edge(a, v)):
-            return None
-        for b in small:
-            if a < b and g.has_edge(a, b):
-                return None
-    if g.has_edge(u, v):
-        # Apexes must be universal for K_{1,1,p}.
-        if g.degree(u) == n - 1 and g.degree(v) == n - 1:
-            return ("k11p", p)
-        return None
-    if p >= 3 and g.degree(u) == p and g.degree(v) == p:
+    p, m = g.n - 2, g.edge_count()
+    # K_{2,p} has 2p edges and K_{1,1,p} one more; most graphs fail here.
+    if p >= 3 and m == 2 * p and is_isomorphic(g, complete_multipartite(2, p)):
         return ("k2p", p)
+    if p >= 2 and m == 2 * p + 1 and is_isomorphic(g, complete_multipartite(1, 1, p)):
+        return ("k11p", p)
     return None
 
 

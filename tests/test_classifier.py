@@ -146,7 +146,9 @@ class TestCertificateReplay:
         # per distinct core graph in each orientation (`_first_case` call),
         # and each fragment's search order is computed once, when the
         # fragments are built, not once per find_induced call.  Searching
-        # every core would make 827 gatekeeper searches.
+        # every core would make 827 gatekeeper searches.  The orders computed
+        # inside find_induced belong to isomorphism tests: 42 K_{2,p}/K_{1,1,p}
+        # checks that pass the edge count and 5 others.
         from indsat import gatekeeper
         searched = []  # per orientation, the core graphs searched
         counts = Counter()
@@ -191,7 +193,7 @@ class TestCertificateReplay:
         assert all(len(set(graphs_)) == len(graphs_) for graphs_ in searched)
         assert counts["orders"] == counts["fragments"]
         assert (sum(map(len, searched)), counts["orders"], counts["ordered searches"],
-                counts["orders in graphs"]) == (561, 1546, 6510, 5)
+                counts["orders in graphs"]) == (561, 1546, 6510, 47)
 
     # One graph per core case: k2p, k11p (with a non-empty trace), 3-conn,
     # (1,1)-core P4 and gatekeeper.

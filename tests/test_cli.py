@@ -365,16 +365,28 @@ class TestOtherCommands:
         assert code == EXIT_USAGE and captured.out == ""
         assert "error" in json.loads(captured.err)
 
-    @pytest.mark.parametrize("argv", [
-        ["verify", "--g6", "P1000", "--h", "P999"],
-        ["prefix", "--g6", "P1000", "--h", "P999"],
-        ["oracle", "--kind", "torero", "--vertices", "DEEP"]])
-    def test_recursion_limit_is_json_exit_1(self, capsys, tmp_path, argv):
-        # The embedding search recurses once per pattern vertex and json.loads
-        # once per nesting level, so both pass Python's default limit here.
+    def test_deep_pattern_verify_answers(self, capsys):
+        # The embedding search holds its depth in a loop, not on the call
+        # stack, so a 999-vertex pattern is searched under the default limit.
+        code = main(["verify", "--g6", "P1000", "--h", "P999"])
+        captured = capsys.readouterr()
+        assert code == EXIT_VERIFY_FAILED and captured.err == ""
+        out = json.loads(captured.out)
+        assert out["h_free"] is False and out["induced_saturated"] is False
+
+    def test_deep_pattern_prefix_is_precondition_error(self, capsys):
+        code = main(["prefix", "--g6", "P1000", "--h", "P999"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "seed must avoid the pattern being fixed against"}
+
+    def test_recursion_limit_is_json_exit_1(self, capsys, tmp_path):
+        # json.loads recurses once per nesting level, so this passes
+        # Python's default limit.
         deep = tmp_path / "deep.json"
         deep.write_text("[" * 20_000 + "]" * 20_000)
-        code = main([str(deep) if arg == "DEEP" else arg for arg in argv])
+        code = main(["oracle", "--kind", "torero", "--vertices", str(deep)])
         captured = capsys.readouterr()
         assert code == EXIT_USAGE and captured.out == ""
         lines = captured.err.splitlines()

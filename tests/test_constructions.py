@@ -164,6 +164,19 @@ class TestFixPair:
         assert is_isomorphic(nxt.graph, cycle_graph(4))
         assert nxt.fixed_ledger[-1].pair == (0, 1)
 
+    @pytest.mark.parametrize("family, h", [("twin", path_graph(4)),
+                                           ("gatekeeper", cycle_graph(5)),
+                                           ("k2p", complete_multipartite(2, 3))])
+    def test_reversed_pair_is_the_same_fix(self, family, h):
+        # The ledger holds (min, max), so the queue does not schedule the
+        # pair just fixed again, and the fix does not depend on the spelling.
+        state = initial_state(path_graph(3), m=3)
+        forward = fix_pair(state, (0, 1), family, h)
+        backward = fix_pair(state, (1, 0), family, h)
+        assert backward == forward
+        assert backward.fixed_ledger[-1].pair == (0, 1)
+        assert backward.next_unfixed().pair == (0, 2)
+
     def test_gatekeeper_c5_nonedge_fix_stays_free(self):
         # Glue the path gadget onto a non-edge of a C5-free base.
         c5 = cycle_graph(5)

@@ -1,6 +1,7 @@
 import random
+import sys
 import time
-from itertools import combinations
+from itertools import combinations, permutations
 from types import SimpleNamespace
 
 import pytest
@@ -10,10 +11,10 @@ from indsat import classifier, graphs
 from indsat.graphs import (Graph, Graph6Error, _separator,
                            bull_graph, clique_cover_at_most, colored_fragment_occurs,
                            complement, complete_graph, complete_multipartite,
-                           cycle_graph, emit_graph6, empty_graph, enumerate_2cuts,
-                           find_induced, icosahedron_complement,
+                           components_within, cycle_graph, emit_graph6, empty_graph,
+                           enumerate_2cuts, find_induced, icosahedron_complement,
                            is_isomorphic, is_k_connected, parse_graph6,
-                           path_graph, twins)
+                           path_graph, search_order, twins)
 from gensmall import graphs_on, graphs_up_to
 from oracles_naive import (naive_2cuts, naive_clique_cover_at_most, naive_components,
                            naive_find_induced, naive_first_cut, naive_is_connected,
@@ -285,6 +286,37 @@ class TestFindInduced:
                 (naive_find_induced(host, pattern) is None)
 
 
+    def test_returns_the_first_embedding_in_search_order(self):
+        # Each depth tries host vertices lowest first, so the answer is the
+        # lexicographically first embedding listed in search order.
+        rng = random.Random(2525)
+        found = 0
+        for _ in range(300):
+            host = random_graph(rng, rng.randint(1, 7), rng.choice([0.25, 0.5, 0.75]))
+            pattern = random_graph(rng, rng.randint(1, min(4, host.n)),
+                                   rng.choice([0.25, 0.5, 0.75]))
+            anchors = {0: rng.randrange(host.n)} if rng.random() < 0.3 else {}
+            order = search_order(pattern, anchors)
+            want = None
+            for images in permutations(range(host.n), pattern.n):
+                emb = [0] * pattern.n
+                for p, v in zip(order, images):
+                    emb[p] = v
+                if all(emb[p] == v for p, v in anchors.items()) and all(
+                        pattern.has_edge(p, q) == host.has_edge(emb[p], emb[q])
+                        for p, q in combinations(range(pattern.n), 2)):
+                    want = tuple(emb)
+                    break
+            assert find_induced(host, pattern, anchors) == want
+            found += want is not None
+        assert 0 < found < 300
+
+    def test_deep_pattern_under_the_default_recursion_limit(self):
+        # The search keeps its depth in a loop; a raised limit would hide a
+        # search that recursed once per pattern vertex.
+        assert sys.getrecursionlimit() == 1000
+        assert find_induced(path_graph(3000), path_graph(2999)) == tuple(range(2999))
+
     def test_anchored_beyond_64_vertices_agrees_with_naive_oracle(self):
         rng = random.Random(6565)
         outcomes = set()
@@ -350,6 +382,23 @@ class TestConnectivity:
                 # _separator expects k + 1 or more vertices, as is_k_connected checks.
                 assert (len(subset) >= k + 1 and _separator(g, mask, k) is None) == \
                     naive_k_connected(g.induced(subset), k)
+
+    def test_components_within_vs_naive(self):
+        # Masks ordered by lowest vertex, against the definition-first search.
+        rng = random.Random(2626)
+        samples = [(random_graph(rng, rng.randint(0, 12), rng.choice([0.1, 0.3, 0.6])),
+                    0.7) for _ in range(400)]
+        samples += [(random_graph(rng, rng.randint(40, 64), rng.choice([0.02, 0.05])), 0.9)
+                    for _ in range(8)]
+        sizes = set()
+        for g, keep in samples:
+            allowed = sum(1 << v for v in range(g.n) if rng.random() < keep)
+            removed = {v for v in range(g.n) if not allowed >> v & 1}
+            want = sorted((sum(1 << v for v in comp) for comp in naive_components(g, removed)),
+                          key=lambda mask: mask & -mask)
+            assert components_within(g, allowed) == want
+            sizes.add(min(len(want), 3))
+        assert sizes == {0, 1, 2, 3}
 
     def test_separator_is_small_and_disconnects(self):
         rng = random.Random(1011)

@@ -1,7 +1,11 @@
 import hashlib
 import json
 import random
+import sys
+from collections import Counter
 from itertools import permutations
+
+import pytest
 
 import gates
 import stream
@@ -69,17 +73,54 @@ class TestK2pK11p:
     def test_complete_graph_not_matched(self):
         assert match_k2p_k11p(complete_graph(4)) is None
 
+    # networkx is the reference here: the recognizer itself is an
+    # `is_isomorphic` test against `complete_multipartite`.
+    @staticmethod
+    def reference(nx, g):
+        nxg = nx.Graph()
+        nxg.add_nodes_from(range(g.n))
+        nxg.add_edges_from(g.edges())
+        p = g.n - 2
+        if p >= 3 and nx.is_isomorphic(nxg, nx.complete_multipartite_graph(2, p)):
+            return ("k2p", p)
+        if p >= 2 and nx.is_isomorphic(nxg, nx.complete_multipartite_graph(1, 1, p)):
+            return ("k11p", p)
+        return None
+
     def test_exhaustive_against_construction(self):
-        from indsat.graphs import is_isomorphic
+        nx = pytest.importorskip("networkx")
         for g in graphs_up_to(7):
-            got = match_k2p_k11p(g)
-            p = g.n - 2
-            want = None
-            if p >= 3 and is_isomorphic(g, complete_multipartite(2, p)):
-                want = ("k2p", p)
-            elif p >= 2 and is_isomorphic(g, complete_multipartite(1, 1, p)):
-                want = ("k11p", p)
-            assert got == want
+            assert match_k2p_k11p(g) == self.reference(nx, g), g
+
+    def test_relabelled_and_near_misses_against_networkx(self):
+        # Each K_{2,p} and K_{1,1,p}, p <= 40, relabelled at random, then with
+        # one pair toggled, and with one edge swap that keeps every degree.
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(25)
+        found = Counter()
+        for p in range(1, 41):
+            for sizes, kind in (((2, p), "k2p"), ((1, 1, p), "k11p")):
+                base = complete_multipartite(*sizes)
+                perm = rng.sample(range(base.n), base.n)
+                g = Graph.from_edges(base.n, [(perm[u], perm[v]) for u, v in base.edges()])
+                want = (kind, p) if p >= (3 if kind == "k2p" else 2) else None
+                assert match_k2p_k11p(g) == want == self.reference(nx, g), (sizes, perm)
+                variants = [g.toggled(*rng.sample(range(g.n), 2)) for _ in range(3)]
+                (a, b), (c, d) = rng.sample(g.edges(), 2)
+                if len({a, b, c, d}) == 4 and not g.has_edge(a, c) and not g.has_edge(b, d):
+                    variants.append(g.toggled(a, b).toggled(c, d).toggled(a, c).toggled(b, d))
+                for h in variants:
+                    got = match_k2p_k11p(h)
+                    assert got == self.reference(nx, h), (sizes, h.edges())
+                    found[got is None] += 1
+        assert found[True] > found[False] > 0
+
+    @pytest.mark.parametrize("sizes, case", [((2, 1200), "core_k2p"),
+                                             ((1, 1, 1200), "core_k11p")])
+    def test_large_cores_classify_under_the_default_recursion_limit(self, sizes, case):
+        from indsat.classifier import classify
+        assert sys.getrecursionlimit() == 1000
+        assert classify(complete_multipartite(*sizes)).case == case
 
 
 class TestBullP4:
