@@ -1,11 +1,11 @@
 """The decision pipeline: which construction applies to a graph H.
 
-Checks run on H first and then on its complement, in a fixed order (trivial;
-forest with unique maximum degree; 2-core K_{2,p} / K_{1,1,p}; 3-core or
+Checks run on H first and then on its complement, in the order of `STEPS`
+(forest with unique maximum degree; 2-core K_{2,p} / K_{1,1,p}; 3-core or
 3*-core 3-connected non-clique; (1,1)-core bull or P4; close to a
-permutation graph; gatekeeper fixing operations on four cores), followed by
-an isomorphism match against the eight special graphs.  The first hit wins,
-which makes certificates deterministic.
+permutation graph; gatekeeper fixing operations on four cores), after the
+trivial check and before an isomorphism match against the eight special
+graphs.  The first hit wins, which makes certificates deterministic.
 
 The special table stores both seven-vertex spellings F?q|w and F?rLw that
 circulate for the third rational-geometric graph, so membership is decided
@@ -42,8 +42,6 @@ SPECIAL_RATIONAL_GEOMETRIC = "special_rational_geometric"
 SPECIAL_Z3 = "special_z3"
 THEOREM_VIOLATION = "theorem_violation"
 UNCLASSIFIED = "unclassified"
-
-GATEKEEPER_CORE_ORDER = (cores.TWO, cores.THREE, cores.TWO_EDGE, cores.TWO_NONEDGE)
 
 # The eight special graphs are stored through five base spellings; complements
 # are matched by flag rather than stored separately.  The seven-vertex
@@ -90,61 +88,67 @@ class Certificate:
         return out
 
 
-def _core_witness(result: cores.CoreResult, kind: cores.CoreKind, **extra) -> dict:
-    return {"core_kind": cores.core_name(kind), "core": emit_graph6(result.graph),
-            "core_vertices": list(result.vertices),
-            "trace": [c.to_json() for c in result.trace], **extra}
+# Each check is a function of one graph: (case, witness fields) on a hit, else a
+# falsy value.  It looks layer functions up when it runs, so rebinding one reaches it.
+def _forest(g: Graph):
+    hit = forest_unique_max(g)
+    return hit and (FOREST_UNIQUE_MAX, {"center": hit[0], "max_degree": hit[1]})
 
 
-def _first_case(target: Graph) -> Optional[tuple[str, dict]]:
-    """Run the ordered checks on one orientation; (case, witness) on a hit."""
-    hit = forest_unique_max(target)
-    if hit is not None:
-        center, degree = hit
-        return FOREST_UNIQUE_MAX, {"center": center, "max_degree": degree}
+def _k2p_k11p(g: Graph):
+    match = match_k2p_k11p(g)
+    return match and (CORE_K2P if match[0] == "k2p" else CORE_K11P, {"p": match[1]})
 
-    table: dict[cores.CoreKind, cores.CoreResult] = {}  # filled on first use
 
-    def core_of(kind: cores.CoreKind) -> cores.CoreResult:
-        result = table.get(kind)
-        if result is None:
-            result = table[kind] = cores.core(target, kind)
-        return result
+def _3conn(g: Graph):
+    return is_3conn_nonclique(g) and (CORE_3CONN, {})
 
-    match = match_k2p_k11p(core_of(cores.TWO).graph)
-    if match is not None:
-        case = CORE_K2P if match[0] == "k2p" else CORE_K11P
-        return case, _core_witness(core_of(cores.TWO), cores.TWO, p=match[1])
 
-    for kind in (cores.THREE, cores.THREE_STAR):
-        if is_3conn_nonclique(core_of(kind).graph):
-            return CORE_3CONN, _core_witness(core_of(kind), kind)
+def _bull_p4(g: Graph):
+    return is_bull_or_p4(g) and (CORE_11_BULL_P4, {"shape": "p4" if g.n == 4 else "bull"})
 
-    core11 = core_of(cores.ONE_ONE)
-    if is_bull_or_p4(core11.graph):
-        return CORE_11_BULL_P4, _core_witness(
-            core11, cores.ONE_ONE, shape="p4" if core11.graph.n == 4 else "bull")
 
-    ctp = close_to_permutation(target)
-    if ctp is not None:
-        edge, nonedge = ctp
-        return CLOSE_TO_PERMUTATION, {"delete_edge": list(edge),
-                                      "add_nonedge": list(nonedge)}
+def _close_to_permutation(g: Graph):
+    ctp = close_to_permutation(g)
+    return ctp and (CLOSE_TO_PERMUTATION, {"delete_edge": list(ctp[0]),
+                                           "add_nonedge": list(ctp[1])})
 
-    # The gatekeeper search is a function of the core graph alone, so a core
-    # graph that already failed here fails again and is skipped.
-    failed: set[Graph] = set()
-    for kind in GATEKEEPER_CORE_ORDER:
-        graph = core_of(kind).graph
-        if graph in failed:
+
+def _gatekeeper(g: Graph):
+    gk = has_fixing_operation(g)
+    return gk.both() and (CORE_GATEKEEPER, {
+        "edge_witness": list(gk.edge_witness), "nonedge_witness": list(gk.nonedge_witness),
+        "edge_mode": gk.edge_mode, "nonedge_mode": gk.nonedge_mode})
+
+
+# The checks on one orientation, in order: (core kind, check) runs the check on
+# that core of the orientation, or on the orientation itself when the kind is None.
+STEPS = ((None, _forest), (cores.TWO, _k2p_k11p),
+         (cores.THREE, _3conn), (cores.THREE_STAR, _3conn),
+         (cores.ONE_ONE, _bull_p4), (None, _close_to_permutation),
+         (cores.TWO, _gatekeeper), (cores.THREE, _gatekeeper),
+         (cores.TWO_EDGE, _gatekeeper), (cores.TWO_NONEDGE, _gatekeeper))
+
+
+def _first_case(target: Graph, steps=STEPS) -> Optional[tuple[str, dict]]:
+    """(case, witness) of the first step that fires on one orientation.  Each core
+    is peeled once, and a check that missed on a graph is not rerun on it."""
+    peeled, missed = {}, set()  # core results by kind; (check, rows) that missed
+    for kind, check in steps:
+        core = None if kind is None else peeled.get(kind)
+        if kind is not None and core is None:
+            core = peeled[kind] = cores.core(target, kind)
+        graph = target if core is None else core.graph
+        key = (check, graph.adj)  # the rows determine the graph and hash in C
+        hit = key not in missed and check(graph)
+        if not hit:
+            missed.add(key)
             continue
-        gk = has_fixing_operation(graph)
-        failed.add(graph)
-        if gk.both():
-            return CORE_GATEKEEPER, _core_witness(
-                core_of(kind), kind, edge_witness=list(gk.edge_witness),
-                nonedge_witness=list(gk.nonedge_witness),
-                edge_mode=gk.edge_mode, nonedge_mode=gk.nonedge_mode)
+        if core is None:
+            return hit
+        return hit[0], {"core_kind": cores.core_name(kind), "core": emit_graph6(graph),
+                        "core_vertices": list(core.vertices),
+                        "trace": [c.to_json() for c in core.trace], **hit[1]}
     return None
 
 
@@ -300,13 +304,8 @@ def _bipartite_graph(a_size: int, missed: Sequence[tuple[int, int]]) -> Graph:
     return Graph._derived(a_size + len(missed), a_rows + b_rows)
 
 
-def _has_3conn_subset(g: Graph) -> bool:
-    """Does g have a 3-connected induced subgraph on at least 5 vertices?"""
-    return _3conn_within(g, (1 << g.n) - 1)
-
-
 def _3conn_within(g: Graph, allowed: int) -> bool:
-    """_has_3conn_subset for g[allowed].
+    """Does g[allowed] have a 3-connected induced subgraph on at least 5 vertices?
 
     A 3-connected H has minimum degree >= 3, so H lies in the 3-core of
     g[allowed].  If that core has a separator S of at most 2 vertices, H - S
@@ -362,7 +361,7 @@ def structure_check_12(progress: bool = False) -> StructureReport:
                 else:
                     report.subset_searches += 1
                     missed = [pairs[j] for j in chosen + [i]]
-                    if not _has_3conn_subset(_bipartite_graph(a_size, missed)):
+                    if not _3conn_within(_bipartite_graph(a_size, missed), (1 << 12) - 1):
                         report.all_passed = False
                         report.counterexamples.append(
                             {"a_size": a_size, "missed": [list(p) for p in missed]})

@@ -23,7 +23,7 @@ from .gatekeeper import has_fixing_operation
 from .graphs import (Graph, Graph6Error, bull_graph, complete_graph, cycle_graph,
                      emit_graph6, icosahedron_complement, parse_graph6, path_graph)
 from .oracles import kind_from_json, oracle_window, vertex_from_json, vertex_to_json
-from .verifier import (induced_saturated, is_free, pair_fixed_check,
+from .verifier import (_pairs_twins_first, induced_saturated, is_free, pair_fixed_check,
                        replay_construction_witnesses)
 
 EXIT_OK = 0
@@ -111,10 +111,14 @@ def _cmd_verify(args) -> int:
     # induced_saturated reports a verdict or a failing pair only on an h-free
     # graph, so the freeness search runs again only when it reports neither.
     free = saturated or failing is not None or is_free(g, h)
+    # The pairs perturbed: every pair, none on a host that contains h, or the
+    # scan up to and including the failing pair.
+    checked = (_pairs_twins_first(g).index(failing) + 1 if failing
+               else g.n * (g.n - 1) // 2 if saturated else 0)
     payload = {"input": emit_graph6(g), "h": emit_graph6(h), "h_free": free,
                "induced_saturated": saturated,
                "failing_pair": list(failing) if failing else None,
-               "pairs_checked": g.n * (g.n - 1) // 2}
+               "pairs_checked": checked}
     if args.pair is not None:
         u, v = (int(x) for x in args.pair.split(","))
         result = pair_fixed_check(g, h, (u, v), adversary_budget=args.k,

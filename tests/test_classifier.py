@@ -143,7 +143,7 @@ class TestCertificateReplay:
 
     def test_gatekeeper_work_counts(self, monkeypatch):
         # Every 10th stream class.  The gatekeeper search runs at most once
-        # per distinct core graph in each orientation (`_first_case` call),
+        # per distinct core graph in each orientation (per `_first_case` walk),
         # and each fragment's search order is computed once, when the
         # fragments are built, not once per find_induced call.  Searching
         # every core would make 827 gatekeeper searches.  The orders computed
@@ -269,35 +269,10 @@ class TestOrderIndependence:
     def test_some_case_fires_regardless_of_order(self):
         """Classified graphs have at least one independently firing check, so
         reordering the checks can only change the label, never classifiedness."""
-        from indsat import cores
-        from indsat.gatekeeper import has_fixing_operation
-        from indsat.recognizers import (close_to_permutation, forest_unique_max,
-                                        is_bull_or_p4, is_3conn_nonclique,
-                                        match_k2p_k11p)
-
         def firing_cases(target):
-            fired = set()
-            if forest_unique_max(target) is not None:
-                fired.add(FOREST_UNIQUE_MAX)
-            c2 = cores.core(target, cores.TWO)
-            match = match_k2p_k11p(c2.graph)
-            if match and match[0] == "k2p" and match[1] >= 3:
-                fired.add(CORE_K2P)
-            if match and match[0] == "k11p" and match[1] >= 2:
-                fired.add(CORE_K11P)
-            if is_3conn_nonclique(cores.core(target, cores.THREE).graph) or \
-                    is_3conn_nonclique(cores.core(target, cores.THREE_STAR).graph):
-                fired.add(CORE_3CONN)
-            if is_bull_or_p4(cores.core(target, cores.ONE_ONE).graph):
-                fired.add(CORE_11_BULL_P4)
-            if close_to_permutation(target) is not None:
-                fired.add(CLOSE_TO_PERMUTATION)
-            for kind in ("two", "three", "two_edge", "two_nonedge"):
-                ck = cores.core(target, cores.named_core(kind))
-                if has_fixing_operation(ck.graph).both():
-                    fired.add(CORE_GATEKEEPER)
-                    break
-            return fired
+            # Every step of the table on its own, not stopping at a hit.
+            hits = (classifier._first_case(target, (step,)) for step in classifier.STEPS)
+            return {hit[0] for hit in hits if hit}
 
         rng = random.Random(5)
         sample = rng.sample(list(graphs_up_to(6)), 60)
@@ -309,6 +284,67 @@ class TestOrderIndependence:
             fired = firing_cases(complement(g) if cert.complemented else g)
             assert cert.case in fired
             assert fired
+
+
+class TestSteps:
+    # The first five steps hold the paper's first four cases: forest,
+    # K_{2,p}/K_{1,1,p}, 3-core or 3*-core, and bull/P4 (1,1)-core.
+    FOUR_CASES = classifier.STEPS[:5]
+
+    def four_cases_fire(self, g):
+        return any(classifier._first_case(target, self.FOUR_CASES)
+                   for target in (g, complement(g)))
+
+    def test_first_four_cases_at_12_to_40_vertices(self):
+        # The paper puts every non-trivial graph on at least 12 vertices, or
+        # its complement, in one of the first four cases.
+        from indsat.recognizers import TRIVIAL_NONE, classify_trivial
+        assert [check for _, check in self.FOUR_CASES] == [
+            classifier._forest, classifier._k2p_k11p, classifier._3conn,
+            classifier._3conn, classifier._bull_p4]
+        rng = random.Random(12)
+        c5 = [(i, (i + 1) % 5) for i in range(5)]
+        graphs = []
+        for n in range(12, 41):
+            cuts = sorted(rng.sample(range(1, n), rng.randint(1, 5)))
+            parts = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+            graphs += [cycle_graph(n), path_graph(n), Graph.from_edges(n, c5),
+                       complete_multipartite(*parts)]
+            graphs += [random_graph(rng, n, p) for p in (0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95)]
+        graphs = [g for g in graphs if classify_trivial(g) == TRIVIAL_NONE]
+        assert len(graphs) == 319
+        for g in graphs:
+            assert self.four_cases_fire(g), emit_graph6(g)
+
+    def test_first_four_cases_miss_on_an_8_vertex_class(self):
+        # Below 12 vertices the four cases need not fire: G?Bczk, the first of
+        # the 155 such classes on 8 vertices, is certified by a later step.
+        g = parse_graph6("G?Bczk")
+        assert not self.four_cases_fire(g)
+        assert classify(g).case == CLOSE_TO_PERMUTATION
+
+    def test_checks_look_up_layer_functions_when_they_run(self, monkeypatch):
+        # A tracer rebinds these module globals; a check holding the function
+        # objects it saw at import would go round the rebinding.
+        from indsat import cores
+        calls = Counter()
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("is_3conn_nonclique", "close_to_permutation", "has_fixing_operation"):
+            counted(classifier, name)
+        counted(cores, "core")
+        assert [classify(parse_graph6(g6)).case for g6 in ("Es\\o", "Dhc", "Dr[")] == [
+            CORE_3CONN, CLOSE_TO_PERMUTATION, CORE_GATEKEEPER]
+        assert set(calls) == {"is_3conn_nonclique", "close_to_permutation",
+                              "has_fixing_operation", "core"}
+        assert all(count > 0 for count in calls.values())
 
 
 class TestLargeGraphs:
@@ -394,11 +430,16 @@ class TestSweep:
         assert sweep(lines, n_max=5).totals == sweep(rev, n_max=5).totals
 
 
+def has_3conn_subset(g):
+    """Does g have a 3-connected induced subgraph on at least 5 vertices?"""
+    return classifier._3conn_within(g, (1 << g.n) - 1)
+
+
 class TestStructure12Pieces:
     def test_slice_9_3(self):
         """The |A| = 9 slice always contains K_{3,3}: three missed pairs
         cover at most 6 of 9 A-vertices, and the others see all of B."""
-        from indsat.classifier import _bipartite_graph, _has_3conn_subset
+        from indsat.classifier import _bipartite_graph
         pairs = list(combinations(range(9), 2))
         k33 = complete_multipartite(3, 3)
         rng = random.Random(31)
@@ -406,12 +447,12 @@ class TestStructure12Pieces:
             missed = [rng.choice(pairs) for _ in range(3)]
             g = _bipartite_graph(9, missed)
             assert find_induced(g, k33) is not None, missed
-            assert _has_3conn_subset(g), missed
+            assert has_3conn_subset(g), missed
 
     def test_disjoint_missed_pairs_contain_3connected(self):
-        from indsat.classifier import _bipartite_graph, _has_3conn_subset
+        from indsat.classifier import _bipartite_graph
         g = _bipartite_graph(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
-        assert _has_3conn_subset(g)
+        assert has_3conn_subset(g)
 
     def test_bipartite_builder(self):
         from indsat.classifier import _bipartite_graph
@@ -488,31 +529,29 @@ class TestHas3ConnSubset:
     so these cases are that branch's only coverage."""
 
     def test_hand_made(self):
-        from indsat.classifier import _has_3conn_subset
         # C6 peels to nothing; two K4 sharing an edge split at that edge
         # into two 4-vertex pieces; two K5 sharing an edge split into K5s.
         for g, expected in ((cycle_graph(6), False),
                             (_two_cliques_sharing_an_edge(4), False),
                             (_two_cliques_sharing_an_edge(5), True),
                             (complete_multipartite(3, 3), True)):
-            assert _has_3conn_subset(g) == expected == naive_has_3conn_subset(g)
+            assert has_3conn_subset(g) == expected == naive_has_3conn_subset(g)
 
     def test_structure12_sample_vs_naive(self):
-        from indsat.classifier import _bipartite_graph, _has_3conn_subset
+        from indsat.classifier import _bipartite_graph
         # Only configurations without a K_{3,3} shortcut are searched.
         configurations = [(a_size, missed) for a_size in range(9, 4, -1)
                           for missed in naive_shortcut_free(a_size)]
         assert len(configurations) == 6465
         for a_size, missed in random.Random(12).sample(configurations, 300):
             g = _bipartite_graph(a_size, missed)
-            assert _has_3conn_subset(g) == naive_has_3conn_subset(g), (a_size, missed)
+            assert has_3conn_subset(g) == naive_has_3conn_subset(g), (a_size, missed)
 
     def test_random_graphs_vs_naive(self):
-        from indsat.classifier import _has_3conn_subset
         rng = random.Random(3)
         for n in range(1, 11):
             for density in (0.3, 0.5, 0.7, 0.9):
                 for _ in range(8):
                     g = random_graph(rng, n, density)
-                    assert _has_3conn_subset(g) == naive_has_3conn_subset(g), \
+                    assert has_3conn_subset(g) == naive_has_3conn_subset(g), \
                         emit_graph6(g)

@@ -113,6 +113,14 @@ class TestVerifyCommand:
         assert code == EXIT_VERIFY_FAILED
         validate(payload)
 
+    def test_pairs_checked_stop_at_the_failing_pair(self, capsys):
+        # EEh_ has no twins, so pairs come in plain order: toggling (0, 1) or
+        # (0, 2) creates a C5 and (0, 3) does not, so the scan stops at 3.
+        code, payload = run_json(capsys, ["verify", "--g6", "EEh_", "--h", "C5"])
+        assert code == EXIT_VERIFY_FAILED
+        assert payload["failing_pair"] == [0, 3] and payload["pairs_checked"] == 3
+        validate(payload)
+
     def test_pair_fixed_check_included(self, capsys):
         code, payload = run_json(
             capsys, ["verify", "--g6", "C4", "--h", "P4", "--pair", "0,2",
@@ -373,6 +381,7 @@ class TestOtherCommands:
         assert code == EXIT_VERIFY_FAILED and captured.err == ""
         out = json.loads(captured.out)
         assert out["h_free"] is False and out["induced_saturated"] is False
+        assert out["pairs_checked"] == 0  # no pair is perturbed on a host that holds H
 
     def test_deep_pattern_prefix_is_precondition_error(self, capsys):
         code = main(["prefix", "--g6", "P1000", "--h", "P999"])
