@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import cores
 from .gatekeeper import has_fixing_operation
-from .graphs import (Graph, Graph6Error, _separator, complement, components_within,
+from .graphs import (Graph, Graph6Error, _cuts, complement, components_within,
                      emit_graph6, is_isomorphic, parse_graph6)
 from .recognizers import (TRIVIAL_NONE, classify_trivial, close_to_permutation,
                           forest_unique_max, is_bull_or_p4, is_3conn_nonclique,
@@ -325,7 +325,7 @@ def _3conn_within(g: Graph, allowed: int) -> bool:
                 peeled = True
     if allowed.bit_count() < 5:
         return False
-    cut = _separator(g, allowed, 3)
+    cut = next(_cuts(g, allowed, 3), None)
     if cut is None:
         return True
     return any(_3conn_within(g, piece | cut) for piece in components_within(g, allowed & ~cut))

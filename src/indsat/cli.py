@@ -23,7 +23,7 @@ from .gatekeeper import has_fixing_operation
 from .graphs import (Graph, Graph6Error, bull_graph, complete_graph, cycle_graph,
                      emit_graph6, icosahedron_complement, parse_graph6, path_graph)
 from .oracles import kind_from_json, oracle_window, vertex_from_json, vertex_to_json
-from .verifier import (_pairs_twins_first, induced_saturated, is_free, pair_fixed_check,
+from .verifier import (_saturation_scan, induced_saturated, pair_fixed_check,
                        replay_construction_witnesses)
 
 EXIT_OK = 0
@@ -107,14 +107,9 @@ def _cmd_gatekeepers(args) -> int:
 def _cmd_verify(args) -> int:
     g = graph_from_spec(args.g6)
     h = graph_from_spec(args.h)
-    saturated, failing = induced_saturated(g, h)
-    # induced_saturated reports a verdict or a failing pair only on an h-free
-    # graph, so the freeness search runs again only when it reports neither.
-    free = saturated or failing is not None or is_free(g, h)
-    # The pairs perturbed: every pair, none on a host that contains h, or the
-    # scan up to and including the failing pair.
-    checked = (_pairs_twins_first(g).index(failing) + 1 if failing
-               else g.n * (g.n - 1) // 2 if saturated else 0)
+    # The induced_saturated scan, with its freeness answer and pair count.
+    free, failing, checked = _saturation_scan(g, h)
+    saturated = g.n >= 2 and free and failing is None
     payload = {"input": emit_graph6(g), "h": emit_graph6(h), "h_free": free,
                "induced_saturated": saturated,
                "failing_pair": list(failing) if failing else None,

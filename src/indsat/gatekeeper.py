@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional
 
-from .graphs import (Graph, colored_fragment_occurs, enumerate_2cuts,
-                     is_k_connected, search_order, twins)
+from .graphs import Graph, colored_fragment_occurs, enumerate_2cuts, is_k_connected, twins
 
 # Gatekeeper kinds: the status of the candidate pair in h.
 EDGE = "edge"
@@ -90,17 +89,17 @@ class GatekeeperResult:
 
 
 def _fragments(h: Graph) -> dict[str, list]:
-    """(cut, component, fragment h[component + cut], red pair, search order)
-    per candidate kind, in cut-enumeration then component order; the red pair
-    is the fragment's last two vertices.  Only cuts that could carry a
-    straddling copy count: non-edge 2-cuts for an edge candidate (the glued
-    pair is a non-edge of the host), edge 2-cuts for a non-edge candidate."""
+    """(cut, component, fragment h[component + cut], red pair) per candidate
+    kind, in cut-enumeration then component order; the red pair is the
+    fragment's last two vertices.  Only cuts that could carry a straddling
+    copy count: non-edge 2-cuts for an edge candidate (the glued pair is a
+    non-edge of the host), edge 2-cuts for a non-edge candidate.  Each
+    fragment's search order is planned, and memoised, by `find_induced`."""
     out: dict[str, list] = {EDGE: [], NONEDGE: []}
     for (u, v), is_edge, comps in enumerate_2cuts(h):
         for comp in comps:
             frag, red = h.induced(comp + [u, v]), (len(comp), len(comp) + 1)
-            out[NONEDGE if is_edge else EDGE].append(
-                ((u, v), comp, frag, red, search_order(frag, red)))
+            out[NONEDGE if is_edge else EDGE].append(((u, v), comp, frag, red))
     return out
 
 
@@ -108,8 +107,8 @@ def _first_fragment(h: Graph, pair: tuple[int, int], fragments: list
                     ) -> Optional[tuple[tuple[int, int], tuple[int, ...]]]:
     """First (cut, component) whose marked fragment embeds in the perturbed h."""
     host = h.toggled(*pair)
-    for cut, comp, frag, red, order in fragments:
-        if colored_fragment_occurs(host, pair, frag, red, order):
+    for cut, comp, frag, red in fragments:
+        if colored_fragment_occurs(host, pair, frag, red):
             return cut, tuple(comp)
     return None
 

@@ -4,11 +4,11 @@ vertex count is unbounded; only construction prefixes are capped, in
 
 This is the kernel every other module builds on: graph6 I/O, complementation,
 induced-embedding search (plain, anchored and colored), connectivity and
-2-cut enumeration (`_disconnected` tests a batch of candidate cuts, of
-any sizes, in one packed breadth-first search), clique covers and twin
-detection.  All values are immutable after construction and every
-operation is a pure function, so graphs can be shared freely between
-threads or worker processes.
+2-cut enumeration (`_cuts` yields small separators; `_disconnected` tests
+a batch of candidates, of any sizes, in one packed breadth-first search),
+clique covers and twin detection.  All values are immutable after
+construction and every operation is a pure function, so graphs can be
+shared freely between threads or worker processes.
 
 Validation happens once, where data enters from outside: `Graph(...)`
 checks every row (O(n^2)); `Graph.from_edges` checks each edge and
@@ -19,6 +19,7 @@ their arguments, as each maps symmetric loop-free rows to such rows.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain, combinations, islice
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -256,12 +257,16 @@ def complement(g: Graph) -> Graph:
 # ---------------------------------------------------------------------------
 # Induced-embedding search.  Exhaustive backtracking; completeness is the
 # contract, speed is a courtesy.  Pattern vertices are placed in
-# `search_order`, which callers that search one anchored pattern in many
-# hosts compute once, and host candidates are pruned with bitmask
+# `search_order`, which `find_induced` plans itself and memoises by pattern
+# rows and anchored vertices, and host candidates are pruned with bitmask
 # intersections.
 
+# Orders `_order` keeps: one classify pass over the classes on <= 8 vertices
+# meets 2,397 keys; the bound keeps larger patterns and n = 9 runs flat.
+_ORDERS_KEPT = 4096
 
-def search_order(pattern: Graph, anchored: Iterable[int]) -> list[int]:
+
+def search_order(pattern: Graph, anchored: Iterable[int]) -> tuple[int, ...]:
     """Pattern vertices anchored first, in increasing order, then greedily
     by (adjacency to the ordered prefix, degree), the lowest index on ties."""
     padj = pattern.adj
@@ -274,19 +279,23 @@ def search_order(pattern: Graph, anchored: Iterable[int]) -> list[int]:
         order.append(nxt)
         placed |= 1 << nxt
         remaining.discard(nxt)
-    return order
+    return tuple(order)
+
+
+@lru_cache(maxsize=_ORDERS_KEPT)
+def _order(rows: tuple[int, ...], anchored: tuple[int, ...]) -> tuple[int, ...]:
+    """`search_order`, memoised on rows: a tuple hashes in C, a `Graph` in Python."""
+    return search_order(Graph._derived(len(rows), rows), anchored)
 
 
 def find_induced(host: Graph, pattern: Graph,
-                 anchors: Optional[Mapping[int, int]] = None,
-                 order: Optional[Sequence[int]] = None) -> Optional[tuple[int, ...]]:
+                 anchors: Optional[Mapping[int, int]] = None) -> Optional[tuple[int, ...]]:
     """Find an induced embedding of `pattern` in `host` extending `anchors`.
 
     Returns a tuple `m` with m[p] = host vertex for pattern vertex p, or None
     if no induced embedding exists.  Anchors must be injective and consistent
-    with pattern adjacency among themselves.  `order`, when given, must be
-    `search_order(pattern, anchors)`; the embedding returned is the first
-    in that order.
+    with pattern adjacency among themselves.  The embedding returned is the
+    first in `search_order(pattern, anchors)`.
     """
     np_, nh = pattern.n, host.n
     anchors = dict(anchors) if anchors else {}
@@ -307,8 +316,7 @@ def find_induced(host: Graph, pattern: Graph,
     if np_ == 0:
         return ()
 
-    if order is None:
-        order = search_order(pattern, anchors)
+    order = _order(pattern.adj, tuple(sorted(anchors)))
     padj = pattern.adj
     hadj = host.adj
     full = (1 << nh) - 1
@@ -355,13 +363,12 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 
 
 def colored_fragment_occurs(host: Graph, host_pair: tuple[int, int],
-                            fragment: Graph, fragment_pair: tuple[int, int],
-                            order: Optional[Sequence[int]] = None) -> bool:
+                            fragment: Graph, fragment_pair: tuple[int, int]) -> bool:
     """Does `fragment` embed induced in `host` with red pair on red pair?
 
-    Both orientations of the red-pair alignment are tried, in the search
-    order `order` or else `search_order(fragment, fragment_pair)`.  Pairs of
-    different status (edge vs non-edge) cannot align, so that yields False.
+    Both orientations of the red-pair alignment are tried; they share one
+    memoised search order.  Pairs of different status (edge vs non-edge)
+    cannot align, so that yields False.
     """
     hu, hv = host_pair
     fu, fv = fragment_pair
@@ -369,10 +376,8 @@ def colored_fragment_occurs(host: Graph, host_pair: tuple[int, int],
         raise ValueError("red pair vertices must be distinct")
     if host.has_edge(hu, hv) != fragment.has_edge(fu, fv):
         return False
-    if order is None:
-        order = search_order(fragment, fragment_pair)
     for anchors in ({fu: hu, fv: hv}, {fu: hv, fv: hu}):
-        if find_induced(host, fragment, anchors, order) is not None:
+        if find_induced(host, fragment, anchors) is not None:
             return True
     return False
 
@@ -405,10 +410,10 @@ def is_k_connected(g: Graph, k: int) -> bool:
     """True iff |V| >= k+1 and no vertex set of size <= k-1 disconnects g."""
     if k < 1:
         raise ValueError("k must be positive")
-    return g.n >= k + 1 and _separator(g, (1 << g.n) - 1, k) is None
+    return g.n >= k + 1 and next(_cuts(g, (1 << g.n) - 1, k), None) is None
 
 
-_PACK_BITS = 4096  # widest int one packed search builds; see `_splits`
+_PACK_BITS = 4096  # widest int one packed search builds; see `_cuts`
 
 
 def _disconnected(g: Graph, allowed: int, cuts: Sequence[int]) -> int:
@@ -449,55 +454,45 @@ def _disconnected(g: Graph, allowed: int, cuts: Sequence[int]) -> int:
     return seen ^ rests
 
 
-def _splits(g: Graph, allowed: int, cuts: Iterable[int]) -> Iterator[tuple[list[int], int]]:
-    """(chunk, _disconnected(g, allowed, chunk)) for consecutive chunks of
-    `cuts`, in order.  A chunk packs into at most _PACK_BITS bits (one cut
-    when g.n is wider), so memory stays flat in n and callers can stop at
-    the first chunk that splits."""
-    step = max(1, _PACK_BITS // g.n)
-    cuts = iter(cuts)
-    while chunk := list(islice(cuts, step)):
-        yield chunk, _disconnected(g, allowed, chunk)
+def _cuts(g: Graph, allowed: int, k: int) -> Iterator[int]:
+    """Every vertex mask of size < k whose removal disconnects g[allowed].
 
-
-def _separator(g: Graph, allowed: int, k: int) -> Optional[int]:
-    """First vertex mask of size < k whose removal disconnects g[allowed], or None.
-
-    Masks are tried by size, then in `combinations` order, so the empty mask
-    comes back when g[allowed] is itself disconnected.  Masks of all sizes
-    share one stream of chunks, each one packed search (`_splits`), so the
-    first split block is the first cut.  Callers pass at least k + 1
-    vertices, so every removal leaves two or more behind.
+    Masks come by size, then in `combinations` order, so the empty mask
+    comes first when g[allowed] is itself disconnected.  They are tested in
+    chunks of at most _PACK_BITS bits (one mask when g.n is wider), each one
+    packed search (`_disconnected`), so memory stays flat in n and a caller
+    that stops at the first cut stops the searches there.  Callers pass at
+    least k + 1 vertices, so every removal leaves two or more behind.
     """
+    n = g.n
     singles = [1 << v for v in _bits(allowed)]
-    cuts = chain.from_iterable(map(sum, combinations(singles, size)) for size in range(k))
-    for chunk, split in _splits(g, allowed, cuts):
-        if split:
-            return chunk[((split & -split).bit_length() - 1) // g.n]
-    return None
+    masks = chain.from_iterable(map(sum, combinations(singles, size)) for size in range(k))
+    while chunk := list(islice(masks, max(1, _PACK_BITS // n))):
+        split = _disconnected(g, allowed, chunk)
+        while split:  # jump to the lowest split block, then clear it and those below
+            block = ((split & -split).bit_length() - 1) // n
+            yield chunk[block]
+            split &= -1 << (block + 1) * n
 
 
 def enumerate_2cuts(g: Graph) -> list[tuple[tuple[int, int], bool, list[list[int]]]]:
     """All pairs whose removal disconnects g, with the remaining components.
 
     Returns (pair, is_edge, components) triples in `combinations` order;
-    complete, as packed searches (`_splits`) test all C(n,2) pairs.  Input
-    must be connected with n >= 4.
+    complete, as `_cuts` tests all C(n,2) pairs.  Input must be connected
+    with n >= 4.
     """
-    full = (1 << g.n) - 1
     if g.n < 4:
         raise ValueError("enumerate_2cuts requires n >= 4")
-    if _disconnected(g, full, [0]):
-        raise ValueError("enumerate_2cuts requires a connected graph")
-    pairs = (1 << u | 1 << v for u, v in combinations(range(g.n), 2))
+    full = (1 << g.n) - 1
     out = []
-    for chunk, split in _splits(g, full, pairs):
-        for cut in chunk:
-            if split & full:
-                u, v = (cut & -cut).bit_length() - 1, cut.bit_length() - 1
-                out.append(((u, v), g.has_edge(u, v),
-                            [_bits(c) for c in components_within(g, full & ~cut)]))
-            split >>= g.n
+    for cut in _cuts(g, full, 3):
+        if not cut:
+            raise ValueError("enumerate_2cuts requires a connected graph")
+        if cut.bit_count() == 2:
+            u, v = (cut & -cut).bit_length() - 1, cut.bit_length() - 1
+            out.append(((u, v), g.has_edge(u, v),
+                        [_bits(c) for c in components_within(g, full & ~cut)]))
     return out
 
 

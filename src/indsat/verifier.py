@@ -74,12 +74,19 @@ def _creates_h(h: Graph, perturbed: Graph, pairs: tuple[tuple[int, int], ...]) -
                for pair in pairs for h_pair in combinations(range(h.n), 2))
 
 
-def _pairs_twins_first(g: Graph) -> list[tuple[int, int]]:
-    """All vertex pairs, twin pairs first.  Twin pairs are the canonical
-    saturation failures (perturbing twins never creates a twin-free pattern),
-    so scanning them first makes the reported failing pair the meaningful one."""
+def _saturation_scan(g: Graph, h: Graph) -> tuple[bool, Optional[tuple[int, int]], int]:
+    """(g is h-free, first failing pair or None, pairs perturbed).  No pair
+    is perturbed when g contains h.  Twin pairs go first: they are the
+    canonical saturation failures (perturbing twins never creates a
+    twin-free pattern), so the failing pair reported is the meaningful one."""
+    if not is_free(g, h):
+        return False, None, 0
     twin = {(u, v) for u in range(g.n) for kind in twins(g, u) for v in kind if u < v}
-    return sorted(combinations(range(g.n), 2), key=lambda pair: pair not in twin)
+    pairs = sorted(combinations(range(g.n), 2), key=lambda pair: pair not in twin)
+    for checked, pair in enumerate(pairs, 1):
+        if not _creates_h(h, g.toggled(*pair), (pair,)):
+            return True, pair, checked
+    return True, None, len(pairs)
 
 
 def induced_saturated(g: Graph, h: Graph) -> tuple[bool, Optional[tuple[int, int]]]:
@@ -88,14 +95,8 @@ def induced_saturated(g: Graph, h: Graph) -> tuple[bool, Optional[tuple[int, int
     Returns (verdict, first failing pair or None); twin pairs are scanned
     first.  A graph that is not h-free reports (False, None).
     """
-    if g.n < 2:
-        return False, None
-    if not is_free(g, h):
-        return False, None
-    for pair in _pairs_twins_first(g):
-        if not _creates_h(h, g.toggled(*pair), (pair,)):
-            return False, pair
-    return True, None
+    h_free, failing, _ = _saturation_scan(g, h)
+    return g.n >= 2 and h_free and failing is None, failing
 
 
 @dataclass(frozen=True)

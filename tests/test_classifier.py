@@ -143,18 +143,18 @@ class TestCertificateReplay:
 
     def test_gatekeeper_work_counts(self, monkeypatch):
         # Every 10th stream class.  The gatekeeper search runs at most once
-        # per distinct core graph in each orientation (per `_first_case` walk),
-        # and each fragment's search order is computed once, when the
-        # fragments are built, not once per find_induced call.  Searching
-        # every core would make 827 gatekeeper searches.  The orders computed
-        # inside find_induced belong to isomorphism tests: 42 K_{2,p}/K_{1,1,p}
-        # checks that pass the edge count and 5 others.
+        # per distinct core graph in each orientation (per `_first_case` walk).
+        # find_induced plans its search orders through one memo keyed by
+        # (pattern rows, anchored vertices), so each distinct key that gets
+        # past its fast exits is planned exactly once.  Searching every core
+        # would make 827 gatekeeper searches.
         from indsat import gatekeeper
         searched = []  # per orientation, the core graphs searched
-        counts = Counter()
+        fragments_built = []
+        keys, planned = set(), []  # keys that reach a search, keys planned
         real_first_case, real_search = classifier._first_case, classifier.has_fixing_operation
-        real_fragments, real_order = gatekeeper._fragments, gatekeeper.search_order
-        real_find, real_find_order = graphs.find_induced, graphs.search_order
+        real_fragments = gatekeeper._fragments
+        real_find, real_order = graphs.find_induced, graphs.search_order
 
         def first_case(target):
             searched.append([])
@@ -166,34 +166,31 @@ class TestCertificateReplay:
 
         def fragments(h):
             out = real_fragments(h)
-            counts["fragments"] += sum(map(len, out.values()))
+            fragments_built.append(sum(map(len, out.values())))
             return out
 
-        def order(*args):
-            counts["orders"] += 1
-            return real_order(*args)
+        def find(host, pattern, anchors=None):
+            if 0 < pattern.n <= host.n and (pattern.n < host.n or
+                                            pattern.degree_sequence() == host.degree_sequence()):
+                keys.add((pattern.adj, tuple(sorted(anchors or ()))))
+            return real_find(host, pattern, anchors)
 
-        def find(host, pattern, anchors=None, order=None):
-            counts["ordered searches"] += order is not None
-            return real_find(host, pattern, anchors, order)
-
-        def find_order(*args):  # the searches that bring no order
-            counts["orders in graphs"] += 1
-            return real_find_order(*args)
+        def order(pattern, anchored):
+            planned.append((pattern.adj, tuple(anchored)))
+            return real_order(pattern, anchored)
 
         monkeypatch.setattr(classifier, "_first_case", first_case)
         monkeypatch.setattr(classifier, "has_fixing_operation", search)
         monkeypatch.setattr(gatekeeper, "_fragments", fragments)
-        monkeypatch.setattr(gatekeeper, "search_order", order)
         monkeypatch.setattr(graphs, "find_induced", find)
-        monkeypatch.setattr(graphs, "search_order", find_order)
+        monkeypatch.setattr(graphs, "search_order", order)
+        graphs._order.cache_clear()
         lines, _ = stream.load()
         for line in lines[::10]:
             classify(parse_graph6(line))
         assert all(len(set(graphs_)) == len(graphs_) for graphs_ in searched)
-        assert counts["orders"] == counts["fragments"]
-        assert (sum(map(len, searched)), counts["orders"], counts["ordered searches"],
-                counts["orders in graphs"]) == (561, 1546, 6510, 47)
+        assert (sum(map(len, searched)), sum(fragments_built)) == (561, 1546)
+        assert sorted(planned) == sorted(keys)
 
     # One graph per core case: k2p, k11p (with a non-empty trace), 3-conn,
     # (1,1)-core P4 and gatekeeper.

@@ -9,7 +9,7 @@ from indsat.cli import (EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED,
                         generate_docs_examples, graph_from_spec, main)
 from indsat.graphs import (bull_graph, complete_graph, cycle_graph, emit_graph6,
                            icosahedron_complement, parse_graph6, path_graph)
-from indsat import verifier
+from indsat import cli, verifier
 from indsat.verifier import pair_fixed_check
 
 SCHEMA = json.loads(Path("src/indsat/schema.json").read_text())
@@ -131,9 +131,7 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("g6, h, code, h_free, searches", [
         (emit_graph6(icosahedron_complement()), "P5", EXIT_OK, True, 1),  # saturated
         ("C4", "P4", EXIT_VERIFY_FAILED, True, 1),                        # a failing pair
-        # induced_saturated reports (False, None) on a graph containing h,
-        # which leaves freeness open: one more search settles it.
-        ("P5", "P4", EXIT_VERIFY_FAILED, False, 2)])
+        ("P5", "P4", EXIT_VERIFY_FAILED, False, 1)])                      # contains h
     def test_freeness_search_runs_once(self, capsys, monkeypatch, g6, h, code,
                                        h_free, searches):
         # is_free searches g with its twins deleted (C4 loses two vertices),
@@ -150,6 +148,23 @@ class TestVerifyCommand:
         assert main(["verify", "--g6", g6, "--h", h]) == code
         assert json.loads(capsys.readouterr().out)["h_free"] is h_free
         assert len(hosts) == searches
+
+    def test_host_containing_h_is_searched_once(self, capsys, monkeypatch):
+        # The freeness answer, the failing pair and the pair count all come
+        # from one scan, so a host that contains h is searched for it once.
+        calls = []
+        real = verifier.is_free
+
+        def counting(g, h):
+            calls.append(g)
+            return real(g, h)
+
+        monkeypatch.setattr(verifier, "is_free", counting)
+        monkeypatch.setattr(cli, "is_free", counting, raising=False)
+        assert main(["verify", "--g6", "P12", "--h", "P4"]) == EXIT_VERIFY_FAILED
+        out = json.loads(capsys.readouterr().out)
+        assert out["h_free"] is False and out["pairs_checked"] == 0
+        assert len(calls) == 1
 
     def test_equal_order_pattern_is_quick(self, capsys):
         # Every perturbation of K10 keeps 10 vertices but loses degree, so

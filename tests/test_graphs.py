@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from indsat import classifier, graphs
-from indsat.graphs import (Graph, Graph6Error, _separator,
+from indsat.graphs import (Graph, Graph6Error,
                            bull_graph, clique_cover_at_most, colored_fragment_occurs,
                            complement, complete_graph, complete_multipartite,
                            components_within, cycle_graph, emit_graph6, empty_graph,
@@ -338,6 +338,56 @@ class TestFindInduced:
         assert outcomes == {True, False}
 
 
+class TestSearchOrderMemo:
+    """find_induced plans its own search order through one bounded memo,
+    keyed by the pattern's rows and the sorted anchored vertices."""
+
+    @staticmethod
+    def seeded_searches():
+        rng = random.Random(2727)
+        for _ in range(600):
+            host = random_graph(rng, rng.randint(1, 9), rng.choice([0.25, 0.5, 0.75]))
+            pattern = random_graph(rng, rng.randint(1, min(5, host.n)),
+                                   rng.choice([0.25, 0.5, 0.75]))
+            anchors = ({rng.randrange(pattern.n): rng.randrange(host.n)}
+                       if rng.random() < 0.5 else {})
+            yield host, pattern, anchors
+
+    def test_cold_and_warm_memo_give_the_same_embeddings(self):
+        sample = list(self.seeded_searches())
+        graphs._order.cache_clear()
+        cold = [find_induced(host, pattern, anchors) for host, pattern, anchors in sample]
+        planned = graphs._order.cache_info().misses
+        warm = [find_induced(host, pattern, anchors) for host, pattern, anchors in sample]
+        assert cold == warm and planned > 0
+        assert graphs._order.cache_info().misses == planned  # the warm pass plans nothing
+        assert {emb is None for emb in cold} == {True, False}
+
+    def test_searches_never_hash_a_graph(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("Graph.__hash__ called")
+
+        monkeypatch.setattr(Graph, "__hash__", refuse)
+        graphs._order.cache_clear()
+        c5 = cycle_graph(5)
+        assert find_induced(cycle_graph(7), path_graph(4), {1: 3}) is not None
+        assert colored_fragment_occurs(c5.toggled(0, 2), (0, 2), path_graph(3).toggled(0, 2),
+                                       (0, 2))
+        for text in ("Dr[", "Es\\o", "D]o", "E?zw", "Ch"):
+            assert classifier.classify(parse_graph6(text)).case
+        assert classifier.classify(c5).case
+
+    def test_mutating_a_returned_order_leaves_later_searches_alone(self):
+        host, pattern, anchors = cycle_graph(7), path_graph(4), {1: 3}
+        graphs._order.cache_clear()
+        want, order = find_induced(host, pattern, anchors), search_order(pattern, anchors)
+        for planned in (order, graphs._order(pattern.adj, (1,))):
+            with pytest.raises(TypeError):
+                planned[0], planned[-1] = planned[-1], planned[0]
+        assert search_order(pattern, anchors) == order == (1, 2, 0, 3)
+        assert find_induced(host, pattern, anchors) == want
+
+
 class TestColoredFragments:
     def test_single_marked_edge_trivially_occurs(self):
         assert colored_fragment_occurs(cycle_graph(5), (0, 1), path_graph(2), (0, 1))
@@ -379,9 +429,9 @@ class TestConnectivity:
             subset = [v for v in range(g.n) if rng.random() < 0.7]
             mask = sum(1 << v for v in subset)
             for k in (1, 2, 3):
-                # _separator expects k + 1 or more vertices, as is_k_connected checks.
-                assert (len(subset) >= k + 1 and _separator(g, mask, k) is None) == \
-                    naive_k_connected(g.induced(subset), k)
+                # _cuts expects k + 1 or more vertices, as is_k_connected checks.
+                no_cut = next(graphs._cuts(g, mask, k), None) is None
+                assert (len(subset) >= k + 1 and no_cut) == naive_k_connected(g.induced(subset), k)
 
     def test_components_within_vs_naive(self):
         # Masks ordered by lowest vertex, against the definition-first search.
@@ -405,7 +455,7 @@ class TestConnectivity:
         for _ in range(300):
             g = random_graph(rng, rng.randint(4, 10), rng.choice([0.3, 0.5, 0.8]))
             for k in (1, 2, 3):
-                cut = _separator(g, (1 << g.n) - 1, k)
+                cut = next(graphs._cuts(g, (1 << g.n) - 1, k), None)
                 if cut is None:
                     assert naive_k_connected(g, k)
                 else:
@@ -421,7 +471,8 @@ class TestConnectivity:
     @pytest.mark.parametrize("blocks", [1, 3, 13])
     def test_separator_first_cut_with_chunks_across_sizes(self, monkeypatch, blocks):
         # Chunks of `blocks` cuts: at 3 and 13 the chunk at each size boundary
-        # holds cuts of two sizes, and the first split block must still win.
+        # holds cuts of two sizes, and the first split block must still win;
+        # every later split block of a chunk must still be yielded.
         shortcut_free = [(a_size, missed) for a_size in range(5, 10)
                          for missed in naive_shortcut_free(a_size)]
         bipartite = [classifier._bipartite_graph(a_size, missed)
@@ -444,7 +495,7 @@ class TestConnectivity:
             seen.add(min(connectivity, 3))
             mask = sum(1 << v for v in vertices)
             for k in (1, 2, 3):
-                cut = _separator(g, mask, k)
+                cut = next(graphs._cuts(g, mask, k), None)
                 assert (cut is None) == (connectivity >= k), (emit_graph6(g), mask, k)
                 if cut is not None:
                     assert cut.bit_count() == connectivity and cut & ~mask == 0
@@ -452,7 +503,7 @@ class TestConnectivity:
                     assert len(naive_components(g, outside)) >= 2
             if g.n <= 12:
                 first = naive_first_cut(g, allowed, 3)
-                assert _separator(g, mask, 3) == (
+                assert next(graphs._cuts(g, mask, 3), None) == (
                     None if first is None else sum(1 << v for v in first))
         assert seen == {0, 1, 2, 3}
 
@@ -512,7 +563,7 @@ class TestConnectivity:
 
     def test_long_cycles_and_paths_pack_narrow_and_stop_early(self, monkeypatch):
         # Cuts go to the packed search in chunks of at most 4,096 bits,
-        # and `_separator` stops at the first chunk that splits: about 420
+        # and `_cuts` stops at the first chunk that splits: about 420
         # searches here.  One search over all C(600, 2) pairs of a
         # 600-vertex cycle would build ints of about 10^8 bits, and going on
         # past the first split would take about 30,000 chunked searches.
@@ -527,9 +578,9 @@ class TestConnectivity:
         monkeypatch.setattr(graphs, "_disconnected", recording)
         started = time.perf_counter()
         cycle, full = cycle_graph(600), (1 << 600) - 1
-        assert _separator(cycle, full, 3) == 0b101
+        assert next(graphs._cuts(cycle, full, 3), None) == 0b101
         assert is_k_connected(cycle, 2) and not is_k_connected(cycle, 3)
-        assert _separator(path_graph(600), full, 3) == 0b10
+        assert next(graphs._cuts(path_graph(600), full, 3), None) == 0b10
         cuts = enumerate_2cuts(cycle_graph(96))
         assert len(cuts) == 96 * 93 // 2
         assert cuts[0] == ((0, 2), False, [[1], list(range(3, 96))])
@@ -611,13 +662,21 @@ def _masked_sample():
 
 
 def _assert_first_cuts(g, allowed):
+    """The first cut `_cuts` yields is `naive_first_cut`'s, and it goes on to
+    yield every other cut of size < k in the same order, so each split block
+    of a chunk counts, lowest first."""
     mask = sum(1 << v for v in allowed)
+    outside = set(range(g.n)) - set(allowed)
     for k in (1, 2, 3):
         if len(allowed) < k + 1:
             continue
         first = naive_first_cut(g, allowed, k)
         expected = None if first is None else sum(1 << v for v in first)
-        assert _separator(g, mask, k) == expected, (emit_graph6(g), mask, k)
+        assert next(graphs._cuts(g, mask, k), None) == expected, (emit_graph6(g), mask, k)
+        assert list(graphs._cuts(g, mask, k)) == [
+            sum(1 << v for v in cut) for size in range(k)
+            for cut in combinations(sorted(allowed), size)
+            if len(naive_components(g, outside | set(cut))) != 1], (emit_graph6(g), mask, k)
 
 
 class TestCliqueCover:

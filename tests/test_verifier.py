@@ -260,9 +260,9 @@ class TestLocalSearchMechanism:
         calls = []
         real = graphs.find_induced
 
-        def recording(host, pattern, anchors=None, order=None):
+        def recording(host, pattern, anchors=None):
             calls.append((host, bool(anchors)))
-            return real(host, pattern, anchors, order)
+            return real(host, pattern, anchors)
 
         monkeypatch.setattr(verifier, "find_induced", recording)
         monkeypatch.setattr(graphs, "find_induced", recording)
