@@ -7,10 +7,10 @@ permutation graph; gatekeeper fixing operations on four cores), after the
 trivial check and before an isomorphism match against the eight special
 graphs.  The first hit wins, which makes certificates deterministic.
 
-The special table stores both seven-vertex spellings F?q|w and F?rLw that
-circulate for the third rational-geometric graph, so membership is decided
-by isomorphism (complements included) rather than by trusting either label.
-The two spellings turn out to be complements of each other.
+Two seven-vertex spellings, F?q|w and F?rLw, circulate for the third
+rational-geometric graph.  They are complements of each other, so the
+special table stores F?rLw alone and decides membership by isomorphism,
+complements included, rather than by trusting either label.
 """
 
 from __future__ import annotations
@@ -43,17 +43,15 @@ SPECIAL_Z3 = "special_z3"
 THEOREM_VIOLATION = "theorem_violation"
 UNCLASSIFIED = "unclassified"
 
-# The eight special graphs are stored through five base spellings; complements
-# are matched by flag rather than stored separately.  The seven-vertex
-# spellings F?rLw and F?q|w are complements of each other and denote the same
-# complement-closed entry; F?rLw comes first because the replay witnesses
+# The eight special graphs are stored through four base spellings; complements
+# are matched by flag rather than stored separately.  F?rLw, not its
+# complement F?q|w, is stored because the replay witnesses
 # (verifier.RATIONAL_GEOMETRIC_PATTERNS) exist for that orientation.
 _SPECIAL_TABLE = (
     ("E?qw", SPECIAL_RATIONAL_GEOMETRIC),
     ("F?rLw", SPECIAL_RATIONAL_GEOMETRIC),
     ("F?S|w", SPECIAL_RATIONAL_GEOMETRIC),
     ("F?q~w", SPECIAL_Z3),
-    ("F?q|w", SPECIAL_RATIONAL_GEOMETRIC),
 )
 
 
@@ -223,15 +221,22 @@ class SweepReport:
                 "ok": self.ok()}
 
 
+def read_graph6_line(line: str) -> tuple[Optional[Graph], str]:
+    """(graph, "") for a non-blank graph6 line, whitespace around it ignored,
+    or (None, why) for a malformed line or the graph on 0 vertices."""
+    try:
+        g = parse_graph6(line.strip())
+    except Graph6Error as exc:
+        return None, str(exc)
+    return (g, "") if g.n else (None, "graph on 0 vertices")
+
+
 def _sweep_line(job: tuple[int, str, int]) -> tuple[int, str, str, str]:
     """Worker: (lineno, line, n_max) -> (lineno, status, case, payload)."""
     lineno, line, n_max = job
-    try:
-        g = parse_graph6(line)
-    except Graph6Error as exc:
-        return lineno, "error", "", str(exc)
-    if g.n == 0:
-        return lineno, "error", "", "graph on 0 vertices"
+    g, why = read_graph6_line(line)
+    if g is None:
+        return lineno, "error", "", why
     if g.n > n_max:
         return lineno, "error", "", f"graph on {g.n} vertices exceeds nmax {n_max}"
     cert = classify(g)
@@ -246,8 +251,7 @@ def sweep(lines: Iterable[str], n_max: int, workers: int = 1) -> SweepReport:
     and the sweep continues."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    jobs = [(lineno, line.strip(), n_max)
-            for lineno, line in enumerate(lines, start=1) if line.strip()]
+    jobs = [(lineno, line, n_max) for lineno, line in enumerate(lines, start=1) if line.strip()]
     report = SweepReport(n_max=n_max)
     if workers == 1:
         results = map(_sweep_line, jobs)

@@ -17,11 +17,11 @@ import sys
 from pathlib import Path
 
 from . import cores as cores_mod
-from .classifier import classify, structure_check_12, sweep
+from .classifier import classify, read_graph6_line, structure_check_12, sweep
 from .constructions import FAMILIES, schedule_fixes
 from .gatekeeper import has_fixing_operation
-from .graphs import (Graph, Graph6Error, bull_graph, complete_graph, cycle_graph,
-                     emit_graph6, icosahedron_complement, parse_graph6, path_graph)
+from .graphs import (Graph, bull_graph, complete_graph, cycle_graph, emit_graph6,
+                     icosahedron_complement, parse_graph6, path_graph)
 from .oracles import kind_from_json, oracle_window, vertex_from_json, vertex_to_json
 from .verifier import (_saturation_scan, induced_saturated, pair_fixed_check,
                        replay_construction_witnesses)
@@ -62,18 +62,14 @@ def _cmd_classify(args) -> int:
         _emit(classify(graph_from_spec(args.g6)).to_json(), args.out)
         return EXIT_OK
     graphs, errors = [], []
-    lines = Path(args.input).read_text().splitlines()
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(Path(args.input).read_text().splitlines(), start=1):
         if line.strip():
-            try:
-                g = parse_graph6(line)
-            except Graph6Error as exc:
-                errors.append(f"line {lineno}: {exc}")
-                continue
-            if g.n == 0:
-                errors.append(f"line {lineno}: graph on 0 vertices")
-            graphs.append(g)
-    if errors:  # every malformed or empty line, in one JSON error
+            g, why = read_graph6_line(line)
+            if g is None:
+                errors.append(f"line {lineno}: {why}")
+            else:
+                graphs.append(g)
+    if errors:  # every line sweep would reject, in one JSON error
         raise ValueError("; ".join(errors))
     _emit({"certificates": [classify(g).to_json() for g in graphs]}, args.out)
     return EXIT_OK
@@ -105,20 +101,21 @@ def _cmd_gatekeepers(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # The flags given; pair_fixed_check supplies the defaults of the rest.
+    flags = {key: getattr(args, key) for key in ("adversary_budget", "trials", "seed")
+             if getattr(args, key) is not None}
+    if flags and args.pair is None:
+        raise ValueError("--k, --trials and --seed configure the --pair check; give --pair")
     g = graph_from_spec(args.g6)
     h = graph_from_spec(args.h)
-    # The induced_saturated scan, with its freeness answer and pair count.
-    free, failing, checked = _saturation_scan(g, h)
-    saturated = g.n >= 2 and free and failing is None
+    saturated, free, failing, checked = _saturation_scan(g, h)
     payload = {"input": emit_graph6(g), "h": emit_graph6(h), "h_free": free,
                "induced_saturated": saturated,
                "failing_pair": list(failing) if failing else None,
                "pairs_checked": checked}
     if args.pair is not None:
         u, v = (int(x) for x in args.pair.split(","))
-        result = pair_fixed_check(g, h, (u, v), adversary_budget=args.k,
-                                  trials=args.trials, seed=args.seed)
-        payload["pair_fixed_check"] = result.to_json()
+        payload["pair_fixed_check"] = pair_fixed_check(g, h, (u, v), **flags).to_json()
     _emit(payload, args.out)
     return EXIT_OK if saturated else EXIT_VERIFY_FAILED
 
@@ -133,8 +130,7 @@ def _cmd_prefix(args) -> int:
         "strategy": args.strategy, "m": args.m, "steps_completed": len(states) - 1,
         "graphs": [emit_graph6(s.graph) for s in states],
         "ledger": [rec.to_json() for rec in states[-1].fixed_ledger],
-        "queue_prefix": [[e.i, e.j] for e in sorted(states[-1].queue,
-                                                    key=lambda e: e.position)[:10]],
+        "queue_prefix": [[e.i, e.j] for e in states[-1].queue[:10]],
     }
     _emit(payload, args.out)
     return EXIT_OK
@@ -200,10 +196,10 @@ def generate_docs_examples() -> str:
     lines.append(f"- icosahedron complement is P5-free and induced-saturated "
                  f"for P5 across all 66 pairs: **{saturated}**")
     lines.append("")
-    lines.append("The special table stores both `F?q|w` and `F?rLw`: the two "
-                 "circulating spellings of the third rational-geometric graph "
-                 "are complements of one another, so membership is matched by "
-                 "isomorphism with a complemented flag.")
+    lines.append("The special table stores `F?rLw` alone: `F?q|w`, the other "
+                 "circulating spelling of the third rational-geometric graph, "
+                 "is its complement, so membership is matched by isomorphism "
+                 "with a complemented flag.")
     lines.append("")
     return "\n".join(lines)
 
@@ -265,9 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--h", required=True, help="pattern graph (graph6 or name like P5)")
     p.add_argument("--pair", help="also run the bounded fixed-pair check on 'u,v'")
-    p.add_argument("--k", type=int, default=0, help="adversary budget")
-    p.add_argument("--trials", type=int, default=0, help="random adversary sets to add")
-    p.add_argument("--seed", type=int, default=0, help="seed of the random adversary sets")
+    p.add_argument("--k", dest="adversary_budget", type=int,
+                   help="adversary budget of the --pair check (default 0)")
+    p.add_argument("--trials", type=int, help="random adversary sets to add (default 0)")
+    p.add_argument("--seed", type=int, help="seed of the random adversary sets (default 0)")
 
     p = sub.add_parser("prefix", help="scheduled fixing sequence from a seed")
     common(p)

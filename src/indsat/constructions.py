@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .gatekeeper import CLIQUE_MODE, INDEP_MODE, has_fixing_operation
-from .graphs import Graph, _bits, clique_cover_at_most, find_induced
+from .graphs import Graph, _bits, clique_cover_at_most
 from .recognizers import match_k2p_k11p
+from .verifier import is_free
 
 
 # Prefix budget: the desk-scale cap on every graph this module constructs.
@@ -95,10 +96,7 @@ class QueueEntry:
     i: int
     j: int
     pair: tuple[int, int]
-
-    @property
-    def position(self) -> int:
-        return priority_position(self.i, self.j)
+    position: int  # priority_position(i, j), computed once by _queue_entries
 
 
 @dataclass(frozen=True)
@@ -117,25 +115,20 @@ class PrefixState:
     graph: Graph
     m: int
     generation: int
-    queue: tuple[QueueEntry, ...]
+    queue: tuple[QueueEntry, ...]  # in priority order
     fixed_ledger: tuple[FixRecord, ...]
 
-    def fixed_pairs(self) -> set[tuple[int, int]]:
-        return {rec.pair for rec in self.fixed_ledger}
-
     def next_unfixed(self) -> Optional[QueueEntry]:
-        fixed = self.fixed_pairs()
-        live = [e for e in self.queue if e.pair not in fixed]
-        if not live:
-            return None
-        return min(live, key=lambda e: e.position)
+        fixed = {rec.pair for rec in self.fixed_ledger}
+        return next((e for e in self.queue if e.pair not in fixed), None)
 
 
 def _queue_entries(gen: int, n: int, old_n: int) -> tuple[QueueEntry, ...]:
     """Generation gen's queue entries: the pairs of an n-vertex graph with an
     endpoint at old_n or later, ranked in lexicographic order."""
     pairs = [(u, v) for u in range(n) for v in range(max(u + 1, old_n), n)]
-    return tuple(QueueEntry(gen, j, p) for j, p in enumerate(pairs, start=1))
+    return tuple(QueueEntry(gen, j, p, priority_position(gen, j))
+                 for j, p in enumerate(pairs, start=1))
 
 
 def initial_state(seed: Graph, m: int) -> PrefixState:
@@ -150,8 +143,8 @@ def _advance(state: PrefixState, new_graph: Graph, pair: tuple[int, int],
     gen = state.generation + 1
     entries = _queue_entries(gen, new_graph.n, state.graph.n)
     ledger = state.fixed_ledger + (FixRecord(pair, strategy, gen),)
-    return PrefixState(graph=new_graph, m=state.m, generation=gen,
-                       queue=state.queue + entries, fixed_ledger=ledger)
+    return PrefixState(graph=new_graph, m=state.m, generation=gen, fixed_ledger=ledger,
+                       queue=tuple(sorted(state.queue + entries, key=lambda e: e.position)))
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +294,7 @@ def schedule_fixes(seed: Graph, h: Graph, steps: int, m: int,
         raise ValueError(f"steps must be non-negative, got {steps}")
     if seed.n < 2:
         raise ValueError("seed needs at least two vertices to have a pair")
-    if find_induced(seed, h) is not None:
+    if not is_free(seed, h):
         raise PreconditionError("seed must avoid the pattern being fixed against")
     states = [initial_state(seed, m)]
     for _ in range(steps):

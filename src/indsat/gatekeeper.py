@@ -113,14 +113,19 @@ def _first_fragment(h: Graph, pair: tuple[int, int], fragments: list
     return None
 
 
+def _unfit(h: Graph) -> Optional[str]:
+    """Why no pair of h can be a gatekeeper, or None when pairs may be tried."""
+    return (NOT_2CONNECTED if not is_k_connected(h, 2) else
+            COMPLETE_GRAPH if h.edge_count() == h.n * (h.n - 1) // 2 else None)
+
+
 def check_gatekeeper(h: Graph, pair: tuple[int, int], kind: str) -> bool:
     """Is `pair` a gatekeeper of the given kind in the 2-connected graph h?"""
     if kind not in (EDGE, NONEDGE):
         raise ValueError(f"bad kind {kind!r}")
-    if not is_k_connected(h, 2):
-        raise ValueError("check_gatekeeper requires a 2-connected graph")
-    if h.edge_count() == h.n * (h.n - 1) // 2:
-        raise ValueError("check_gatekeeper requires a non-complete graph")
+    reason = _unfit(h)
+    if reason is not None:
+        raise ValueError(f"check_gatekeeper needs a 2-connected non-complete graph: {reason}")
     if h.has_edge(*pair) != (kind == EDGE):
         raise ValueError("pair status does not match kind")
     return _first_fragment(h, pair, _fragments(h)[kind]) is None
@@ -132,8 +137,7 @@ def has_fixing_operation(h: Graph) -> GatekeeperResult:
     Scanning stops at the first witness per kind, so diagnostics are complete
     only when the corresponding witness is absent.
     """
-    reason = (NOT_2CONNECTED if not is_k_connected(h, 2) else
-              COMPLETE_GRAPH if h.edge_count() == h.n * (h.n - 1) // 2 else None)
+    reason = _unfit(h)
     if reason is not None:
         return GatekeeperResult(None, None, diagnostics=tuple(
             PairDiagnostic(pair, reason) for pair in combinations(range(h.n), 2)))

@@ -23,8 +23,8 @@ Permutation graphs are closed under induced subgraphs, so when G[S] is not
 one, no toggle of a pair without both ends in S can make G one.  S is a
 vertex mask shrunk from V in one pass, dropping each vertex whose removal
 leaves G[S] no permutation graph; no vertex of the S left can then be
-dropped.  These tests and the toggle tests need only a yes or no, so they
-run TRO on rows restricted to the mask and build no subgraph or realizer.
+dropped.  Every test here runs `_orientations` on rows restricted to a
+mask and builds no subgraph or realizer.
 """
 
 from __future__ import annotations
@@ -151,27 +151,27 @@ def _transitive_orientation(rows) -> Optional[list[int]]:
     return out
 
 
-def _is_permutation_within(g: Graph, mask: int) -> bool:
-    """Is g[mask] a permutation graph?  The test of `is_permutation_graph`
-    on rows restricted to the mask and empty outside it, which describe
-    g[mask] to TRO with no subgraph or realizer built."""
+def _orientations(g: Graph, mask: int) -> Optional[tuple[list[int], list[int]]]:
+    """Transitive orientations (T, C) of g[mask] and of its complement, as
+    out-rows empty outside the mask (no subgraph is built), or None when
+    g[mask] is no permutation graph."""
     rows = [row & mask if mask >> v & 1 else 0 for v, row in enumerate(g.adj)]
-    return _transitive_orientation(rows) is not None and _transitive_orientation(
-        [(row ^ mask) & ~(1 << v) if mask >> v & 1 else 0 for v, row in enumerate(rows)]
-    ) is not None
+    t = _transitive_orientation(rows)
+    if t is None:
+        return None
+    c = _transitive_orientation(
+        [(row ^ mask) & ~(1 << v) if mask >> v & 1 else 0 for v, row in enumerate(rows)])
+    return None if c is None else (t, c)
 
 
 def is_permutation_graph(g: Graph) -> Optional[PermutationWitness]:
     """A realizer of g read off transitive orientations of g and its
     complement (see the module docstring); None when either has none."""
     n, adj = g.n, g.adj
-    t = _transitive_orientation(adj)
-    if t is None:
+    found = _orientations(g, (1 << n) - 1)
+    if found is None:
         return None
-    full = (1 << n) - 1
-    c = _transitive_orientation([full & ~row & ~(1 << v) for v, row in enumerate(adj)])
-    if c is None:
-        return None
+    t, c = found
     ordering = [0] * n
     for v in range(n):  # out-degree in the tournament T + C is n - 1 - in-degree
         ordering[n - 1 - t[v].bit_count() - c[v].bit_count()] = v
@@ -194,17 +194,17 @@ def close_to_permutation(g: Graph) -> Optional[tuple[tuple[int, int], tuple[int,
     and so G[S - v] is one too.  The pairs skipped fail anyway, so the
     witness is the one a scan of every pair finds.
     """
-    if is_permutation_graph(g) is not None:
-        return None
     full = mask = (1 << g.n) - 1
+    if _orientations(g, full) is not None:
+        return None
     for v in range(g.n):
-        if not _is_permutation_within(g, mask & ~(1 << v)):
+        if _orientations(g, mask & ~(1 << v)) is None:
             mask &= ~(1 << v)
 
     def first_fix(pairs):
         for u, v in pairs:
             if (mask >> u & 1 and mask >> v & 1
-                    and _is_permutation_within(g.toggled(u, v), full)):
+                    and _orientations(g.toggled(u, v), full) is not None):
                 return u, v
         return None
 

@@ -74,19 +74,20 @@ def _creates_h(h: Graph, perturbed: Graph, pairs: tuple[tuple[int, int], ...]) -
                for pair in pairs for h_pair in combinations(range(h.n), 2))
 
 
-def _saturation_scan(g: Graph, h: Graph) -> tuple[bool, Optional[tuple[int, int]], int]:
-    """(g is h-free, first failing pair or None, pairs perturbed).  No pair
-    is perturbed when g contains h.  Twin pairs go first: they are the
-    canonical saturation failures (perturbing twins never creates a
-    twin-free pattern), so the failing pair reported is the meaningful one."""
+def _saturation_scan(g: Graph, h: Graph) -> tuple[bool, bool, Optional[tuple], int]:
+    """(g is induced-saturated for h, g is h-free, first failing pair or None,
+    pairs perturbed).  No pair is perturbed when g contains h.  Twin pairs go
+    first: they are the canonical saturation failures (perturbing twins never
+    creates a twin-free pattern), so the failing pair reported is the
+    meaningful one."""
     if not is_free(g, h):
-        return False, None, 0
+        return False, False, None, 0
     twin = {(u, v) for u in range(g.n) for kind in twins(g, u) for v in kind if u < v}
     pairs = sorted(combinations(range(g.n), 2), key=lambda pair: pair not in twin)
     for checked, pair in enumerate(pairs, 1):
         if not _creates_h(h, g.toggled(*pair), (pair,)):
-            return True, pair, checked
-    return True, None, len(pairs)
+            return False, True, pair, checked
+    return g.n >= 2, True, None, len(pairs)
 
 
 def induced_saturated(g: Graph, h: Graph) -> tuple[bool, Optional[tuple[int, int]]]:
@@ -95,8 +96,8 @@ def induced_saturated(g: Graph, h: Graph) -> tuple[bool, Optional[tuple[int, int
     Returns (verdict, first failing pair or None); twin pairs are scanned
     first.  A graph that is not h-free reports (False, None).
     """
-    h_free, failing, _ = _saturation_scan(g, h)
-    return g.n >= 2 and h_free and failing is None, failing
+    saturated, _, failing, _ = _saturation_scan(g, h)
+    return saturated, failing
 
 
 @dataclass(frozen=True)

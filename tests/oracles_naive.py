@@ -3,7 +3,9 @@
 Everything here is written definition-first (permutations, set arithmetic,
 dict adjacency) and stays independent of the bitset code paths it checks.
 The oracle constructions are decided from their definitions too, with pi and
-sqrt(2) evaluated by mpmath rather than through `indsat.oracles`.
+sqrt(2) evaluated by mpmath rather than through `indsat.oracles`, and
+`naive_classify` composes the decision pipeline from these oracles, cores
+found as largest rule-free vertex sets, and networkx.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from itertools import combinations, combinations_with_replacement, permutations,
 from math import comb
 
 import mpmath
+import networkx as nx
 
-from indsat.gatekeeper import CLIQUE_MODE
 from indsat.graphs import Graph
 from indsat.verifier import EXHAUSTIVE_PAIRSET_LIMIT, PairFixedResult
 
@@ -314,7 +316,7 @@ def naive_blowup_graph(h: Graph, pair: tuple[int, int], mode: str,
         nxt += size
     edges = []
     for w in range(h.n):
-        if w not in (u, v) and mode == CLIQUE_MODE:
+        if w not in (u, v) and mode == "clique":
             edges.extend(combinations(classes[w], 2))
         for w2 in range(w + 1, h.n):
             if perturbed.has_edge(w, w2):
@@ -389,3 +391,138 @@ def naive_oracle_window(kind, vertices) -> Graph:
     return Graph.from_edges(len(vertices), [
         (i, j) for i, j in combinations(range(len(vertices)), 2)
         if naive_oracle_adjacent(kind, vertices[i], vertices[j])])
+
+
+# ---------------------------------------------------------------------------
+# The decision pipeline by definition.  Case names and the special table are
+# spelled out again, so that no classifier code is imported.  The table lists
+# all five circulating graph6 keys; F?q|w comes last, so F?rLw complemented
+# matches it first, as in the library's four-key table.
+
+_SPECIAL_KEYS = (("E?qw", "special_rational_geometric"),
+                 ("F?rLw", "special_rational_geometric"),
+                 ("F?S|w", "special_rational_geometric"),
+                 ("F?q~w", "special_z3"),
+                 ("F?q|w", "special_rational_geometric"))
+
+
+def _nx(g: Graph):
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(g.edges())
+    return out
+
+
+def _complement(g: Graph) -> Graph:
+    return Graph.from_edges(g.n, [(u, v) for u, v in combinations(range(g.n), 2)
+                                  if not g.has_edge(u, v)])
+
+
+def _induced(g: Graph, vertices) -> Graph:
+    return Graph.from_edges(len(vertices), [
+        (i, j) for i, j in combinations(range(len(vertices)), 2)
+        if g.has_edge(vertices[i], vertices[j])])
+
+
+# Per core kind: the least degree and the least non-degree a vertex may keep.
+# The 2-edge- and 2-non-edge-cores also drop a degree-2 vertex whose two
+# neighbours are adjacent (resp. non-adjacent); the 3*-core also drops a pair
+# with at most two neighbours outside it.
+_FLOORS = {"two": (2, 0), "three": (3, 0), "one_one": (1, 1), "three_star": (3, 0),
+           "two_edge": (2, 0), "two_nonedge": (2, 0)}
+
+
+def _rule_free(g: Graph, subset, kind: str) -> bool:
+    """Does no removal rule of the core `kind` fire on g[subset]?"""
+    nbrs = {v: {w for w in subset if g.has_edge(v, w)} for v in subset}
+    least_degree, least_nondegree = _FLOORS[kind]
+    for v in subset:
+        degree = len(nbrs[v])
+        if degree < least_degree or len(subset) - 1 - degree < least_nondegree:
+            return False
+        if kind in ("two_edge", "two_nonedge") and degree == 2:
+            a, b = nbrs[v]
+            if g.has_edge(a, b) == (kind == "two_edge"):
+                return False
+    return kind != "three_star" or all(
+        len(nbrs[u] | nbrs[v] | {u, v}) > 4 for u, v in combinations(subset, 2))
+
+
+def naive_core(g: Graph, kind: str) -> Graph:
+    """The core of the given kind (a key of `_FLOORS`) as the largest vertex
+    set on which no rule fires, relabelled in vertex order.  No rule fires
+    more as the set grows (degrees and non-degrees grow, and a vertex of
+    degree 2 in the larger set had the same two neighbours in the smaller
+    one), so these sets are closed under union and the largest is unique:
+    it is what any peeling order leaves."""
+    for size in range(g.n, -1, -1):
+        for subset in combinations(range(g.n), size):
+            if _rule_free(g, subset, kind):
+                return _induced(g, subset)
+    raise AssertionError("the empty set is rule-free")
+
+
+def _isomorphic(g: Graph, other) -> bool:
+    return nx.is_isomorphic(_nx(g), other)
+
+
+def naive_has_fixing_operation(g: Graph) -> bool:
+    """Has the 2-connected non-complete g an edge and a non-edge that are
+    gatekeepers and admit a blow-up mode (clique when neither end has a true
+    twin, else independent when neither has a false twin)?"""
+    if not naive_k_connected(g, 2) or len(g.edges()) == g.n * (g.n - 1) // 2:
+        return False
+
+    def has_mode(pair) -> bool:
+        (true_u, false_u), (true_v, false_v) = naive_twins(g, pair[0]), naive_twins(g, pair[1])
+        return not (true_u or true_v) or not (false_u or false_v)
+    return all(any(has_mode(pair) and naive_gatekeeper(g, pair, kind) for pair in pairs)
+               for kind, pairs in (("edge", g.edges()), ("nonedge", g.non_edges())))
+
+
+_BULL = nx.Graph([(0, 1), (1, 2), (0, 2), (0, 3), (1, 4)])
+
+
+def _first_case(g: Graph):
+    """The first case that fires on one orientation, in the library's order,
+    or None."""
+    degrees = [d for _, d in _nx(g).degree()]
+    if nx.is_forest(_nx(g)) and max(degrees) > 1 and degrees.count(max(degrees)) == 1:
+        return "forest_unique_max"
+    two = naive_core(g, "two")
+    p = two.n - 2
+    if p >= 3 and _isomorphic(two, nx.complete_multipartite_graph(2, p)):
+        return "core_k2p"
+    if p >= 2 and _isomorphic(two, nx.complete_multipartite_graph(1, 1, p)):
+        return "core_k11p"
+    for kind in ("three", "three_star"):
+        c = naive_core(g, kind)
+        if 0 < len(c.edges()) < c.n * (c.n - 1) // 2 and naive_k_connected(c, 3):
+            return "core_3conn"
+    c = naive_core(g, "one_one")
+    if _isomorphic(c, nx.path_graph(4)) or _isomorphic(c, _BULL):
+        return "core_11_bull_p4"
+    if naive_close_to_permutation(g, lambda x: naive_permutation_realizer(x.adj) is not None):
+        return "close_to_permutation"
+    if any(naive_has_fixing_operation(naive_core(g, kind))
+           for kind in ("two", "three", "two_edge", "two_nonedge")):
+        return "core_gatekeeper"
+    return None
+
+
+def naive_classify(h: Graph) -> tuple[str, bool]:
+    """(case, complemented) of `indsat.classifier.classify`, by definition:
+    trivial graphs, then the first case on h and then on its complement,
+    then the special table, direct before complemented for each key."""
+    m = len(h.edges())
+    if h.n <= 1 or m in (0, h.n * (h.n - 1) // 2):
+        return "not_applicable_trivial", False
+    for complemented, g in ((False, h), (True, _complement(h))):
+        case = _first_case(g)
+        if case is not None:
+            return case, complemented
+    for key, case in _SPECIAL_KEYS:
+        for complemented, g in ((False, h), (True, _complement(h))):
+            if _isomorphic(g, nx.from_graph6_bytes(key.encode())):
+                return case, complemented
+    return ("theorem_violation" if h.n >= 12 else "unclassified"), False

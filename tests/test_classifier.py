@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import random
 from collections import Counter
 from itertools import combinations, combinations_with_replacement
@@ -20,8 +21,9 @@ from indsat.graphs import (Graph, bull_graph, complement, complete_graph,
 import certdigest
 import gates
 import stream
-from gensmall import graphs_up_to
-from oracles_naive import naive_has_3conn_subset, naive_shortcut_free, random_graph
+from gensmall import graphs_on, graphs_up_to
+from oracles_naive import (naive_classify, naive_has_3conn_subset, naive_shortcut_free,
+                           random_graph)
 
 
 class TestClassifyExamples:
@@ -80,6 +82,41 @@ class TestSpecialTable:
     def test_alternate_spellings_are_complements(self):
         from indsat.graphs import is_isomorphic
         assert is_isomorphic(parse_graph6("F?q|w"), complement(parse_graph6("F?rLw")))
+        # So the F?rLw row, complemented, matches F?q|w: the table needs no row for it.
+        assert special_table(parse_graph6("F?q|w")) == ("F?rLw", SPECIAL_RATIONAL_GEOMETRIC, True)
+
+
+class TestNaiveClassify:
+    """`classify` against `oracles_naive.naive_classify`, which builds the
+    pipeline from definitions (largest rule-free cores, networkx, the naive
+    recognizers and gatekeeper) and imports no pipeline code.  Case and
+    orientation only: witnesses depend on search order."""
+
+    def test_every_class_up_to_7(self):
+        tally = Counter()
+        for g in graphs_up_to(7):
+            got = naive_classify(g)
+            cert = classify(g)
+            assert (cert.case, cert.complemented) == got, cert.input
+            tally[got] += 1
+        # Every case and both orientations of most are exercised.
+        assert tally == {
+            (CLOSE_TO_PERMUTATION, False): 180, (CORE_11_BULL_P4, False): 16,
+            (CORE_3CONN, False): 412, (CORE_3CONN, True): 170,
+            (CORE_GATEKEEPER, False): 239, (CORE_GATEKEEPER, True): 42,
+            (CORE_K11P, False): 67, (CORE_K11P, True): 22, (CORE_K2P, False): 20,
+            (CORE_K2P, True): 11, (FOREST_UNIQUE_MAX, False): 40,
+            (FOREST_UNIQUE_MAX, True): 12, (NOT_APPLICABLE_TRIVIAL, False): 13,
+            (SPECIAL_RATIONAL_GEOMETRIC, False): 3, (SPECIAL_RATIONAL_GEOMETRIC, True): 3,
+            (SPECIAL_Z3, False): 1, (SPECIAL_Z3, True): 1}
+
+    def test_classes_on_8(self):
+        # Every 20th stream class (618 graphs, about 11 s); all 12,346 with
+        # INDSAT_STRETCH=1 (about 130 s on 2 CPUs).
+        step = 1 if os.environ.get("INDSAT_STRETCH") == "1" else 20
+        for g in graphs_on(8)[::step]:
+            cert = classify(g)
+            assert (cert.case, cert.complemented) == naive_classify(g), cert.input
 
 
 class TestComplementStability:

@@ -87,6 +87,26 @@ class TestClassifyCommand:
         assert json.loads(err) == {"error": "line 2: graph on 0 vertices; "
                                             "line 3: truncated bit body (byte offset 3)"}
 
+    def test_classify_and_sweep_read_lines_alike(self, tmp_path, capsys):
+        # Both skip blank and whitespace-only lines, ignore whitespace around
+        # a line, and reject `?` (0 vertices) and `xx!` with one message each.
+        f = tmp_path / "graphs.g6"
+        f.write_text("Ch \n Ch\nCh\t\n\n \t\n?\nxx!\n")
+        assert main(["classify", "--input", str(f)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        code, report = run_json(capsys, ["sweep", "--input", str(f), "--nmax", "8"])
+        assert code == EXIT_OK and report["graphs_processed"] == 3
+        assert report["errors"] == [[6, "graph on 0 vertices"],
+                                    [7, "truncated bit body (byte offset 3)"]]
+        assert json.loads(err) == {
+            "error": "; ".join(f"line {ln}: {msg}" for ln, msg in report["errors"])}
+        f.write_text("Ch \n Ch\nCh\t\n\n \t\n")
+        code, payload = run_json(capsys, ["classify", "--input", str(f)])
+        assert code == EXIT_OK
+        assert [c["input"] for c in payload["certificates"]] == ["Ch"] * 3
+        code, report = run_json(capsys, ["sweep", "--input", str(f), "--nmax", "8"])
+        assert report["graphs_processed"] == 3 and report["errors"] == []
+
     def test_one_line_file_prints_a_batch(self, tmp_path, capsys):
         # The output shape does not depend on the line count.
         f = tmp_path / "graphs.g6"
@@ -127,6 +147,21 @@ class TestVerifyCommand:
                      "--k", "1", "--trials", "3", "--seed", "5"])
         assert payload["pair_fixed_check"]["status"] == "fail"
         validate(payload)
+
+    @pytest.mark.parametrize("flags", [["--k", "-1"], ["--k", "0"], ["--trials", "3"],
+                                       ["--seed", "7"], ["--k", "1", "--seed", "2"]])
+    def test_pair_flags_without_pair_are_usage_errors(self, capsys, flags):
+        # They configure only the --pair check, which does not run without --pair.
+        assert main(["verify", "--g6", "C4", "--h", "P4", *flags]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err) == {
+            "error": "--k, --trials and --seed configure the --pair check; give --pair"}
+
+    def test_pair_flags_default_to_pair_fixed_check(self, capsys):
+        code, payload = run_json(capsys, ["verify", "--g6", "C4", "--h", "P4",
+                                          "--pair", "0,2"])
+        assert payload["pair_fixed_check"] == pair_fixed_check(
+            cycle_graph(4), path_graph(4), (0, 2)).to_json()
 
     @pytest.mark.parametrize("g6, h, code, h_free, searches", [
         (emit_graph6(icosahedron_complement()), "P5", EXIT_OK, True, 1),  # saturated

@@ -6,6 +6,7 @@ from indsat.constructions import (CapacityError, K2P_EDGE, K2P_NONEDGE,
                                   PreconditionError, _add_block, _gatekeeper_fix,
                                   blowup_graph, fix_pair, initial_state,
                                   priority_position, schedule_fixes)
+from indsat.cli import graph_from_spec
 from indsat.gatekeeper import CLIQUE_MODE, blowup_mode, has_fixing_operation
 from indsat.graphs import (Graph, complete_graph, complete_multipartite,
                            cycle_graph, find_induced, is_isomorphic,
@@ -149,6 +150,23 @@ class TestPriorityEnumeration:
         seq = sorted(((i, j) for i in range(1, 6) for j in range(1, 6)),
                      key=lambda ij: priority_position(*ij))
         assert seq[:7] == [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]
+
+    @pytest.mark.parametrize("seed, h, family, m", [
+        ("P2", "P4", "twin", 2), ("P3", "C5", "gatekeeper", 3), ("P2", "Dr[", "gatekeeper", 2),
+        ("P2", "D]o", "k2p", 4), ("P3", "D}o", "k11p", 3)])
+    def test_queue_is_kept_in_priority_order(self, seed, h, family, m):
+        # The prefix benchmark's schedules, up to the vertex cap.
+        states = schedule_fixes(graph_from_spec(seed), graph_from_spec(h), steps=200, m=m,
+                                family=family)
+        assert len(states) > 3
+        for state in states:
+            positions = [e.position for e in state.queue]
+            assert positions == sorted(positions)
+            assert all(e.position == priority_position(e.i, e.j) for e in state.queue)
+            fixed = {rec.pair for rec in state.fixed_ledger}
+            live = [e for e in state.queue if e.pair not in fixed]
+            assert state.next_unfixed() == (min(live, key=lambda e: e.position)
+                                            if live else None)
 
     def test_enumeration_is_a_bijection(self):
         positions = [priority_position(i, j)

@@ -335,7 +335,7 @@ class TestSerialization:
 def test_naive_oracles_import_only_shared_types():
     # The reference oracles may share plain data types with the library, but
     # no code path that they check.
-    allowed = {"Graph", "CLIQUE_MODE", "EXHAUSTIVE_PAIRSET_LIMIT", "PairFixedResult"}
+    allowed = {"Graph", "EXHAUSTIVE_PAIRSET_LIMIT", "PairFixedResult"}
     tree = ast.parse(Path(__file__).with_name("oracles_naive.py").read_text())
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):

@@ -3,7 +3,7 @@ import json
 import random
 import sys
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -215,9 +215,27 @@ class TestPermutation:
                 naive_is_permutation_graph(g)
 
 
+def _within(g, mask) -> bool:
+    """Is g[mask] a permutation graph, by `_orientations`?  When it says yes,
+    its T and C must be transitive orientations of g[mask] and of its
+    complement, with no arc leaving the mask."""
+    found = recognizers._orientations(g, mask)
+    if found is None:
+        return False
+    inside = _bits(mask)
+    for arcs, edge in zip(found, (True, False)):
+        for u, v in combinations(inside, 2):
+            assert (arcs[u] >> v & 1) + (arcs[v] >> u & 1) == (g.has_edge(u, v) == edge)
+        for u in inside:
+            assert arcs[u] & ~mask == 0
+            for v in _bits(arcs[u]):
+                assert arcs[v] & ~arcs[u] == 0  # u -> v -> w forces u -> w
+    return True
+
+
 class TestPermutationWithinMask:
-    """`_is_permutation_within(g, mask)` against the recognizer on
-    g.induced(mask's vertices) and against the definition."""
+    """`_orientations(g, mask)` against the recognizer on g.induced(mask's
+    vertices) and against the definition."""
 
     def test_every_mask_of_every_class_up_to_6(self):
         # The definition is memoised by isomorphism class (min over
@@ -238,7 +256,7 @@ class TestPermutationWithinMask:
         for g in graphs_up_to(6):
             for mask in range(1 << g.n):
                 h = g.induced(_bits(mask))
-                got = recognizers._is_permutation_within(g, mask)
+                got = _within(g, mask)
                 assert got == (is_permutation_graph(h) is not None), (g, mask)
                 assert got == (definition(h) if h.n <= 5 else
                                naive_permutation_realizer(h.adj) is not None), (g, mask)
@@ -260,7 +278,7 @@ class TestPermutationWithinMask:
                 for g in (random_graph(rng, n, p), near):
                     for _ in range(8):
                         mask = sum(1 << v for v in rng.sample(range(n), rng.randint(0, n)))
-                        got = recognizers._is_permutation_within(g, mask)
+                        got = _within(g, mask)
                         h = g.induced(_bits(mask))
                         assert got == (is_permutation_graph(h) is not None), (g, mask)
                         found += got
@@ -320,26 +338,28 @@ class TestCloseToPermutation:
         edges = [(3, 4), (4, 5), (5, 6), (6, 7), (7, 3), (0, 3), (1, 3), (1, 4),
                  (2, 5)]
         g = Graph.from_edges(8, edges)
+        # Before recording: the reference runs the recognizer too.
+        expected = naive_close_to_permutation(
+            g, lambda x: is_permutation_graph(x) is not None)
         tried = []
-        real = recognizers._is_permutation_within
+        real = recognizers._orientations
 
         def recording(x, mask):
             tried.append((x, mask))
             return real(x, mask)
 
-        monkeypatch.setattr(recognizers, "_is_permutation_within", recording)
+        monkeypatch.setattr(recognizers, "_orientations", recording)
         got = close_to_permutation(g)
-        assert got == naive_close_to_permutation(
-            g, lambda x: is_permutation_graph(x) is not None)
-        assert got == ((3, 7), (5, 7))
-        # The shrink tests g itself on one mask per vertex, dropping 0, 1
-        # and 2; every other test is a toggle of the whole graph.
+        assert got == expected == ((3, 7), (5, 7))
+        # g itself is tested whole, then on one mask per vertex by the
+        # shrink, which drops 0, 1 and 2; every other test is a toggle of
+        # the whole graph.
         assert [mask for x, mask in tried if x == g] == [
-            0b11111110, 0b11111100, 0b11111000, 0b11110000, 0b11101000,
-            0b11011000, 0b10111000, 0b01111000]
+            0b11111111, 0b11111110, 0b11111100, 0b11111000, 0b11110000,
+            0b11101000, 0b11011000, 0b10111000, 0b01111000]
         toggles = [[v for v in range(8) if x.adj[v] != g.adj[v]]
                    for x, mask in tried if x != g and mask == 0b11111111]
-        assert len(toggles) == len(tried) - 8
+        assert len(toggles) == len(tried) - 9
         assert toggles and all(set(pair) <= {3, 4, 5, 6, 7} for pair in toggles)
 
     def test_cycles_match_the_naive_scan(self):
