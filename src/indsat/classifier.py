@@ -1,16 +1,16 @@
 """The decision pipeline: which construction applies to a graph H.
 
-Checks run on H first and then on its complement, in the order of `STEPS`
-(forest with unique maximum degree; 2-core K_{2,p} / K_{1,1,p}; 3-core or
-3*-core 3-connected non-clique; (1,1)-core bull or P4; close to a
-permutation graph; gatekeeper fixing operations on four cores), after the
-trivial check and before an isomorphism match against the eight special
-graphs.  The first hit wins, which makes certificates deterministic.
+Checks run on H first and then on its complement, in the order of `STEPS`:
+the trivial test (clique or independent set); forest with unique maximum
+degree; 2-core K_{2,p} / K_{1,1,p}; 3-core or 3*-core 3-connected
+non-clique; (1,1)-core bull or P4; close to a permutation graph; gatekeeper
+fixing operations on four cores; and an isomorphism match against the
+special table.  The first hit wins, which makes certificates deterministic.
 
 Two seven-vertex spellings, F?q|w and F?rLw, circulate for the third
 rational-geometric graph.  They are complements of each other, so the
-special table stores F?rLw alone and decides membership by isomorphism,
-complements included, rather than by trusting either label.
+special table stores F?rLw alone and matches by isomorphism; F?q|w, like
+every complement of a stored graph, is matched on the walk over the complement.
 """
 
 from __future__ import annotations
@@ -43,30 +43,22 @@ SPECIAL_Z3 = "special_z3"
 THEOREM_VIOLATION = "theorem_violation"
 UNCLASSIFIED = "unclassified"
 
-# The eight special graphs are stored through four base spellings; complements
-# are matched by flag rather than stored separately.  F?rLw, not its
-# complement F?q|w, is stored because the replay witnesses
+# The eight special graphs through four base spellings, as (key, case, graph)
+# parsed once at import; the walk over the complement matches the other four.
+# F?rLw, not its complement F?q|w, is stored because the replay witnesses
 # (verifier.RATIONAL_GEOMETRIC_PATTERNS) exist for that orientation.
-_SPECIAL_TABLE = (
+_SPECIAL_GRAPHS = tuple((key, case, parse_graph6(key)) for key, case in (
     ("E?qw", SPECIAL_RATIONAL_GEOMETRIC),
     ("F?rLw", SPECIAL_RATIONAL_GEOMETRIC),
     ("F?S|w", SPECIAL_RATIONAL_GEOMETRIC),
-    ("F?q~w", SPECIAL_Z3),
-)
+    ("F?q~w", SPECIAL_Z3)))
 
 
-# (key, case, graph, complement of graph), parsed once at import.
-_SPECIAL_GRAPHS = tuple((key, case, parse_graph6(key), complement(parse_graph6(key)))
-                        for key, case in _SPECIAL_TABLE)
-
-
-def special_table(h: Graph) -> Optional[tuple[str, str, bool]]:
-    """(key, case, complemented) if h is one of the special graphs."""
-    for key, case, base, base_complement in _SPECIAL_GRAPHS:
+def special_table(h: Graph) -> Optional[tuple[str, str]]:
+    """(key, case) if h is isomorphic to one of the four stored graphs."""
+    for key, case, base in _SPECIAL_GRAPHS:
         if is_isomorphic(h, base):
-            return key, case, False
-        if is_isomorphic(h, base_complement):
-            return key, case, True
+            return key, case
     return None
 
 
@@ -88,6 +80,12 @@ class Certificate:
 
 # Each check is a function of one graph: (case, witness fields) on a hit, else a
 # falsy value.  It looks layer functions up when it runs, so rebinding one reaches it.
+def _trivial(g: Graph):
+    kind = classify_trivial(g)
+    witness = {"kind": kind, "degenerate": True} if g.n <= 2 else {"kind": kind}
+    return kind != TRIVIAL_NONE and (NOT_APPLICABLE_TRIVIAL, witness)
+
+
 def _forest(g: Graph):
     hit = forest_unique_max(g)
     return hit and (FOREST_UNIQUE_MAX, {"center": hit[0], "max_degree": hit[1]})
@@ -119,13 +117,19 @@ def _gatekeeper(g: Graph):
         "edge_mode": gk.edge_mode, "nonedge_mode": gk.nonedge_mode})
 
 
+def _special(g: Graph):
+    match = special_table(g)
+    return match and (match[1], {"table_key": match[0]})
+
+
 # The checks on one orientation, in order: (core kind, check) runs the check on
 # that core of the orientation, or on the orientation itself when the kind is None.
-STEPS = ((None, _forest), (cores.TWO, _k2p_k11p),
+STEPS = ((None, _trivial), (None, _forest), (cores.TWO, _k2p_k11p),
          (cores.THREE, _3conn), (cores.THREE_STAR, _3conn),
          (cores.ONE_ONE, _bull_p4), (None, _close_to_permutation),
          (cores.TWO, _gatekeeper), (cores.THREE, _gatekeeper),
-         (cores.TWO_EDGE, _gatekeeper), (cores.TWO_NONEDGE, _gatekeeper))
+         (cores.TWO_EDGE, _gatekeeper), (cores.TWO_NONEDGE, _gatekeeper),
+         (None, _special))
 
 
 def _first_case(target: Graph, steps=STEPS) -> Optional[tuple[str, dict]]:
@@ -144,9 +148,7 @@ def _first_case(target: Graph, steps=STEPS) -> Optional[tuple[str, dict]]:
             continue
         if core is None:
             return hit
-        return hit[0], {"core_kind": cores.core_name(kind), "core": emit_graph6(graph),
-                        "core_vertices": list(core.vertices),
-                        "trace": [c.to_json() for c in core.trace], **hit[1]}
+        return hit[0], {"core_kind": cores.core_name(kind), **core.to_json(), **hit[1]}
     return None
 
 
@@ -160,33 +162,17 @@ def classify(h: Graph) -> Certificate:
     if h.n == 0:
         raise ValueError("classify needs at least one vertex")
     started = time.perf_counter()
-    g6 = emit_graph6(h)
-
-    def done(case: str, complemented: bool, witness: dict) -> Certificate:
-        timings = {"seconds": time.perf_counter() - started}
-        return Certificate(g6, case, complemented, witness, timings)
-
-    triv = classify_trivial(h)
-    if triv != TRIVIAL_NONE:
-        witness = {"kind": triv}
-        if h.n <= 2:
-            witness["degenerate"] = True
-        return done(NOT_APPLICABLE_TRIVIAL, False, witness)
-
     for complemented, target in ((False, h), (True, complement(h))):
         hit = _first_case(target)
         if hit is not None:
-            return done(hit[0], complemented, hit[1])
-
-    special = special_table(h)
-    if special is not None:
-        key, case, complemented = special
-        return done(case, complemented, {"table_key": key})
-
-    if h.n >= 12:
-        return done(THEOREM_VIOLATION, False,
-                    {"note": "no structural case fired on either orientation"})
-    return done(UNCLASSIFIED, False, {})
+            break
+    else:
+        complemented = False
+        hit = ((THEOREM_VIOLATION, {"note": "no structural case fired on either orientation"})
+               if h.n >= 12 else (UNCLASSIFIED, {}))
+    case, witness = hit
+    return Certificate(emit_graph6(h), case, complemented, witness,
+                       {"seconds": time.perf_counter() - started})
 
 
 def replay_certificate(cert: Certificate) -> bool:
@@ -222,10 +208,13 @@ class SweepReport:
 
 
 def read_graph6_line(line: str) -> tuple[Optional[Graph], str]:
-    """(graph, "") for a non-blank graph6 line, whitespace around it ignored,
-    or (None, why) for a malformed line or the graph on 0 vertices."""
+    """(graph, "") for a graph6 line, ASCII whitespace around it ignored as
+    `parse_graph6` does; (None, "") for a blank line, which holds only that
+    whitespace; (None, why) for a malformed line or the graph on 0 vertices."""
+    if not line.strip(" \t\n\r\v\f"):  # string.whitespace, without importing it
+        return None, ""
     try:
-        g = parse_graph6(line.strip())
+        g = parse_graph6(line)
     except Graph6Error as exc:
         return None, str(exc)
     return (g, "") if g.n else (None, "graph on 0 vertices")
@@ -236,7 +225,7 @@ def _sweep_line(job: tuple[int, str, int]) -> tuple[int, str, str, str]:
     lineno, line, n_max = job
     g, why = read_graph6_line(line)
     if g is None:
-        return lineno, "error", "", why
+        return lineno, "error" if why else "blank", "", why
     if g.n > n_max:
         return lineno, "error", "", f"graph on {g.n} vertices exceeds nmax {n_max}"
     cert = classify(g)
@@ -251,7 +240,7 @@ def sweep(lines: Iterable[str], n_max: int, workers: int = 1) -> SweepReport:
     and the sweep continues."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    jobs = [(lineno, line, n_max) for lineno, line in enumerate(lines, start=1) if line.strip()]
+    jobs = [(lineno, line, n_max) for lineno, line in enumerate(lines, start=1)]
     report = SweepReport(n_max=n_max)
     if workers == 1:
         results = map(_sweep_line, jobs)
@@ -267,6 +256,7 @@ def sweep(lines: Iterable[str], n_max: int, workers: int = 1) -> SweepReport:
     for lineno, status, case, payload in results:
         if status == "error":
             report.errors.append((lineno, payload))
+        if status in ("error", "blank"):
             continue
         report.graphs_processed += 1
         report.totals[case] = report.totals.get(case, 0) + 1

@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import re
+import string
 import sys
 from pathlib import Path
 
@@ -35,8 +36,9 @@ _NAMED_GRAPHS = {"bull": bull_graph, "icosahedron_complement": icosahedron_compl
 
 
 def graph_from_spec(spec: str) -> Graph:
-    """Accept a named graph (P5, C6, K4, bull, ...) or a graph6 string."""
-    m = re.fullmatch(r"([PCK])(\d+)", spec)
+    """Accept a named graph (P5, C6, K4, bull, ...) or a graph6 string, padded or not."""
+    name = spec.strip(string.whitespace)
+    m = re.fullmatch(r"([PCK])(\d+)", name)
     if m:
         kind, size = m.group(1), int(m.group(2))
         if kind == "P":
@@ -44,8 +46,8 @@ def graph_from_spec(spec: str) -> Graph:
         if kind == "C":
             return cycle_graph(size)
         return complete_graph(size)
-    if spec in _NAMED_GRAPHS:
-        return _NAMED_GRAPHS[spec]()
+    if name in _NAMED_GRAPHS:
+        return _NAMED_GRAPHS[name]()
     return parse_graph6(spec)
 
 
@@ -57,27 +59,27 @@ def _emit(payload: dict, out: "str | None") -> None:
         print(text)
 
 
+def _read_lines(path: str) -> list[str]:
+    # Only "\n" ends a line; str.splitlines would also end one at \x1c-\x1e.
+    return Path(path).read_text().split("\n")
+
+
 def _cmd_classify(args) -> int:
     if args.g6 is not None:
         _emit(classify(graph_from_spec(args.g6)).to_json(), args.out)
         return EXIT_OK
-    graphs, errors = [], []
-    for lineno, line in enumerate(Path(args.input).read_text().splitlines(), start=1):
-        if line.strip():
-            g, why = read_graph6_line(line)
-            if g is None:
-                errors.append(f"line {lineno}: {why}")
-            else:
-                graphs.append(g)
+    read = [(lineno, *read_graph6_line(line))
+            for lineno, line in enumerate(_read_lines(args.input), start=1)]
+    errors = [f"line {lineno}: {why}" for lineno, _, why in read if why]
     if errors:  # every line sweep would reject, in one JSON error
         raise ValueError("; ".join(errors))
-    _emit({"certificates": [classify(g).to_json() for g in graphs]}, args.out)
+    _emit({"certificates": [classify(g).to_json() for _, g, _ in read if g is not None]},
+          args.out)
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
-    lines = Path(args.input).read_text().splitlines()
-    report = sweep(lines, n_max=args.nmax, workers=args.workers)
+    report = sweep(_read_lines(args.input), n_max=args.nmax, workers=args.workers)
     _emit(report.to_json(), args.out)
     return EXIT_OK if report.ok() else EXIT_INCOMPLETE
 
@@ -87,9 +89,7 @@ def _cmd_cores(args) -> int:
     kind = cores_mod.named_core(args.kind)
     result = cores_mod.core(g, kind)
     _emit({"input": emit_graph6(g), "kind": cores_mod.core_name(kind),
-           "core": emit_graph6(result.graph),
-           "core_vertices": list(result.vertices),
-           "trace": [c.to_json() for c in result.trace]}, args.out)
+           **result.to_json()}, args.out)
     return EXIT_OK
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
-from .graphs import Graph, _bits
+from .graphs import Graph, _bits, emit_graph6
 
 
 _TAGS = ("kl", "three_star", "two_edge", "two_nonedge")
@@ -106,6 +106,10 @@ class CoreResult:
     graph: Graph
     vertices: tuple[int, ...]
     trace: tuple[RemovedCluster, ...]
+
+    def to_json(self) -> dict:
+        return {"core": emit_graph6(self.graph), "core_vertices": list(self.vertices),
+                "trace": [c.to_json() for c in self.trace]}
 
 
 def _removals(g: Graph, present: int, kind: CoreKind) -> Iterator[RemovedCluster]:

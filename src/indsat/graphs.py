@@ -173,14 +173,15 @@ def _bits(mask: int) -> list[int]:
 
 
 def parse_graph6(text: "str | bytes") -> Graph:
-    """Decode one graph6 value; tolerates the ``>>graph6<<`` header prefix."""
+    """Decode one graph6 value; ignores ASCII whitespace around it and
+    tolerates the ``>>graph6<<`` header prefix."""
     try:
         data = text.encode("ascii") if isinstance(text, str) else bytes(text)
     except UnicodeEncodeError as exc:
         raise Graph6Error("non-ASCII character", exc.start) from None
+    data = data.strip()  # ASCII whitespace, which no graph6 byte (63..126) is
     if data.startswith(_G6_HEADER):
         data = data[len(_G6_HEADER):]
-    data = data.rstrip(b"\r\n")
     if not data:
         raise Graph6Error("empty graph6 string", 0)
     if data[0] == 126:  # long-form vertex count (63 <= n <= 258047)
@@ -499,26 +500,27 @@ def enumerate_2cuts(g: Graph) -> list[tuple[tuple[int, int], bool, list[list[int
 def clique_cover_at_most(g: Graph, vertices: Sequence[int], budget: int) -> bool:
     """Can g[vertices] be covered by at most `budget` cliques?  Equivalent to
     coloring the complement of g[vertices] with `budget` colors."""
+    # Depth-first without recursion, trying the cliques open in order, then a new one.
     cliques: list[int] = []  # vertex mask of each clique opened so far
-
-    def place(i: int) -> bool:
-        if i == len(vertices):
-            return True
-        v = vertices[i]
-        for c, members in enumerate(cliques):
-            if members & ~g.adj[v] == 0:
-                cliques[c] = members | 1 << v
-                if place(i + 1):
-                    return True
-                cliques[c] = members
-        if len(cliques) < budget:
-            cliques.append(1 << v)
-            if place(i + 1):
-                return True
-            cliques.pop()
-        return False
-
-    return place(0)
+    chosen = [-1] * len(vertices)  # clique of vertices[i], -1 before its first try
+    i = 0
+    while 0 <= i < len(vertices):
+        v, c = vertices[i], chosen[i]
+        if c >= 0:  # leave the clique tried last, closing it if v opened it
+            cliques[c] &= ~(1 << v)
+            if not cliques[c]:
+                cliques.pop()
+        c += 1
+        while c < len(cliques) and cliques[c] & ~g.adj[v]:
+            c += 1
+        if c == len(cliques) < budget:
+            cliques.append(0)
+        if c < len(cliques):
+            cliques[c] |= 1 << v
+            chosen[i], i = c, i + 1
+        else:
+            chosen[i], i = -1, i - 1
+    return i >= 0
 
 
 def twins(g: Graph, v: int) -> tuple[list[int], list[int]]:

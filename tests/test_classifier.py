@@ -75,15 +75,53 @@ class TestLabelInvariance:
 class TestSpecialTable:
     def test_matches(self):
         assert special_table(parse_graph6("F?S|w"))[1] == SPECIAL_RATIONAL_GEOMETRIC
-        key, case, complemented = special_table(complement(parse_graph6("F?q~w")))
-        assert case == SPECIAL_Z3 and complemented
+        # The table answers for the graph itself; the walk over the complement
+        # matches the complements.
+        assert special_table(complement(parse_graph6("F?q~w"))) is None
+        assert special_table(parse_graph6("F?q~w")) == ("F?q~w", SPECIAL_Z3)
         assert special_table(cycle_graph(5)) is None
 
     def test_alternate_spellings_are_complements(self):
         from indsat.graphs import is_isomorphic
         assert is_isomorphic(parse_graph6("F?q|w"), complement(parse_graph6("F?rLw")))
-        # So the F?rLw row, complemented, matches F?q|w: the table needs no row for it.
-        assert special_table(parse_graph6("F?q|w")) == ("F?rLw", SPECIAL_RATIONAL_GEOMETRIC, True)
+        # So the F?rLw row, reached on the complement, matches F?q|w: the table
+        # needs no row for it.
+        assert special_table(parse_graph6("F?q|w")) is None
+        assert special_table(complement(parse_graph6("F?q|w"))) == (
+            "F?rLw", SPECIAL_RATIONAL_GEOMETRIC)
+        cert = classify(parse_graph6("F?q|w"))
+        assert (cert.case, cert.complemented, cert.witness) == (
+            SPECIAL_RATIONAL_GEOMETRIC, True, {"table_key": "F?rLw"})
+
+    def test_table_holds_no_complement(self):
+        from indsat.graphs import is_isomorphic
+        stored = [base for _, _, base in classifier._SPECIAL_GRAPHS]
+        assert not any(is_isomorphic(a, complement(b)) for a in stored for b in stored)
+
+    def test_special_row_is_the_only_row_that_fires(self):
+        # The special row ends each orientation's walk instead of following
+        # both walks.  That keeps every certificate only because no earlier row
+        # fires on either orientation of a special graph.
+        for key, case, base in classifier._SPECIAL_GRAPHS:
+            for complemented, target in ((False, base), (True, complement(base))):
+                assert classifier._first_case(target, classifier.STEPS[:-1]) is None, key
+                cert = classify(target)
+                assert (cert.case, cert.complemented, cert.witness) == (
+                    case, complemented, {"table_key": key}), key
+
+    def test_first_row_decides_every_trivial_class(self):
+        from indsat.recognizers import TRIVIAL_NONE, classify_trivial
+        trivial = 0
+        for g in graphs_up_to(8):
+            hit = classifier._first_case(g, classifier.STEPS[:1])
+            if classify_trivial(g) == TRIVIAL_NONE:
+                assert hit is None, emit_graph6(g)
+                continue
+            trivial += 1
+            cert = classify(g)
+            assert cert.case == NOT_APPLICABLE_TRIVIAL and not cert.complemented
+            assert hit == (cert.case, cert.witness)
+        assert trivial == 15  # K_n and its complement for n = 2..8, and K_1
 
 
 class TestNaiveClassify:
@@ -321,9 +359,9 @@ class TestOrderIndependence:
 
 
 class TestSteps:
-    # The first five steps hold the paper's first four cases: forest,
-    # K_{2,p}/K_{1,1,p}, 3-core or 3*-core, and bull/P4 (1,1)-core.
-    FOUR_CASES = classifier.STEPS[:5]
+    # The five steps after the trivial test hold the paper's first four cases:
+    # forest, K_{2,p}/K_{1,1,p}, 3-core or 3*-core, and bull/P4 (1,1)-core.
+    FOUR_CASES = classifier.STEPS[1:6]
 
     def four_cases_fire(self, g):
         return any(classifier._first_case(target, self.FOUR_CASES)
@@ -371,13 +409,16 @@ class TestSteps:
                 return real(*args)
             monkeypatch.setattr(module, name, wrapper)
 
-        for name in ("is_3conn_nonclique", "close_to_permutation", "has_fixing_operation"):
+        names = ("classify_trivial", "is_3conn_nonclique", "close_to_permutation",
+                 "has_fixing_operation", "special_table")
+        for name in names:
             counted(classifier, name)
         counted(cores, "core")
-        assert [classify(parse_graph6(g6)).case for g6 in ("Es\\o", "Dhc", "Dr[")] == [
-            CORE_3CONN, CLOSE_TO_PERMUTATION, CORE_GATEKEEPER]
-        assert set(calls) == {"is_3conn_nonclique", "close_to_permutation",
-                              "has_fixing_operation", "core"}
+        inputs = [parse_graph6(g6) for g6 in ("Es\\o", "Dhc", "Dr[", "E?qw")] + [complete_graph(4)]
+        assert [classify(g).case for g in inputs] == [
+            CORE_3CONN, CLOSE_TO_PERMUTATION, CORE_GATEKEEPER, SPECIAL_RATIONAL_GEOMETRIC,
+            NOT_APPLICABLE_TRIVIAL]
+        assert set(calls) == {*names, "core"}
         assert all(count > 0 for count in calls.values())
 
 

@@ -107,6 +107,29 @@ class TestClassifyCommand:
         code, report = run_json(capsys, ["sweep", "--input", str(f), "--nmax", "8"])
         assert report["graphs_processed"] == 3 and report["errors"] == []
 
+    @pytest.mark.parametrize("argv", [["classify", "--g6", "Ch "], ["classify", "--g6", " P5"],
+                                      ["classify", "--g6", "\tbull\n"],
+                                      ["verify", "--g6", " Ch", "--h", "P3"]])
+    def test_g6_ignores_whitespace_around_it(self, capsys, argv):
+        # As --input does: parse_graph6 drops the ASCII whitespace around a value.
+        padded = run_json(capsys, argv)
+        plain = run_json(capsys, [arg.strip() for arg in argv])
+        assert padded[0] == plain[0] != EXIT_USAGE
+        assert padded[1].keys() == plain[1].keys()
+        assert padded[1].get("input") == plain[1].get("input")
+
+    def test_batch_readers_reject_a_control_byte_alike(self, tmp_path, capsys):
+        # \x1e is no ASCII whitespace, unlike \v and \f: both readers keep it,
+        # neither ends a line at it, and both name the same defect.
+        f = tmp_path / "graphs.g6"
+        f.write_text("Ch\n\x0b\x0c\nCh\x1e\n")
+        assert main(["classify", "--input", str(f)]) == EXIT_USAGE
+        err = json.loads(capsys.readouterr().err)
+        code, report = run_json(capsys, ["sweep", "--input", str(f), "--nmax", "8"])
+        assert report["graphs_processed"] == 1
+        assert report["errors"] == [[3, "trailing garbage after bit body (byte offset 2)"]]
+        assert err == {"error": "line 3: trailing garbage after bit body (byte offset 2)"}
+
     def test_one_line_file_prints_a_batch(self, tmp_path, capsys):
         # The output shape does not depend on the line count.
         f = tmp_path / "graphs.g6"

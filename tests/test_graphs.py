@@ -1,7 +1,7 @@
 import random
 import sys
 import time
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from types import SimpleNamespace
 
 import pytest
@@ -82,6 +82,16 @@ class TestGraph6:
         # Above 62 vertices the encoder switches to the four-byte header.
         assert emit_graph6(empty_graph(63))[:4] == chr(126) + chr(63) + chr(63) + chr(126)
         assert parse_graph6(emit_graph6(empty_graph(63))) == empty_graph(63)
+
+    def test_ascii_whitespace_around_a_value_is_ignored(self):
+        # No graph6 byte (63..126) is ASCII whitespace; other control bytes stay.
+        for text in ("Dr[ ", " Dr[", "\tDr[\r\n", "\x0bDr[\x0c", " >>graph6<<Dr[\n"):
+            assert parse_graph6(text) == parse_graph6("Dr[")
+        with pytest.raises(Graph6Error, match="trailing garbage") as exc:
+            parse_graph6("Dr[\x1e")
+        assert exc.value.offset == 3
+        with pytest.raises(Graph6Error, match="empty"):
+            parse_graph6(" \t\r\n")
 
     def test_long_form_header(self):
         g = empty_graph(64)
@@ -696,6 +706,28 @@ class TestCliqueCover:
             for budget in range(4):
                 assert clique_cover_at_most(g, vertices, budget) == \
                     naive_clique_cover_at_most(g, vertices, budget)
+
+    def test_vs_brute_force_colouring_of_the_complement(self):
+        # The fewest cliques covering g[vertices] is the chromatic number of
+        # its complement: the least k with a proper k-colouring, all tried.
+        rng = random.Random(2929)
+        for _ in range(3000):
+            g = random_graph(rng, rng.randint(1, 7), rng.choice([0.2, 0.5, 0.8]))
+            vertices = rng.sample(range(g.n), rng.randint(0, g.n))
+            edges = complement(g.induced(vertices)).edges()
+            fewest = next(k for k in range(len(vertices) + 1) if any(
+                all(colour[u] != colour[v] for u, v in edges)
+                for colour in product(range(k), repeat=len(vertices))))
+            for budget in range(len(vertices) + 2):
+                assert clique_cover_at_most(g, vertices, budget) == (budget >= fewest), \
+                    (emit_graph6(g), vertices, budget)
+
+    def test_no_recursion_per_vertex(self):
+        # One vertex per loop step, not per stack frame: 1,200 vertices pass
+        # the default recursion limit of 1,000.
+        assert clique_cover_at_most(complete_graph(1200), range(1200), 1)
+        assert clique_cover_at_most(empty_graph(1200), range(1200), 1200)
+        assert not clique_cover_at_most(empty_graph(1200), range(1200), 1199)
 
 
 class TestTwins:
