@@ -24,8 +24,8 @@ from typing import Iterable, Optional, Sequence
 
 from . import cores
 from .gatekeeper import has_fixing_operation
-from .graphs import (Graph, Graph6Error, _cuts, complement, components_within,
-                     emit_graph6, is_isomorphic, parse_graph6)
+from .graphs import (ASCII_WHITESPACE, Graph, Graph6Error, _cuts, complement,
+                     components_within, emit_graph6, is_isomorphic, parse_graph6)
 from .recognizers import (TRIVIAL_NONE, classify_trivial, close_to_permutation,
                           forest_unique_max, is_bull_or_p4, is_3conn_nonclique,
                           match_k2p_k11p)
@@ -46,7 +46,7 @@ UNCLASSIFIED = "unclassified"
 # The eight special graphs through four base spellings, as (key, case, graph)
 # parsed once at import; the walk over the complement matches the other four.
 # F?rLw, not its complement F?q|w, is stored because the replay witnesses
-# (verifier.RATIONAL_GEOMETRIC_PATTERNS) exist for that orientation.
+# (verifier._WINDOW_SCENARIOS, matched by a test) exist for that orientation.
 _SPECIAL_GRAPHS = tuple((key, case, parse_graph6(key)) for key, case in (
     ("E?qw", SPECIAL_RATIONAL_GEOMETRIC),
     ("F?rLw", SPECIAL_RATIONAL_GEOMETRIC),
@@ -211,7 +211,7 @@ def read_graph6_line(line: str) -> tuple[Optional[Graph], str]:
     """(graph, "") for a graph6 line, ASCII whitespace around it ignored as
     `parse_graph6` does; (None, "") for a blank line, which holds only that
     whitespace; (None, why) for a malformed line or the graph on 0 vertices."""
-    if not line.strip(" \t\n\r\v\f"):  # string.whitespace, without importing it
+    if not line.strip(ASCII_WHITESPACE):
         return None, ""
     try:
         g = parse_graph6(line)

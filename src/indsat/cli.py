@@ -1,5 +1,6 @@
 """Command-line surface: classify, sweep, cores, gatekeepers, verify, prefix,
-oracle, structure12, replay, docs.
+oracle, structure12, replay, docs, each registered once, with its handler, in
+`build_parser`.
 
 Every subcommand except `docs`, which prints Markdown, writes JSON (stdout
 or --out); all randomness is seeded and echoed.
@@ -13,7 +14,6 @@ import argparse
 import json
 import os
 import re
-import string
 import sys
 from pathlib import Path
 
@@ -21,9 +21,10 @@ from . import cores as cores_mod
 from .classifier import classify, read_graph6_line, structure_check_12, sweep
 from .constructions import FAMILIES, schedule_fixes
 from .gatekeeper import has_fixing_operation
-from .graphs import (Graph, bull_graph, complete_graph, cycle_graph, emit_graph6,
-                     icosahedron_complement, parse_graph6, path_graph)
-from .oracles import kind_from_json, oracle_window, vertex_from_json, vertex_to_json
+from .graphs import (ASCII_WHITESPACE, Graph, bull_graph, complete_graph, cycle_graph,
+                     emit_graph6, icosahedron_complement, parse_graph6, path_graph)
+from .oracles import (kind_from_flag, kind_from_json, oracle_window, vertex_from_json,
+                      vertex_to_json)
 from .verifier import (_saturation_scan, induced_saturated, pair_fixed_check,
                        replay_construction_witnesses)
 
@@ -37,18 +38,23 @@ _NAMED_GRAPHS = {"bull": bull_graph, "icosahedron_complement": icosahedron_compl
 
 def graph_from_spec(spec: str) -> Graph:
     """Accept a named graph (P5, C6, K4, bull, ...) or a graph6 string, padded or not."""
-    name = spec.strip(string.whitespace)
+    name = spec.strip(ASCII_WHITESPACE)
     m = re.fullmatch(r"([PCK])(\d+)", name)
     if m:
-        kind, size = m.group(1), int(m.group(2))
-        if kind == "P":
-            return path_graph(size)
-        if kind == "C":
-            return cycle_graph(size)
-        return complete_graph(size)
+        family = {"P": path_graph, "C": cycle_graph, "K": complete_graph}[m.group(1)]
+        return family(int(m.group(2)))
     if name in _NAMED_GRAPHS:
         return _NAMED_GRAPHS[name]()
     return parse_graph6(spec)
+
+
+def _vertex_pair(text: str) -> tuple[int, int]:
+    """The vertices u, v of a --pair value 'u,v'."""
+    u, _, v = text.partition(",")
+    try:
+        return int(u), int(v)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not u,v with integers u and v") from None
 
 
 def _emit(payload: dict, out: "str | None") -> None:
@@ -114,8 +120,7 @@ def _cmd_verify(args) -> int:
                "failing_pair": list(failing) if failing else None,
                "pairs_checked": checked}
     if args.pair is not None:
-        u, v = (int(x) for x in args.pair.split(","))
-        payload["pair_fixed_check"] = pair_fixed_check(g, h, (u, v), **flags).to_json()
+        payload["pair_fixed_check"] = pair_fixed_check(g, h, args.pair, **flags).to_json()
     _emit(payload, args.out)
     return EXIT_OK if saturated else EXIT_VERIFY_FAILED
 
@@ -144,13 +149,9 @@ def _cmd_oracle(args) -> int:
                       parse_float=str)
     try:
         if isinstance(spec, dict):
-            kind = kind_from_json(spec["kind"])
-        elif ":" in args.kind:  # e.g. grid_clique:2
-            tag, p = args.kind.split(":")
-            kind = kind_from_json({"tag": tag, "p": int(p)})
+            kind, raw = kind_from_json(spec["kind"]), spec["vertices"]
         else:
-            kind = kind_from_json({"tag": args.kind})
-        raw = spec["vertices"] if isinstance(spec, dict) else spec
+            kind, raw = kind_from_flag(args.kind), spec
         vertices = [vertex_from_json(kind, v) for v in raw]
     except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError,
             OverflowError) as exc:
@@ -182,25 +183,18 @@ def generate_docs_examples() -> str:
     lines = ["# Worked certificates", ""]
     for name, g in worked:
         cert = classify(g)
-        lines.append(f"## {name} (`{cert.input}`)")
-        lines.append("")
-        lines.append("```json")
-        lines.append(json.dumps(cert.to_json(with_timings=False),
-                                indent=2, sort_keys=True))
-        lines.append("```")
-        lines.append("")
+        lines += [f"## {name} (`{cert.input}`)", "", "```json",
+                  json.dumps(cert.to_json(with_timings=False), indent=2, sort_keys=True),
+                  "```", ""]
     ico = icosahedron_complement()
     saturated, _ = induced_saturated(ico, path_graph(5))
-    lines.append("## Saturation regression")
-    lines.append("")
-    lines.append(f"- icosahedron complement is P5-free and induced-saturated "
-                 f"for P5 across all 66 pairs: **{saturated}**")
-    lines.append("")
-    lines.append("The special table stores `F?rLw` alone: `F?q|w`, the other "
-                 "circulating spelling of the third rational-geometric graph, "
-                 "is its complement, so membership is matched by isomorphism "
-                 "with a complemented flag.")
-    lines.append("")
+    lines += ["## Saturation regression", "",
+              f"- icosahedron complement is P5-free and induced-saturated "
+              f"for P5 across all 66 pairs: **{saturated}**", "",
+              "The special table stores `F?rLw` alone: `F?q|w`, the other "
+              "circulating spelling of the third rational-geometric graph, "
+              "is its complement, so membership is matched by isomorphism "
+              "with a complemented flag.", ""]
     return "\n".join(lines)
 
 
@@ -232,71 +226,57 @@ def build_parser() -> argparse.ArgumentParser:
 
     g6_help = "inline graph6 string or named graph"
 
-    def common(p, g6=True):
+    def command(name, run, help, g6=False):
+        """Register one subcommand: its handler, --out and, if asked, --g6."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("--out", help="write the output here instead of stdout")
         if g6:
             p.add_argument("--g6", required=True, help=g6_help)
+        return p
 
-    p = sub.add_parser("classify", help="certificate for one graph or a file of graphs")
-    common(p, g6=False)
+    p = command("classify", _cmd_classify, "certificate for one graph or a file of graphs")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--g6", help=g6_help)
     source.add_argument("--input", help="newline-delimited graph6 file")
 
-    p = sub.add_parser("sweep", help="classify a canonical graph6 stream")
-    common(p, g6=False)
+    p = command("sweep", _cmd_sweep, "classify a canonical graph6 stream")
     p.add_argument("--input", required=True, help="newline-delimited graph6 file")
     p.add_argument("--nmax", type=int, default=11, help="max vertices; larger graphs are errors")
     p.add_argument("--workers", type=int, default=1, help="worker processes, at least 1")
 
-    p = sub.add_parser("cores", help="core reduction with removal trace")
-    common(p)
+    p = command("cores", _cmd_cores, "core reduction with removal trace", g6=True)
     p.add_argument("--kind", default="two",
                    help="two | three | one_one | three_star | two_edge | two_nonedge | kl:k,l")
 
-    p = sub.add_parser("gatekeepers", help="fixing-operation search on one graph")
-    common(p)
+    command("gatekeepers", _cmd_gatekeepers, "fixing-operation search on one graph", g6=True)
 
-    p = sub.add_parser("verify", help="freeness and induced saturation")
-    common(p)
+    p = command("verify", _cmd_verify, "freeness and induced saturation", g6=True)
     p.add_argument("--h", required=True, help="pattern graph (graph6 or name like P5)")
-    p.add_argument("--pair", help="also run the bounded fixed-pair check on 'u,v'")
+    p.add_argument("--pair", type=_vertex_pair,
+                   help="also run the bounded fixed-pair check on 'u,v'")
     p.add_argument("--k", dest="adversary_budget", type=int,
                    help="adversary budget of the --pair check (default 0)")
     p.add_argument("--trials", type=int, help="random adversary sets to add (default 0)")
     p.add_argument("--seed", type=int, help="seed of the random adversary sets (default 0)")
 
-    p = sub.add_parser("prefix", help="scheduled fixing sequence from a seed")
-    common(p)
+    p = command("prefix", _cmd_prefix, "scheduled fixing sequence from a seed", g6=True)
     p.add_argument("--h", required=True)
     p.add_argument("--steps", type=int, default=3)
     p.add_argument("--m", type=int, default=4)
     p.add_argument("--strategy", choices=FAMILIES, default="gatekeeper")
 
-    p = sub.add_parser("oracle", help="finite window of an infinite construction")
-    common(p, g6=False)
+    p = command("oracle", _cmd_oracle, "finite window of an infinite construction")
     p.add_argument("--kind", default="torero")
     p.add_argument("--vertices", required=True,
                    help="JSON list of vertices, or file, or {kind:..., vertices:...}")
 
-    p = sub.add_parser("structure12", help="bipartite structure computer check")
-    common(p, g6=False)
+    p = command("structure12", _cmd_structure12, "bipartite structure computer check")
     p.add_argument("--progress", action="store_true")
 
-    p = sub.add_parser("replay", help="replay the catalogued construction witnesses")
-    common(p, g6=False)
-
-    p = sub.add_parser("docs", help="regenerate the worked-examples fragment")
-    common(p, g6=False)
+    command("replay", _cmd_replay, "replay the catalogued construction witnesses")
+    command("docs", _cmd_docs, "regenerate the worked-examples fragment")
     return parser
-
-
-_HANDLERS = {
-    "classify": _cmd_classify, "sweep": _cmd_sweep, "cores": _cmd_cores,
-    "gatekeepers": _cmd_gatekeepers, "verify": _cmd_verify, "prefix": _cmd_prefix,
-    "oracle": _cmd_oracle, "structure12": _cmd_structure12, "replay": _cmd_replay,
-    "docs": _cmd_docs,
-}
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -310,7 +290,7 @@ def main(argv: "list[str] | None" = None) -> int:
         if not args.command:
             parser.print_help()
             return EXIT_USAGE
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     # JSON nested about 1,000 levels deep passes Python's recursion limit.
     except (ValueError, OSError, RecursionError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

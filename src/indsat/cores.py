@@ -65,8 +65,11 @@ def named_core(name: str) -> CoreKind:
     if name in _NAMED:
         return _NAMED[name]
     if name.startswith("kl:"):
-        k, l = name[3:].split(",")
-        return kl_core(int(k), int(l))
+        k, _, l = name[3:].partition(",")
+        try:
+            return kl_core(int(k), int(l))
+        except ValueError:
+            raise ValueError(f"core kind {name!r} is not kl:k,l with integers k, l >= 0") from None
     raise ValueError(f"unknown core kind {name!r}")
 
 

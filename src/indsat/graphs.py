@@ -26,6 +26,9 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 # graph6 uses printable ASCII 63..126; a single header byte covers n <= 62.
 _G6_HEADER = b">>graph6<<"
 _G6_MAX_SHORT = 62
+# Around a graph6 value; unlike str.strip(), it keeps \x1c-\x1f and non-ASCII.
+ASCII_WHITESPACE = " \t\n\r\v\f"
+_G6_WHITESPACE = ASCII_WHITESPACE.encode("ascii")
 
 
 class Graph6Error(ValueError):
@@ -174,33 +177,35 @@ def _bits(mask: int) -> list[int]:
 
 def parse_graph6(text: "str | bytes") -> Graph:
     """Decode one graph6 value; ignores ASCII whitespace around it and
-    tolerates the ``>>graph6<<`` header prefix."""
+    tolerates the ``>>graph6<<`` header prefix.  Error offsets count from the
+    start of `text`, the dropped whitespace and header included."""
     try:
         data = text.encode("ascii") if isinstance(text, str) else bytes(text)
     except UnicodeEncodeError as exc:
         raise Graph6Error("non-ASCII character", exc.start) from None
-    data = data.strip()  # ASCII whitespace, which no graph6 byte (63..126) is
-    if data.startswith(_G6_HEADER):
-        data = data[len(_G6_HEADER):]
-    if not data:
-        raise Graph6Error("empty graph6 string", 0)
-    if data[0] == 126:  # long-form vertex count (63 <= n <= 258047)
-        if len(data) < 4 or data[1] == 126:
-            raise Graph6Error("unsupported or truncated long-form header", 0)
+    end = len(data.rstrip(_G6_WHITESPACE))
+    start = len(data) - len(data.lstrip(_G6_WHITESPACE))
+    if data.startswith(_G6_HEADER, start, end):
+        start += len(_G6_HEADER)
+    if start >= end:
+        raise Graph6Error("empty graph6 string", start)
+    if data[start] == 126:  # long-form vertex count (63 <= n <= 258047)
+        if end - start < 4 or data[start + 1] == 126:
+            raise Graph6Error("unsupported or truncated long-form header", start)
         n = 0
-        for i in range(1, 4):
+        for i in range(start + 1, start + 4):
             if not 63 <= data[i] <= 126:
                 raise Graph6Error("corrupt long-form header byte", i)
             n = n << 6 | (data[i] - 63)
-        body_start = 4
+        body_start = start + 4
     else:
-        if not 63 <= data[0] <= 126:
-            raise Graph6Error("header byte outside graph6 range", 0)
-        n = data[0] - 63
-        body_start = 1
+        if not 63 <= data[start] <= 126:
+            raise Graph6Error("header byte outside graph6 range", start)
+        n = data[start] - 63
+        body_start = start + 1
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    body = data[body_start:]
+    body = data[body_start:end]
     if len(body) < nbytes:
         raise Graph6Error("truncated bit body", body_start + len(body))
     if len(body) > nbytes:

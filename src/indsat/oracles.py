@@ -234,3 +234,14 @@ def vertex_from_json(kind: OracleKind, data) -> OracleVertex:
 
 def kind_from_json(data: dict) -> OracleKind:
     return OracleKind(data["tag"], _from_json(data.get("p", 0), int))
+
+
+def kind_from_flag(text: str) -> OracleKind:
+    """The kind a command-line spelling names: a tag ("torero") or a tag with
+    an integer parameter ("grid_clique:2"); `kind_from_json` reads the JSON form."""
+    tag, colon, p = text.partition(":")
+    try:
+        p = int(p) if colon else 0
+    except ValueError:
+        raise ValueError(f"oracle kind {text!r} is not tag or tag:p with an integer p") from None
+    return OracleKind(tag, p)

@@ -294,10 +294,6 @@ _WINDOW_SCENARIOS = [
      ("0/1", "39/4", "13/4", "13/2", "53/8", "7/2", "4/1"), (0, 6)),
 ]
 
-# The special graphs whose direct orientation embeds in the rational-geometric
-# construction after a perturbation (graph6 spellings of the special table).
-RATIONAL_GEOMETRIC_PATTERNS = ("E?qw", "F?rLw", "F?S|w")
-
 
 def _replay(report: ReplayReport, name: str, kind: OracleKind, values: list,
             pair: tuple[int, int], pattern: Graph, **details) -> None:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import time
 from pathlib import Path
@@ -480,6 +481,60 @@ class TestOtherCommands:
             main(["classify", "--help"])
         assert exc.value.code == 0
         assert "usage: indsat classify" in capsys.readouterr().out
+
+
+class TestInputOwners:
+    @pytest.mark.parametrize("argv, names", [
+        (["verify", "--g6", "P5", "--h", "P4", "--pair", "1"], ["--pair", "'1'", "u,v"]),
+        (["verify", "--g6", "P5", "--h", "P4", "--pair", "0,1,2"], ["--pair", "'0,1,2'", "u,v"]),
+        (["verify", "--g6", "P5", "--h", "P4", "--pair", "a,b"], ["--pair", "'a,b'", "u,v"]),
+        (["cores", "--g6", "P5", "--kind", "kl:a"], ["'kl:a'", "kl:k,l", "integers k, l"]),
+        (["cores", "--g6", "P5", "--kind", "kl:1,2,3"], ["'kl:1,2,3'", "kl:k,l"]),
+        (["cores", "--g6", "P5", "--kind", "kl:"], ["'kl:'", "kl:k,l"]),
+        (["oracle", "--kind", "grid_clique:x", "--vertices", "[[0,0]]"],
+         ["'grid_clique:x'", "tag:p"]),
+        (["oracle", "--kind", "grid_clique:1:2", "--vertices", "[[0]]"],
+         ["'grid_clique:1:2'", "tag:p"])])
+    def test_malformed_spelling_is_named(self, capsys, argv, names):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert all(name in error for name in names), error
+        assert "unpack" not in error and "invalid literal" not in error
+
+    def test_pair_flag_spelling_still_reads_u_v(self, capsys):
+        code, payload = run_json(capsys, ["verify", "--g6", "P5", "--h", "P4", "--pair", "0,1"])
+        assert code == EXIT_VERIFY_FAILED and payload["pair_fixed_check"]["status"] == "pass"
+
+    def test_oracle_spec_kind_stays_a_json_object(self, capsys):
+        # A flag spelling inside the JSON spec is not read as one.
+        code = main(["oracle", "--vertices", '{"kind": "torero", "vertices": ["1/2", "1/3"]}'])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert "malformed oracle spec" in json.loads(captured.err)["error"]
+
+    def test_oracle_flag_and_spec_forms_agree(self, capsys):
+        vertices = "[[0,1],[1,1],[2,3]]"
+        flag = run_json(capsys, ["oracle", "--kind", "grid_clique:2", "--vertices", vertices])
+        spec = run_json(capsys, ["oracle", "--vertices", json.dumps(
+            {"kind": {"tag": "grid_clique", "p": 2}, "vertices": json.loads(vertices)})])
+        assert flag == spec and flag[0] == EXIT_OK
+
+    def test_batch_offset_counts_leading_whitespace(self, tmp_path, capsys):
+        f = tmp_path / "graphs.g6"
+        f.write_text("  Dr[[\n")
+        assert main(["classify", "--input", str(f)]) == EXIT_USAGE
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "line 1: trailing garbage after bit body (byte offset 5)"}
+
+    def test_every_subcommand_dispatches_to_its_handler(self):
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        handlers = {name[len("_cmd_"):] for name in vars(cli) if name.startswith("_cmd_")}
+        assert set(sub.choices) == handlers
+        for name, subparser in sub.choices.items():
+            assert subparser.get_default("run") is getattr(cli, f"_cmd_{name}"), name
 
 
 class TestDocs:

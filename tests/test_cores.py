@@ -157,3 +157,9 @@ class TestKindPlumbing:
             named_core("nope")
         with pytest.raises(ValueError):
             CoreKind("bogus")
+
+    @pytest.mark.parametrize("name", ["kl:a", "kl:1,2,3", "kl:", "kl:1", "kl:-1,0"])
+    def test_malformed_kl_name_is_named_with_its_form(self, name):
+        with pytest.raises(ValueError, match="is not kl:k,l with integers") as exc:
+            named_core(name)
+        assert repr(name) in str(exc.value)

@@ -1,4 +1,5 @@
 import random
+import string
 import sys
 import time
 from itertools import combinations, permutations, product
@@ -82,6 +83,17 @@ class TestGraph6:
         # Above 62 vertices the encoder switches to the four-byte header.
         assert emit_graph6(empty_graph(63))[:4] == chr(126) + chr(63) + chr(63) + chr(126)
         assert parse_graph6(emit_graph6(empty_graph(63))) == empty_graph(63)
+
+    def test_offsets_count_from_the_start_of_the_input(self):
+        # The dropped whitespace and >>graph6<< header count, as in the text given.
+        for text, offset in (("Dr[[", 3), ("  Dr[[", 5), (">>graph6<<Dr[[", 13),
+                             (" \t>>graph6<<D", 13), ("\n~~", 1), (" >>graph6<< ", 11)):
+            with pytest.raises(Graph6Error) as exc:
+                parse_graph6(text)
+            assert exc.value.offset == offset, text
+
+    def test_one_whitespace_set(self):
+        assert sorted(graphs.ASCII_WHITESPACE) == sorted(string.whitespace)
 
     def test_ascii_whitespace_around_a_value_is_ignored(self):
         # No graph6 byte (63..126) is ASCII whitespace; other control bytes stay.

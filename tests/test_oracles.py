@@ -15,7 +15,7 @@ from indsat.graphs import find_induced, path_graph
 from indsat.oracles import (RATIONAL_GEOMETRIC_KIND,
                             TORERO_KIND, UP_RIGHT_KIND, Z3_AGREE_KIND,
                             compare_to_pi, fraction_to_str, grid_clique,
-                            oracle_adjacent,
+                            kind_from_flag, kind_from_json, oracle_adjacent,
                             oracle_window, pi_bounds,
                             vertex_from_json, vertex_to_json)
 from oracles_naive import naive_oracle_adjacent, naive_oracle_window
@@ -330,6 +330,31 @@ class TestSerialization:
         with pytest.raises(ValueError, match="need decimal text"):
             vertex_from_json(RATIONAL_GEOMETRIC_KIND, Decimal("1E+999999999"))
         assert time.perf_counter() - start < 1.0
+
+
+class TestKindSpellings:
+    def test_flag_and_json_forms_name_the_same_kinds(self):
+        assert kind_from_flag("torero") == kind_from_json({"tag": "torero"}) == TORERO_KIND
+        assert (kind_from_flag("grid_clique:2") == kind_from_json({"tag": "grid_clique", "p": 2})
+                == grid_clique(2))
+
+    @pytest.mark.parametrize("text", ["grid_clique:x", "grid_clique:", "a:b:c",
+                                      "grid_clique:2:3", "torero:1.5"])
+    def test_malformed_flag_is_named_with_its_form(self, text):
+        with pytest.raises(ValueError, match="is not tag or tag:p") as exc:
+            kind_from_flag(text)
+        assert repr(text) in str(exc.value)
+
+    def test_flag_tags_are_checked(self):
+        with pytest.raises(ValueError, match="unknown oracle kind"):
+            kind_from_flag("bogus")
+        with pytest.raises(ValueError, match="grid dimension"):
+            kind_from_flag("grid_clique:0")
+
+    def test_json_form_is_an_object(self):
+        # kind_from_json reads only {"tag": ..., "p": ...}, never a flag spelling.
+        with pytest.raises(TypeError):
+            kind_from_json("torero")
 
 
 def test_naive_oracles_import_only_shared_types():

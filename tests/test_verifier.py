@@ -25,6 +25,12 @@ from oracles_naive import (naive_find_induced, naive_induced_saturated,
 GOLDEN_PREFIXES = Path(__file__).parent / "golden" / "prefix.json"
 
 
+def rational_geometric_keys() -> list[str]:
+    """The patterns of the rational-geometric replay rows, in row order."""
+    return list(dict.fromkeys(pattern for _, kind, pattern, _, _ in verifier._WINDOW_SCENARIOS
+                              if kind == RATIONAL_GEOMETRIC_KIND))
+
+
 def with_twins(rng: random.Random, g: Graph, count: int) -> Graph:
     """g with `count` vertices appended, each a true or a false twin of a
     random earlier vertex."""
@@ -360,9 +366,8 @@ class TestWindowProperties:
 
     def test_rational_geometric_two_clique_neighborhoods(self):
         from indsat.graphs import parse_graph6
-        from indsat.verifier import RATIONAL_GEOMETRIC_PATTERNS
         rng = random.Random(1002)
-        patterns = [parse_graph6(key) for key in RATIONAL_GEOMETRIC_PATTERNS]
+        patterns = [parse_graph6(key) for key in rational_geometric_keys()]
         for _ in range(300):
             vals = sample_window(RATIONAL_GEOMETRIC_KIND, rng.randint(2, 10), rng)
             window, _ = oracle_window(RATIONAL_GEOMETRIC_KIND, vals)
@@ -400,6 +405,13 @@ class TestReplays:
         from indsat.graphs import find_induced
         assert find_induced(perturbed, bull_graph()) is not None
         assert find_induced(window, bull_graph()) is None
+
+    def test_rational_geometric_rows_name_the_special_table_keys(self):
+        # The special table stores F?rLw, not its complement F?q|w, because
+        # the replay witnesses exist for that orientation.
+        from indsat.classifier import _SPECIAL_GRAPHS, SPECIAL_RATIONAL_GEOMETRIC
+        special = [key for key, case, _ in _SPECIAL_GRAPHS if case == SPECIAL_RATIONAL_GEOMETRIC]
+        assert rational_geometric_keys() == special == ["E?qw", "F?rLw", "F?S|w"]
 
     def test_all_witness_replays_pass(self):
         report = replay_construction_witnesses()
