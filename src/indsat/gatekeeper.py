@@ -108,7 +108,7 @@ def _first_fragment(h: Graph, pair: tuple[int, int], fragments: list
     """First (cut, component) whose marked fragment embeds in the perturbed h."""
     host = h.toggled(*pair)
     for cut, comp, frag, red in fragments:
-        if colored_fragment_occurs(host, pair, frag, red):
+        if colored_fragment_occurs(host, pair, frag, red) is not None:
             return cut, tuple(comp)
     return None
 

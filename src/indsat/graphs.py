@@ -117,7 +117,7 @@ class Graph:
     def toggled(self, u: int, v: int) -> "Graph":
         """New graph with the pair {u,v} perturbed (edge deleted or added)."""
         if u == v:
-            raise ValueError("cannot perturb a vertex with itself")
+            raise ValueError(f"the two ends of pair ({u}, {v}) must differ")
         self._check_vertex(u)
         self._check_vertex(v)
         rows = list(self.adj)
@@ -369,23 +369,24 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 
 
 def colored_fragment_occurs(host: Graph, host_pair: tuple[int, int],
-                            fragment: Graph, fragment_pair: tuple[int, int]) -> bool:
-    """Does `fragment` embed induced in `host` with red pair on red pair?
+                            fragment: Graph, fragment_pair: tuple[int, int]
+                            ) -> Optional[tuple[int, ...]]:
+    """An induced embedding of `fragment` in `host`, red pair on red pair, or None.
 
     Both orientations of the red-pair alignment are tried; they share one
     memoised search order.  Pairs of different status (edge vs non-edge)
-    cannot align, so that yields False.
+    cannot align, so that yields None.
     """
     hu, hv = host_pair
     fu, fv = fragment_pair
     if hu == hv or fu == fv:
         raise ValueError("red pair vertices must be distinct")
     if host.has_edge(hu, hv) != fragment.has_edge(fu, fv):
-        return False
+        return None
     for anchors in ({fu: hu, fv: hv}, {fu: hv, fv: hu}):
-        if find_induced(host, fragment, anchors) is not None:
-            return True
-    return False
+        if (found := find_induced(host, fragment, anchors)) is not None:
+            return found
+    return None
 
 
 # ---------------------------------------------------------------------------

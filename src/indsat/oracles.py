@@ -44,6 +44,8 @@ class OracleKind:
             raise ValueError(f"unknown oracle kind {self.tag!r}")
         if self.tag == GRID_CLIQUE and self.p < 1:
             raise ValueError("grid dimension must be at least 1")
+        if self.tag != GRID_CLIQUE and self.p:
+            raise ValueError(f"oracle kind {self.tag!r} takes no parameter, got p={self.p}")
 
 
 def grid_clique(p: int) -> OracleKind:

@@ -21,6 +21,10 @@ a copy through v but not u stays induced when v is swapped for u.  The same
 holds for false twins (N(u) = N(v)).  Twins stay twins in every induced
 subgraph that keeps both, so any number of twins can go at once as long as
 a twin of each stays.
+
+Most adversary sets of pair_fixed_check need no search, by this survival
+lemma: if X is an induced h in g' and no pair of a set T lies inside V(X),
+then X is still induced in g' with T toggled, so that graph contains h.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Optional
 
 from .graphs import (Graph, clique_cover_at_most, colored_fragment_occurs, find_induced,
@@ -66,12 +70,14 @@ def is_free(g: Graph, h: Graph) -> bool:
     return find_induced(host, h) is None
 
 
-def _creates_h(h: Graph, perturbed: Graph, pairs: tuple[tuple[int, int], ...]) -> bool:
-    """Does `perturbed` have an induced h through both ends of some pair in
-    `pairs`?  When `perturbed` is an h-free graph with `pairs` toggled, this
-    is exactly "perturbed contains h" (the locality lemma above)."""
-    return any(colored_fragment_occurs(perturbed, pair, h, h_pair)
-               for pair in pairs for h_pair in combinations(range(h.n), 2))
+def _creates_h(h: Graph, perturbed: Graph, pairs: tuple[tuple[int, int], ...]) -> int:
+    """Vertex mask of an induced h in `perturbed` through both ends of some
+    pair in `pairs`, or 0.  When `perturbed` is an h-free graph with `pairs`
+    toggled, 0 means exactly "perturbed is h-free" (the locality lemma above)."""
+    for pair, h_pair in product(pairs, combinations(range(h.n), 2)):
+        if (found := colored_fragment_occurs(perturbed, pair, h, h_pair)) is not None:
+            return sum(1 << w for w in found)
+    return 0
 
 
 def _saturation_scan(g: Graph, h: Graph) -> tuple[bool, bool, Optional[tuple], int]:
@@ -131,14 +137,15 @@ def pair_fixed_check(g: Graph, h: Graph, pair: tuple[int, int],
     Perturbs the pair together with extra pair sets: all sets of size up to
     min(budget, 2) exhaustively (when feasible), plus `trials` seeded random
     sets of size up to the budget.  FAIL means some perturbed graph is h-free.
+
+    Sets with no pair inside the copy of h found for the empty set create h
+    by the survival lemma above, and are counted without a search.
     """
     u, v = pair
-    if not (0 <= u < g.n and 0 <= v < g.n and u != v):
-        raise ValueError(f"pair {pair} not in graph")
+    target = g.toggled(u, v)  # rejects a pair out of range or with equal ends
     if adversary_budget < 0 or trials < 0:
         raise ValueError(f"adversary_budget ({adversary_budget}) and trials "
                          f"({trials}) must be non-negative")
-    target = g.toggled(u, v)
     others = ([p for p in combinations(range(g.n), 2) if set(p) != {u, v}]
               if adversary_budget >= 1 else [])
     exhaustive_size = 0
@@ -160,12 +167,17 @@ def pair_fixed_check(g: Graph, h: Graph, pair: tuple[int, int],
 
     sets_checked = 0
     g_free = None  # is_free(g, h), computed on the first anchored miss
+    kept = 0  # vertex mask of the copy of h in target, from the empty set
     for extra in adversary_sets():
         sets_checked += 1
+        if kept and not any(kept >> a & kept >> b & 1 for a, b in extra):
+            continue
         perturbed = target
         for a, b in extra:
             perturbed = perturbed.toggled(a, b)
-        if _creates_h(h, perturbed, ((u, v),) + extra):
+        found = _creates_h(h, perturbed, ((u, v),) + extra)
+        kept = kept if extra else found  # only the empty set's copy carries over
+        if found:
             continue
         if g_free is None:
             g_free = is_free(g, h)

@@ -505,6 +505,36 @@ class TestSweep:
         assert sweep(lines, n_max=5).totals == sweep(rev, n_max=5).totals
 
 
+class TestNoCaseFires:
+    """With every layer check answering "no", classify reports a theorem
+    violation from 12 vertices on and "unclassified" below, and sweep lists
+    both.  The checks look the layer functions up when they run."""
+
+    @pytest.fixture(autouse=True)
+    def nothing_fires(self, monkeypatch):
+        from indsat.gatekeeper import GatekeeperResult
+        from indsat.recognizers import TRIVIAL_NONE
+        for name, answer in (("classify_trivial", TRIVIAL_NONE), ("forest_unique_max", None),
+                             ("match_k2p_k11p", None), ("is_3conn_nonclique", False),
+                             ("is_bull_or_p4", False), ("close_to_permutation", None),
+                             ("has_fixing_operation", GatekeeperResult(None, None)),
+                             ("special_table", None)):
+            monkeypatch.setattr(classifier, name, lambda g, answer=answer: answer)
+
+    def test_classify_verdicts(self):
+        small, large = classify(path_graph(5)), classify(cycle_graph(12))
+        assert (small.case, small.complemented, small.witness) == (UNCLASSIFIED, False, {})
+        assert (large.case, large.complemented) == (THEOREM_VIOLATION, False)
+        assert large.witness == {"note": "no structural case fired on either orientation"}
+
+    def test_sweep_lists_both_verdicts(self):
+        lines = ["Dr[", emit_graph6(cycle_graph(12)), "", "D??"]
+        report = sweep(lines, n_max=12)
+        assert report.totals == {UNCLASSIFIED: 2, THEOREM_VIOLATION: 1}
+        assert report.unclassified == sorted(["Dr[", emit_graph6(cycle_graph(12)), "D??"])
+        assert report.graphs_processed == 3 and not report.ok()
+
+
 def has_3conn_subset(g):
     """Does g have a 3-connected induced subgraph on at least 5 vertices?"""
     return classifier._3conn_within(g, (1 << g.n) - 1)

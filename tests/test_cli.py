@@ -503,6 +503,24 @@ class TestInputOwners:
         assert all(name in error for name in names), error
         assert "unpack" not in error and "invalid literal" not in error
 
+    @pytest.mark.parametrize("pair, error", [
+        ("1,1", "the two ends of pair (1, 1) must differ"),
+        ("0,9", "vertex 9 out of range for n=5")])
+    def test_pair_outside_the_graph_is_named(self, capsys, pair, error):
+        code = main(["verify", "--g6", "P5", "--h", "P4", "--pair", pair])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert json.loads(captured.err) == {"error": error}
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--kind", "torero:5", "--vertices", '["1/2", "1/3"]'],
+        ["oracle", "--vertices", '{"kind": {"tag": "torero", "p": 7}, "vertices": ["1/2"]}']])
+    def test_parameter_on_a_plain_oracle_kind_is_refused(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert "'torero' takes no parameter" in json.loads(captured.err)["error"]
+
     def test_pair_flag_spelling_still_reads_u_v(self, capsys):
         code, payload = run_json(capsys, ["verify", "--g6", "P5", "--h", "P4", "--pair", "0,1"])
         assert code == EXIT_VERIFY_FAILED and payload["pair_fixed_check"]["status"] == "pass"

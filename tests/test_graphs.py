@@ -229,7 +229,7 @@ class TestDerivedGraphs:
     def test_duplicate_and_self_pair_still_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             path_graph(4).induced([1, 2, 1])
-        with pytest.raises(ValueError, match="itself"):
+        with pytest.raises(ValueError, match=r"ends of pair \(2, 2\) must differ"):
             path_graph(4).toggled(2, 2)
 
     @given(st.integers(1, 70), st.randoms())
@@ -428,9 +428,13 @@ class TestColoredFragments:
         c5 = cycle_graph(5)
         host_graph = c5.toggled(0, 2)
         frag_graph = Graph.from_edges(3, [(0, 1), (1, 2)]).toggled(0, 2)
-        assert colored_fragment_occurs(host_graph, (0, 2), frag_graph, (0, 2)) == any(
+        found = colored_fragment_occurs(host_graph, (0, 2), frag_graph, (0, 2))
+        assert (found is not None) == any(
             host_graph.has_edge(0, w) and host_graph.has_edge(2, w)
             for w in range(5) if w not in (0, 2))
+        # The embedding is induced and puts the red pair on the red pair.
+        assert {found[0], found[2]} == {0, 2}
+        assert host_graph.induced(list(found)) == frag_graph
 
 
 class TestConnectivity:

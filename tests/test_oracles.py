@@ -351,6 +351,14 @@ class TestKindSpellings:
         with pytest.raises(ValueError, match="grid dimension"):
             kind_from_flag("grid_clique:0")
 
+    @pytest.mark.parametrize("make", [lambda: kind_from_flag("torero:5"),
+                                      lambda: kind_from_json({"tag": "torero", "p": 7}),
+                                      lambda: kind_from_flag("z3_agree:-1"),
+                                      lambda: oracles.OracleKind(oracles.UP_RIGHT, 2)])
+    def test_parameter_is_grid_clique_only(self, make):
+        with pytest.raises(ValueError, match="takes no parameter"):
+            make()
+
     def test_json_form_is_an_object(self):
         # kind_from_json reads only {"tag": ..., "p": ...}, never a flag spelling.
         with pytest.raises(TypeError):

@@ -15,8 +15,8 @@ from indsat.graphs import (Graph, _bits, bull_graph, complement, complete_graph,
                            complete_multipartite, cycle_graph, empty_graph,
                            parse_graph6, path_graph)
 from indsat.oracles import UP_RIGHT_KIND, oracle_window
-from indsat.recognizers import (check_permutation_witness, classify_trivial,
-                                close_to_permutation, forest_unique_max,
+from indsat.recognizers import (PermutationWitness, check_permutation_witness,
+                                classify_trivial, close_to_permutation, forest_unique_max,
                                 is_3conn_nonclique, is_bull_or_p4,
                                 is_permutation_graph, match_k2p_k11p)
 from indsat.verifier import sample_window
@@ -154,6 +154,15 @@ class TestPermutation:
                                      for j in range(i + 1, n) if pi[i] < pi[j]])
             w = is_permutation_graph(g)
             assert w is not None and check_permutation_witness(g, w), n
+
+    def test_witness_checker_rejects_bad_witnesses(self):
+        p4 = path_graph(4)
+        w = is_permutation_graph(p4)
+        # Not a permutation of the vertices, then a pair whose order disagrees.
+        for bad in (PermutationWitness(w.ordering[:-1], w.sigma[:-1]),
+                    PermutationWitness(w.ordering, w.sigma[:-1] + w.sigma[:1]),
+                    PermutationWitness(w.ordering, tuple(reversed(w.sigma)))):
+            assert not check_permutation_witness(p4, bad), bad
 
     def test_long_cycles_rejected(self):
         for k in range(5, 31):

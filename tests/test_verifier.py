@@ -23,6 +23,27 @@ from oracles_naive import (naive_find_induced, naive_induced_saturated,
                            naive_pair_fixed_check, naive_twins, random_graph)
 
 GOLDEN_PREFIXES = Path(__file__).parent / "golden" / "prefix.json"
+GOLDEN_PAIRFIXED = Path(__file__).parent / "golden" / "pairfixed.json"
+# Non-ledger pairs of the 47-51-vertex prefixes that pass at budget 0 and
+# fail at budget 1, with one extra pair.
+BUDGET1_FAILURES = {"Ch": (0, 20), "Dhc": (0, 15), "Dr[": (0, 6), "D}o": (0, 7)}
+
+
+def pairfixed_records() -> list[dict]:
+    """pair_fixed_check on the first 47-51-vertex graph of each golden prefix:
+    every ledger pair in range at budget 2 and the BUDGET1_FAILURES pair at
+    budget 1, with 20 trials seeded by the case index."""
+    records = []
+    for case, spec in enumerate(json.loads(GOLDEN_PREFIXES.read_text())):
+        h = parse_graph6(spec["h"])
+        g = next(g for g in map(parse_graph6, spec["graphs"]) if 47 <= g.n <= 51)
+        checks = [(tuple(rec["pair"]), 2) for rec in spec["ledger"] if max(rec["pair"]) < g.n]
+        if spec["h"] in BUDGET1_FAILURES:
+            checks.append((BUDGET1_FAILURES[spec["h"]], 1))
+        records += [{"case": case, "pair": list(pair), "result": pair_fixed_check(
+            g, h, pair, adversary_budget=budget, trials=20, seed=case).to_json()}
+                    for pair, budget in checks]
+    return records
 
 
 def rational_geometric_keys() -> list[str]:
@@ -175,6 +196,14 @@ class TestPairFixedCheck:
         assert result.exhaustive_size == 1
         assert peak < 2 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
+    def test_large_prefix_reports_match_the_golden(self):
+        # The naive oracle is too slow at 50 vertices, so these 77 reports
+        # were pinned from the check that searched every adversary set.
+        records = pairfixed_records()
+        text = "[\n" + ",\n".join(json.dumps(rec, sort_keys=True) for rec in records) + "\n]\n"
+        assert text == GOLDEN_PAIRFIXED.read_text()
+        assert sum(rec["result"]["status"] == "fail" for rec in records) == 14
+
     def test_report_shape(self):
         payload = pair_fixed_check(cycle_graph(4), path_graph(3), (0, 1),
                                    adversary_budget=1, trials=5, seed=9).to_json()
@@ -281,7 +310,9 @@ class TestLocalSearchMechanism:
                                   trials=20, seed=5)
         assert result.passed() and result.sets_checked == 1011
         assert all(anchored for _, anchored in calls)
-        assert len(calls) >= result.sets_checked
+        # Only the sets with a pair inside the empty set's copy of P4 are
+        # searched; the copy survives the other sets (the survival lemma).
+        assert len(calls) == 223
 
     def test_failing_check_searches_the_base_graph_once(self, monkeypatch):
         calls = self.record_searches(monkeypatch)
