@@ -132,23 +132,33 @@ STEPS = ((None, _trivial), (None, _forest), (cores.TWO, _k2p_k11p),
          (None, _special))
 
 
+# The table of check outcomes that the classify calls of one process share
+# during a sweep (see `sweep`); None outside a sweep.
+_sweep_outcomes: Optional[dict] = None
+_OUTCOMES_KEPT = 1 << 15  # above the 21,484 keys of a one-worker n <= 8 sweep
+
+
 def _first_case(target: Graph, steps=STEPS) -> Optional[tuple[str, dict]]:
-    """(case, witness) of the first step that fires on one orientation.  Each core
-    is peeled once, and a check that missed on a graph is not rerun on it."""
-    peeled, missed = {}, set()  # core results by kind; (check, rows) that missed
+    """(case, witness) of the first step that fires on one orientation.  Each
+    core is peeled once.  A check's answer on a core, hit or miss, is a function
+    of the core's rows; it is kept by (check, rows), in the sweep's table or
+    else in one of this walk's own, and not computed again."""
+    peeled, outcomes = {}, {} if _sweep_outcomes is None else _sweep_outcomes
     for kind, check in steps:
-        core = None if kind is None else peeled.get(kind)
-        if kind is not None and core is None:
-            core = peeled[kind] = cores.core(target, kind)
-        graph = target if core is None else core.graph
-        key = (check, graph.adj)  # the rows determine the graph and hash in C
-        hit = key not in missed and check(graph)
-        if not hit:
-            missed.add(key)
+        if kind is None:
+            if hit := check(target):
+                return hit
             continue
+        core = peeled.get(kind)
         if core is None:
-            return hit
-        return hit[0], {"core_kind": cores.core_name(kind), **core.to_json(), **hit[1]}
+            core = peeled[kind] = cores.core(target, kind)
+        key = (check, core.graph.adj)  # the rows determine the graph and hash in C
+        if key not in outcomes:
+            if len(outcomes) >= _OUTCOMES_KEPT:
+                outcomes.clear()
+            outcomes[key] = check(core.graph)
+        if hit := outcomes[key]:
+            return hit[0], {"core_kind": cores.core_name(kind), **core.to_json(), **hit[1]}
     return None
 
 
@@ -221,7 +231,8 @@ def read_graph6_line(line: str) -> tuple[Optional[Graph], str]:
 
 
 def _sweep_line(job: tuple[int, str, int]) -> tuple[int, str, str, str]:
-    """Worker: (lineno, line, n_max) -> (lineno, status, case, payload)."""
+    """Worker: (lineno, line, n_max) -> (lineno, status, case, payload); the
+    payload is the graph6 of an unclassified graph, or why a line is in error."""
     lineno, line, n_max = job
     g, why = read_graph6_line(line)
     if g is None:
@@ -231,28 +242,37 @@ def _sweep_line(job: tuple[int, str, int]) -> tuple[int, str, str, str]:
     cert = classify(g)
     if cert.case in (UNCLASSIFIED, THEOREM_VIOLATION):
         return lineno, "unclassified", cert.case, cert.input
-    return lineno, "ok", cert.case, cert.input
+    return lineno, "ok", cert.case, ""
 
 
 def sweep(lines: Iterable[str], n_max: int, workers: int = 1) -> SweepReport:
-    """Classify every graph6 line; totals are invariant under worker count
-    and line order.  Malformed lines and graphs on 0 vertices are reported
-    and the sweep continues."""
+    """Classify every graph6 line; malformed lines and graphs on 0 vertices are
+    reported and the sweep continues.  The classify calls of each process share
+    one table of check outcomes on core graphs, for this call only, keyed by
+    the core's rows and cleared when full, so a core met again is not checked
+    again.  An outcome depends on those rows alone, so every certificate is the
+    one a lone classify call gives, whichever process or line met a core first:
+    the report is invariant under worker count and line order."""
+    global _sweep_outcomes
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     jobs = [(lineno, line, n_max) for lineno, line in enumerate(lines, start=1)]
     report = SweepReport(n_max=n_max)
-    if workers == 1:
-        results = map(_sweep_line, jobs)
-    else:
-        import multiprocessing
+    _sweep_outcomes = {}  # before the pool forks: each worker starts empty
+    try:
+        if workers == 1:
+            results = list(map(_sweep_line, jobs))
+        else:
+            import multiprocessing
 
-        pool = multiprocessing.Pool(workers)
-        try:
-            results = pool.map(_sweep_line, jobs, chunksize=64)
-        finally:
-            pool.close()
-            pool.join()
+            pool = multiprocessing.Pool(workers)
+            try:
+                results = pool.map(_sweep_line, jobs, chunksize=64)
+            finally:
+                pool.close()
+                pool.join()
+    finally:
+        _sweep_outcomes = None
     for lineno, status, case, payload in results:
         if status == "error":
             report.errors.append((lineno, payload))

@@ -56,8 +56,7 @@ def blowup_graph(h: Graph, pair: tuple[int, int], mode: str, m: int) -> Graph:
     a clique (clique mode) or independent set, inheriting class adjacency.
     The pair's images are vertices 0 and 1, the clones follow in h's order."""
     u, v = pair
-    if u == v:
-        raise ValueError("pair vertices must be distinct")
+    h._check_pair(u, v)
     if mode not in (CLIQUE_MODE, INDEP_MODE):
         raise ValueError(f"bad mode {mode!r}")
     if m < 1:

@@ -165,7 +165,8 @@ def core(g: Graph, kind: CoreKind) -> CoreResult:
         for v in cluster.vertices:
             present &= ~(1 << v)
     vertices = tuple(_bits(present))
-    return CoreResult(graph=g.induced(vertices), vertices=vertices, trace=tuple(trace))
+    return CoreResult(graph=g.induced(vertices) if trace else g, vertices=vertices,
+                      trace=tuple(trace))
 
 
 def rebuild(result: CoreResult, n: int) -> Graph:

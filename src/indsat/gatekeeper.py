@@ -41,8 +41,7 @@ def blowup_mode(h: Graph, pair: tuple[int, int]) -> Optional[str]:
     independent mode is safe when neither has a false twin.
     """
     u, v = pair
-    if u == v:
-        raise ValueError("pair vertices must be distinct")
+    h._check_pair(u, v)
     (true_u, false_u), (true_v, false_v) = twins(h, u), twins(h, v)
     if not true_u and not true_v:
         return CLIQUE_MODE

@@ -114,12 +114,15 @@ class Graph:
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range for n={self.n}")
 
-    def toggled(self, u: int, v: int) -> "Graph":
-        """New graph with the pair {u,v} perturbed (edge deleted or added)."""
+    def _check_pair(self, u: int, v: int) -> None:
         if u == v:
             raise ValueError(f"the two ends of pair ({u}, {v}) must differ")
         self._check_vertex(u)
         self._check_vertex(v)
+
+    def toggled(self, u: int, v: int) -> "Graph":
+        """New graph with the pair {u,v} perturbed (edge deleted or added)."""
+        self._check_pair(u, v)
         rows = list(self.adj)
         rows[u] ^= 1 << v
         rows[v] ^= 1 << u
@@ -379,8 +382,8 @@ def colored_fragment_occurs(host: Graph, host_pair: tuple[int, int],
     """
     hu, hv = host_pair
     fu, fv = fragment_pair
-    if hu == hv or fu == fv:
-        raise ValueError("red pair vertices must be distinct")
+    host._check_pair(hu, hv)
+    fragment._check_pair(fu, fv)
     if host.has_edge(hu, hv) != fragment.has_edge(fu, fv):
         return None
     for anchors in ({fu: hu, fv: hv}, {fu: hv, fv: hu}):

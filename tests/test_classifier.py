@@ -504,6 +504,61 @@ class TestSweep:
         rev = list(reversed(lines))
         assert sweep(lines, n_max=5).totals == sweep(rev, n_max=5).totals
 
+    def test_worker_case_with_the_shared_table_is_the_classify_case(self, monkeypatch):
+        # Every 7th stream class (1,943 graphs), swept at one worker with one
+        # table of check outcomes for the whole call; classify afterwards starts
+        # afresh.  The certificates built in the sweep are those of lone calls.
+        lines = stream.load()[0][::7]
+        seen, swept = [], []
+        worker, real = classifier._sweep_line, classifier.classify
+        monkeypatch.setattr(classifier, "_sweep_line", lambda job: seen.append(worker(job)) or seen[-1])
+        monkeypatch.setattr(classifier, "classify", lambda g: swept.append(real(g)) or swept[-1])
+        report = sweep(lines, n_max=8)
+        assert classifier._sweep_outcomes is None and report.ok()
+        assert len(seen) == len(swept) == len(lines)
+        for (lineno, status, case, payload), cert in zip(seen, swept):
+            assert (status, payload) == ("ok", "")
+            alone = real(parse_graph6(lines[lineno - 1]))
+            assert case == alone.case, lines[lineno - 1]
+            assert cert.to_json(with_timings=False) == alone.to_json(with_timings=False)
+
+    def test_later_sweep_sees_a_rebound_layer_function(self, monkeypatch):
+        lines = [emit_graph6(g) for g in graphs_up_to(6)]
+        assert sweep(lines, n_max=6).totals[CORE_3CONN] == 51
+        monkeypatch.setattr(classifier, "is_3conn_nonclique", lambda g: False)
+        expected = Counter(classify(parse_graph6(line)).case for line in lines)
+        assert CORE_3CONN not in expected
+        assert sweep(lines, n_max=6).totals == expected
+
+    def test_full_table_is_cleared_and_totals_stay(self, monkeypatch):
+        lines = [emit_graph6(g) for g in graphs_up_to(6)]
+        expected = sweep(lines, n_max=6).to_json()
+        sizes = []
+        real = classifier._first_case
+
+        def first_case(target, *args):
+            sizes.append(len(classifier._sweep_outcomes))
+            return real(target, *args)
+
+        monkeypatch.setattr(classifier, "_OUTCOMES_KEPT", 8)
+        monkeypatch.setattr(classifier, "_first_case", first_case)
+        assert sweep(lines, n_max=6).to_json() == expected
+        assert max(sizes) <= 8 and any(b < a for a, b in zip(sizes, sizes[1:]))  # cleared
+
+    def test_one_worker_sweep_checks_each_distinct_core_once(self, monkeypatch):
+        # Of the 5,464 gatekeeper searches and 15,907 3-connectivity tests that
+        # the classify calls of a one-worker stream sweep would make on their
+        # own, 1,917 and 4,595 are on a core graph not checked before.
+        calls = Counter()
+        for name in ("has_fixing_operation", "is_3conn_nonclique"):
+            def counted(g, real=getattr(classifier, name), name=name):
+                calls[name] += 1
+                return real(g)
+            monkeypatch.setattr(classifier, name, counted)
+        lines, _ = stream.load()
+        assert gates.check_totals(sweep(lines, n_max=8).totals, [], []) == []
+        assert calls == {"has_fixing_operation": 1917, "is_3conn_nonclique": 4595}
+
 
 class TestNoCaseFires:
     """With every layer check answering "no", classify reports a theorem

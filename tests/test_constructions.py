@@ -73,6 +73,13 @@ class TestBlowup:
         anchors = {0: 0, 1: 1}
         assert find_induced(reverted, c5, anchors) is not None
 
+    @pytest.mark.parametrize("pair, message", [
+        ((1, 1), r"the two ends of pair \(1, 1\) must differ"),
+        ((5, 0), "vertex 5 out of range for n=5")])
+    def test_pair_checked_as_toggled_checks_it(self, pair, message):
+        with pytest.raises(ValueError, match=message):
+            blowup_graph(cycle_graph(5), pair, CLIQUE_MODE, 2)
+
     def test_capacity(self):
         with pytest.raises(CapacityError):
             blowup_graph(complete_graph(10), (0, 1), CLIQUE_MODE, 8)

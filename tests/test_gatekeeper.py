@@ -25,6 +25,15 @@ class TestBlowupMode:
     def test_k3_falls_back_to_independent(self):
         assert blowup_mode(complete_graph(3), (0, 1)) == INDEP_MODE
 
+    @pytest.mark.parametrize("pair, message", [
+        ((3, 3), r"the two ends of pair \(3, 3\) must differ"),
+        ((0, 7), "vertex 7 out of range for n=5")])
+    def test_pair_checked_as_toggled_checks_it(self, pair, message):
+        with pytest.raises(ValueError, match=message):
+            blowup_mode(cycle_graph(5), pair)
+        with pytest.raises(ValueError, match=message):
+            cycle_graph(5).toggled(*pair)
+
     def test_every_nontrivial_graph_has_an_edge_with_a_mode(self):
         for g in graphs_up_to(7):
             if classify_trivial(g) != "none":
@@ -167,11 +176,23 @@ class TestHasFixingOperation:
         assert len(res.diagnostics) == 6  # all pairs of P4
 
     def test_fragment_diagnostics_carry_cut_and_component(self):
-        # C6 has fragment hits for some pairs; find a diagnostic with payload.
-        res = has_fixing_operation(cycle_graph(6))
-        frag_diags = [d for d in res.diagnostics if d.reason == FRAGMENT_FOUND]
-        for d in frag_diags:
-            assert d.cut is not None and d.component is not None
+        # DUw (the 5-cycle 0-2-4-1-3 plus the chord 0-4) rejects five pairs by
+        # a fragment.  Each rejection names a 2-cut of h of the other status
+        # than the pair, one component of h minus that cut, and the fragment
+        # found: h on the component and the cut, red pair on the cut, embeds
+        # in h with the pair toggled, red pair on the pair.
+        h = parse_graph6("DUw")
+        cuts = {pair: (is_edge, comps) for pair, is_edge, comps in enumerate_2cuts(h)}
+        diagnostics = [d for d in has_fixing_operation(h).to_json()["diagnostics"]
+                       if d["reason"] == FRAGMENT_FOUND]
+        assert len(diagnostics) == 5
+        for d in diagnostics:
+            pair, cut, comp = tuple(d["pair"]), tuple(d["cut"]), d["component"]
+            is_edge, comps = cuts[cut]
+            assert comp in comps and is_edge != h.has_edge(*pair)
+            fragment = h.induced(comp + list(cut))
+            red = (len(comp), len(comp) + 1)
+            assert colored_fragment_occurs(h.toggled(*pair), pair, fragment, red) is not None
 
     def test_json_round_trip_shape(self):
         payload = has_fixing_operation(cycle_graph(5)).to_json()

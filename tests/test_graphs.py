@@ -139,6 +139,14 @@ class TestGraph6:
                 assert parse_graph6(data) == g
                 assert emit_graph6(g).encode("ascii") == data
 
+    def test_repr_is_graph6_up_to_62_vertices(self):
+        assert repr(path_graph(4)) == "Graph('Ch')"
+        assert repr(empty_graph(0)) == "Graph('?')"
+        g = path_graph(62)
+        assert repr(g) == f"Graph({emit_graph6(g)!r})"
+        assert repr(path_graph(63)) == "Graph(n=63, m=62)"
+        assert repr(complete_graph(100)) == "Graph(n=100, m=4950)"
+
 
 class TestComplement:
     def test_k5(self):
@@ -419,8 +427,12 @@ class TestColoredFragments:
         assert not colored_fragment_occurs(cycle_graph(5), (0, 2), path_graph(2), (0, 1))
 
     def test_red_pair_must_be_distinct(self):
-        with pytest.raises(ValueError, match="distinct"):
+        with pytest.raises(ValueError, match=r"ends of pair \(1, 1\) must differ"):
             colored_fragment_occurs(cycle_graph(5), (0, 2), path_graph(3), (1, 1))
+        with pytest.raises(ValueError, match=r"ends of pair \(2, 2\) must differ"):
+            colored_fragment_occurs(cycle_graph(5), (2, 2), path_graph(3), (0, 1))
+        with pytest.raises(ValueError, match="vertex 3 out of range for n=3"):
+            colored_fragment_occurs(cycle_graph(5), (0, 2), path_graph(3), (0, 3))
 
     def test_c5_plus_nonedge_path_fragment(self):
         # Marked pair (0, 2) of C5 with the chord added; fragment is the

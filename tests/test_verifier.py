@@ -108,7 +108,9 @@ class TestIsFree:
 
     @pytest.mark.parametrize("case", range(5))
     def test_golden_prefixes_match_the_unreduced_search(self, case):
-        # Each prefix is h-free and each ledger pair creates h when toggled.
+        # On each prefix, and on each host made from it by toggling one
+        # ledger pair inside it, both searches agree on whether h occurs.
+        # Toggling a pair fixed in a later generation need not create h.
         spec = json.loads(GOLDEN_PREFIXES.read_text())[case]
         h = parse_graph6(spec["h"])
         ledger = [tuple(rec["pair"]) for rec in spec["ledger"]]
@@ -252,6 +254,8 @@ class TestLocalSearchMatchesNaive:
 
     @pytest.mark.parametrize("case", range(5))
     def test_golden_prefixes(self, case):
+        # Both checks agree on each ledger pair inside a prefix of at most 10
+        # vertices, including pairs fixed only in a later generation.
         spec = json.loads(GOLDEN_PREFIXES.read_text())[case]
         h = parse_graph6(spec["h"])
         ledger = [tuple(rec["pair"]) for rec in spec["ledger"]]
