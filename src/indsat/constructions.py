@@ -298,9 +298,8 @@ def schedule_fixes(seed: Graph, h: Graph, steps: int, m: int,
     states = [initial_state(seed, m)]
     for _ in range(steps):
         state = states[-1]
+        # Never None: each fix appends a vertex, whose pairs join the queue unfixed.
         entry = state.next_unfixed()
-        if entry is None:
-            break
         try:
             states.append(fix_pair(state, entry.pair, family, h))
         except CapacityError:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
-from .graphs import Graph, _bits, emit_graph6
+from .graphs import Graph, _bits, emit_graph6, parse_graph6
 
 
 _TAGS = ("kl", "three_star", "two_edge", "two_nonedge")
@@ -78,47 +78,41 @@ def core_name(kind: CoreKind) -> str:
 
 
 @dataclass(frozen=True)
-class RemovedCluster:
-    """One removal step: the vertices taken out, with enough context to undo it.
-
-    `attachment` maps each removed vertex (original label) to the neighbors it
-    had, at removal time, outside the cluster.  `internal_edge` records the
-    adjacency inside a removed pair.
-    """
-
-    vertices: tuple[int, ...]
-    attachment: dict[int, tuple[int, ...]]
-    internal_edge: bool
-    rule: str
-
-    def to_json(self) -> dict:
-        return {"vertices": list(self.vertices),
-                "attachment": {str(v): list(ns) for v, ns in self.attachment.items()},
-                "internal_edge": self.internal_edge,
-                "rule": self.rule}
-
-
-@dataclass(frozen=True)
 class CoreResult:
-    """Core graph plus the data needed to reconstruct the input.
+    """Core graph plus the removal trace that rebuilds the input.
 
     `vertices[i]` is the original label of core vertex i; `trace` lists the
-    removed clusters in firing order.
+    removals in firing order as (removed vertices, rule); `source` is the
+    peeled graph.
     """
 
     graph: Graph
     vertices: tuple[int, ...]
-    trace: tuple[RemovedCluster, ...]
+    trace: tuple[tuple[tuple[int, ...], str], ...]
+    source: Graph
 
     def to_json(self) -> dict:
+        """The serialized trace: each removal also stores its attachment, the
+        removed vertices' neighbours still present once the cluster is gone,
+        and whether a removed pair is adjacent.  `rebuild` replays it."""
+        g, trace = self.source, []
+        present = (1 << g.n) - 1
+        for vertices, rule in self.trace:
+            for v in vertices:
+                present &= ~(1 << v)
+            trace.append({"vertices": list(vertices),
+                          "attachment": {str(v): list(_bits(g.adj[v] & present))
+                                         for v in vertices},
+                          "internal_edge": len(vertices) == 2 and g.has_edge(*vertices),
+                          "rule": rule})
         return {"core": emit_graph6(self.graph), "core_vertices": list(self.vertices),
-                "trace": [c.to_json() for c in self.trace]}
+                "trace": trace}
 
 
-def _removals(g: Graph, present: int, kind: CoreKind) -> Iterator[RemovedCluster]:
-    """Every cluster a rule of `kind` removes from g[present], in the pinned
-    firing order: single vertices by index, then (3*-core only) pairs in
-    lexicographic order.  `core` removes the first one each step."""
+def _removals(g: Graph, present: int, kind: CoreKind) -> Iterator[tuple[tuple[int, ...], str]]:
+    """Every cluster a rule of `kind` removes from g[present], with the rule,
+    in the pinned firing order: single vertices by index, then (3*-core only)
+    pairs in lexicographic order.  `core` removes the first one each step."""
     adj, tag, k, l = g.adj, kind.tag, kind.k, kind.l
     last = present.bit_count() - 1  # degree plus non-degree of every vertex
     todo = present
@@ -142,56 +136,58 @@ def _removals(g: Graph, present: int, kind: CoreKind) -> Iterator[RemovedCluster
         else:
             rule = "open_path" if tag == "two_nonedge" else None
         if rule:
-            yield RemovedCluster(vertices=(v,), attachment={v: tuple(_bits(row))},
-                                 internal_edge=False, rule=rule)
+            yield (v,), rule
     if tag == "three_star":
         for u, v in combinations(_bits(present), 2):
             if ((adj[u] | adj[v] | 1 << u | 1 << v) & present).bit_count() <= 4:
-                rest = present & ~(1 << u) & ~(1 << v)
-                yield RemovedCluster(
-                    vertices=(u, v),
-                    attachment={u: tuple(_bits(adj[u] & rest)),
-                                v: tuple(_bits(adj[v] & rest))},
-                    internal_edge=g.has_edge(u, v),
-                    rule="pair")
+                yield (u, v), "pair"
 
 
 def core(g: Graph, kind: CoreKind) -> CoreResult:
     """Reduce g to its core of the given kind, recording a replayable trace."""
     present = (1 << g.n) - 1
-    trace: list[RemovedCluster] = []
-    while (cluster := next(_removals(g, present, kind), None)) is not None:
-        trace.append(cluster)
-        for v in cluster.vertices:
+    trace = []
+    while (removal := next(_removals(g, present, kind), None)) is not None:
+        trace.append(removal)
+        for v in removal[0]:
             present &= ~(1 << v)
     vertices = tuple(_bits(present))
     return CoreResult(graph=g.induced(vertices) if trace else g, vertices=vertices,
-                      trace=tuple(trace))
+                      trace=tuple(trace), source=g)
 
 
-def rebuild(result: CoreResult, n: int) -> Graph:
-    """Replay the trace in reverse; returns the original n-vertex graph."""
-    present = 0
-    for v in result.vertices:
-        present |= 1 << v
-    rows = [0] * n
-    cg = result.graph
-    for i, u in enumerate(result.vertices):
-        for j in _bits(cg.adj[i]):
-            rows[u] |= 1 << result.vertices[j]
-    for cluster in reversed(result.trace):
-        for v in cluster.vertices:
-            if present >> v & 1:
-                raise ValueError(f"trace replays vertex {v} twice")
-            present |= 1 << v
-        for v in cluster.vertices:
-            for w in cluster.attachment[v]:
+def _placed(present: int, v: int, n: int) -> int:
+    """The vertex mask `present` plus v, which must be a new vertex of 0..n-1."""
+    if not 0 <= v < n:
+        raise ValueError(f"trace names vertex {v}, outside 0..{n - 1}")
+    if present >> v & 1:
+        raise ValueError(f"trace replays vertex {v} twice")
+    return present | 1 << v
+
+
+def rebuild(serialized: dict, n: int) -> Graph:
+    """Replay a serialized trace in reverse: a `CoreResult.to_json()` dict, or
+    a certificate witness carrying its `core`, `core_vertices` and `trace`.
+    Returns the n-vertex graph the core was peeled from."""
+    labels, rows, present = serialized["core_vertices"], [0] * n, 0
+    core_rows = parse_graph6(serialized["core"]).adj
+    if len(labels) != len(core_rows):
+        raise ValueError("core_vertices must name each core vertex once")
+    for u, row in zip(labels, core_rows):
+        present = _placed(present, u, n)
+        rows[u] = sum(1 << labels[j] for j in _bits(row))
+    for cluster in reversed(serialized["trace"]):
+        vertices = cluster["vertices"]
+        for v in vertices:
+            present = _placed(present, v, n)
+        for v in vertices:
+            for w in cluster["attachment"][str(v)]:
                 if not present >> w & 1:
                     raise ValueError(f"attachment {v}->{w} targets an absent vertex")
                 rows[v] |= 1 << w
                 rows[w] |= 1 << v
-        if len(cluster.vertices) == 2 and cluster.internal_edge:
-            u, v = cluster.vertices
+        if cluster["internal_edge"]:
+            u, v = vertices
             rows[u] |= 1 << v
             rows[v] |= 1 << u
     if present != (1 << n) - 1:

@@ -39,7 +39,7 @@ from typing import Optional
 from .graphs import (Graph, clique_cover_at_most, colored_fragment_occurs, find_induced,
                      parse_graph6, twins)
 from .oracles import (GRID_CLIQUE, RATIONAL_GEOMETRIC, RATIONAL_GEOMETRIC_KIND,
-                      TORERO, TORERO_KIND, UP_RIGHT, Z3_AGREE, Z3_AGREE_KIND,
+                      TORERO, TORERO_KIND, UP_RIGHT, Z3_AGREE_KIND,
                       OracleKind, fraction_to_str, oracle_window)
 
 EXHAUSTIVE_PAIRSET_LIMIT = 300_000
@@ -213,10 +213,8 @@ def sample_window(kind: OracleKind, size: int, rng: random.Random):
             v = (_random_fraction(rng, -8, 8, 12), _random_fraction(rng, -8, 8, 12))
         elif tag == GRID_CLIQUE:
             v = tuple(rng.randint(-4, 4) for _ in range(kind.p))
-        elif tag == Z3_AGREE:
+        else:  # Z3_AGREE
             v = (tuple(rng.randint(-3, 3) for _ in range(3)), rng.randint(0, 2))
-        else:
-            raise ValueError(tag)
         if v not in seen:
             seen.add(v)
             out.append(v)

@@ -1,4 +1,5 @@
-"""Print sha256 digests over the certificates of two fixed graph lists.
+"""Print sha256 digests over the certificates of two fixed graph lists, and
+over the core traces of the small stream classes.
 
     PYTHONPATH=src python3 tests/certdigest.py
 
@@ -9,8 +10,12 @@ print the same digests.  The first list is the pinned stream of 13,598
 classes on at most 8 vertices (about one classify pass, 7-9 s on 2 CPUs);
 the second, `large_lines()`, is a seeded set on 9 to 40 vertices that the
 stream cannot reach, where a search order or vertex mask can matter.  The
-script is not collected by pytest; `tests/test_classifier.py` pins both
-digests through `certificate_digest`.
+third digest, `trace_digest`, is fed `json.dumps(core(g, kind).to_json(),
+sort_keys=True)` and a newline for every stream class on at most 7 vertices,
+in stream order, under each kind of `TRACE_KINDS`: 8,764 cores, which fire
+every removal rule.  The script is not collected by pytest;
+`tests/test_classifier.py` pins the first two digests through
+`certificate_digest`, and `tests/test_cores.py` pins the third.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import stream  # noqa: E402
 
+from indsat import cores  # noqa: E402
 from indsat.classifier import classify  # noqa: E402
 from indsat.graphs import Graph, cycle_graph, emit_graph6, parse_graph6, path_graph  # noqa: E402
 from oracles_naive import random_graph  # noqa: E402
@@ -35,6 +41,23 @@ def certificate_digest(lines) -> str:
     for line in lines:
         cert = classify(parse_graph6(line)).to_json(with_timings=False)
         digest.update(json.dumps(cert, sort_keys=True).encode() + b"\n")
+    return digest.hexdigest()
+
+
+TRACE_KINDS = (cores.TWO, cores.THREE, cores.THREE_STAR, cores.ONE_ONE,
+               cores.TWO_EDGE, cores.TWO_NONEDGE, cores.kl_core(2, 1))
+
+
+def trace_digest(lines) -> str:
+    """Digest of every core of every graph on at most 7 vertices in `lines`."""
+    digest = hashlib.sha256()
+    for line in lines:
+        g = parse_graph6(line)
+        if g.n > 7:
+            continue
+        for kind in TRACE_KINDS:
+            result = cores.core(g, kind).to_json()
+            digest.update(json.dumps(result, sort_keys=True).encode() + b"\n")
     return digest.hexdigest()
 
 
@@ -54,3 +77,4 @@ if __name__ == "__main__":
     lines, _ = stream.load()
     print(certificate_digest(lines))
     print(certificate_digest(large_lines()))
+    print(trace_digest(lines))

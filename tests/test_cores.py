@@ -1,10 +1,15 @@
+from collections import Counter
+
 import pytest
 
+from indsat.classifier import classify
 from indsat.cores import (ONE_ONE, THREE, THREE_STAR, TWO, TWO_EDGE, TWO_NONEDGE,
                           CoreKind, core, core_name,
                           kl_core, named_core, rebuild)
-from indsat.graphs import (Graph, complete_graph, cycle_graph, emit_graph6,
-                           empty_graph, is_isomorphic, path_graph)
+from indsat.graphs import (Graph, complement, complete_graph, cycle_graph, emit_graph6,
+                           empty_graph, is_isomorphic, parse_graph6, path_graph)
+import certdigest
+import stream
 from gensmall import graphs_up_to
 
 ALL_KINDS = (TWO, THREE, ONE_ONE, THREE_STAR, TWO_EDGE, TWO_NONEDGE)
@@ -58,14 +63,69 @@ class TestTrace:
     def test_rebuild_exhaustive(self):
         for g in graphs_up_to(6):
             for kind in ALL_KINDS:
-                result = core(g, kind)
-                assert rebuild(result, g.n) == g
+                assert rebuild(core(g, kind).to_json(), g.n) == g
 
     def test_trace_serialization(self):
         result = core(c5_with_pendant(), THREE_STAR)
-        payload = [c.to_json() for c in result.trace]
+        payload = result.to_json()["trace"]
         assert all(set(c) == {"vertices", "attachment", "internal_edge", "rule"}
                    for c in payload)
+
+    def test_trace_digest_of_the_small_stream_is_pinned(self):
+        # Every core of the 1,252 stream classes on <= 7 vertices under seven
+        # kinds, byte for byte (recipe in tests/certdigest.py).
+        lines, _ = stream.load()
+        assert certdigest.trace_digest(lines) == \
+            "2e97718441cdf31308e5297aad88cc8c4b15d101ec5e04b0d02ce7e10151791f"
+
+    def test_the_pinned_traces_fire_every_rule(self):
+        lines, _ = stream.load()
+        small = [g for g in map(parse_graph6, lines) if g.n <= 7]
+        rules = Counter(removal["rule"] for g in small for kind in certdigest.TRACE_KINDS
+                        for removal in core(g, kind).to_json()["trace"])
+        assert len(small) * len(certdigest.TRACE_KINDS) == 8764
+        assert rules == {"degree": 19363, "nondegree": 1368, "triangle": 1101,
+                         "open_path": 816, "pair": 174}
+
+    def test_rebuild_checks_certificates(self):
+        # Every 7th stream class whose certificate carries a core: its trace
+        # rebuilds the classified orientation.
+        lines, _ = stream.load()
+        checked = 0
+        for line in lines[::7]:
+            g = parse_graph6(line)
+            cert = classify(g)
+            if "core_kind" in cert.witness:
+                target = complement(g) if cert.complemented else g
+                assert rebuild(cert.witness, g.n) == target, line
+                checked += 1
+        assert checked == 1628
+
+    def test_tampered_traces_are_rejected(self):
+        # The trace removes 1, 0, 2, 3, 4, 5, so vertex 5 is replayed first.
+        g = c5_with_pendant()
+        serialized = core(g, THREE_STAR).to_json()
+        trace = serialized["trace"]
+        assert [c["vertices"] for c in trace] == [[1], [0], [2], [3], [4], [5]]
+        assert rebuild(serialized, g.n) == g
+        with pytest.raises(ValueError, match="trace replays vertex 5 twice"):
+            rebuild({**serialized, "trace": trace + [trace[-1]]}, g.n)
+        absent = {**trace[-1], "attachment": {"5": [1]}}
+        with pytest.raises(ValueError, match="attachment 5->1 targets an absent vertex"):
+            rebuild({**serialized, "trace": trace[:-1] + [absent]}, g.n)
+        with pytest.raises(ValueError, match="trace does not account for all vertices"):
+            rebuild({**serialized, "trace": trace[1:]}, g.n)
+
+    @pytest.mark.parametrize("labels, message", [
+        ([0, 1, 2, 3, 9], "trace names vertex 9, outside 0..5"),
+        ([0, 1, 2, 3, 3], "trace replays vertex 3 twice"),
+        ([0, 1, 2, 3], "core_vertices must name each core vertex once")])
+    def test_tampered_core_labels_are_rejected(self, labels, message):
+        # The 2-core is the C5 on 0..4; the trace removes the pendant 5.
+        serialized = core(c5_with_pendant(), TWO).to_json()
+        assert serialized["core_vertices"] == [0, 1, 2, 3, 4]
+        with pytest.raises(ValueError, match=message):
+            rebuild({**serialized, "core_vertices": labels}, 6)
 
 
 def _all_cores_by_any_order(g: Graph, kind: CoreKind) -> set:
@@ -79,8 +139,8 @@ def _all_cores_by_any_order(g: Graph, kind: CoreKind) -> set:
     def explore(present: int) -> set:
         if present in seen:
             return seen[present]
-        moves = [present & ~sum(1 << v for v in cluster.vertices)
-                 for cluster in _removals(g, present, kind)]
+        moves = [present & ~sum(1 << v for v in vertices)
+                 for vertices, _ in _removals(g, present, kind)]
         vertices = [v for v in range(g.n) if present >> v & 1]
         if not moves:
             sub = g.induced(vertices)
@@ -130,7 +190,7 @@ class TestGeneralKL:
         g = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
         result = core(g, kl_core(2, 1))
         assert result.graph.n == 0
-        assert rebuild(result, 5) == g
+        assert rebuild(result.to_json(), 5) == g
 
     def test_2_1_core_fixed_point(self):
         # C5 has degree 2 and two non-neighbors everywhere.

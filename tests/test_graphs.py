@@ -1,4 +1,5 @@
 import random
+import re
 import string
 import sys
 import time
@@ -105,6 +106,17 @@ class TestGraph6:
         with pytest.raises(Graph6Error, match="empty"):
             parse_graph6(" \t\r\n")
 
+    @pytest.mark.parametrize("text, offset, message", [
+        ("~??", 0, "unsupported or truncated long-form header"),
+        ("~~", 0, "unsupported or truncated long-form header"),
+        ("  ~~??", 2, "unsupported or truncated long-form header"),
+        ("~?!?", 2, "corrupt long-form header byte"),
+        (" ~??\x1e", 4, "corrupt long-form header byte")])
+    def test_bad_long_form_headers_are_named(self, text, offset, message):
+        with pytest.raises(Graph6Error, match=message) as exc:
+            parse_graph6(text)
+        assert exc.value.offset == offset
+
     def test_long_form_header(self):
         g = empty_graph(64)
         # 64 = 0b000000_000001_000000 in three 6-bit chunks.
@@ -158,6 +170,17 @@ class TestComplement:
 
     def test_icosahedron_complement_edges(self):
         assert icosahedron_complement().edge_count() == 36
+
+
+class TestRowConstructor:
+    @pytest.mark.parametrize("n, rows, message", [
+        (3, [0, 0], "adjacency row count does not match n"),
+        (2, [0b100, 0], "vertex 0 has a neighbor bit >= n"),
+        (3, [0, 0b010, 0], "self-loop at vertex 1"),
+        (3, [0b100, 0, 0], "asymmetric adjacency at pair (0,2)")])
+    def test_rejects_bad_rows(self, n, rows, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Graph(n, rows)
 
 
 class TestVertexRange:
