@@ -103,28 +103,32 @@ def compare_to_pi(q: Fraction) -> int:
         depth += 1
 
 
+def _bad_vertex(kind: OracleKind, v) -> ValueError:
+    form = {UP_RIGHT: "up-and-right vertex must be a rational pair",
+            TORERO: "torero vertex must be a rational in (0,1)",
+            RATIONAL_GEOMETRIC: "rational-geometric vertex must be a rational",
+            GRID_CLIQUE: f"grid vertex must be a {kind.p}-tuple of ints",
+            Z3_AGREE: "z3 vertex must be ((i,j,k), clone>=0)"}[kind.tag]
+    return ValueError(f"{form}, got {v!r}")
+
+
 def _check_vertex(kind: OracleKind, v: OracleVertex) -> None:
     tag = kind.tag
     if tag == UP_RIGHT:
-        if not (isinstance(v, tuple) and len(v) == 2
-                and all(isinstance(c, Fraction) for c in v)):
-            raise ValueError(f"up-and-right vertex must be a rational pair, got {v!r}")
+        ok = isinstance(v, tuple) and len(v) == 2 and all(isinstance(c, Fraction) for c in v)
     elif tag == TORERO:
-        if not isinstance(v, Fraction) or not 0 < v < 1:
-            raise ValueError(f"torero vertex must be a rational in (0,1), got {v!r}")
+        ok = isinstance(v, Fraction) and 0 < v < 1
     elif tag == RATIONAL_GEOMETRIC:
-        if not isinstance(v, Fraction):
-            raise ValueError(f"rational-geometric vertex must be a rational, got {v!r}")
+        ok = isinstance(v, Fraction)
     elif tag == GRID_CLIQUE:
-        if not (isinstance(v, tuple) and len(v) == kind.p
-                and all(isinstance(c, int) for c in v)):
-            raise ValueError(f"grid vertex must be a {kind.p}-tuple of ints, got {v!r}")
+        ok = (isinstance(v, tuple) and len(v) == kind.p
+              and all(isinstance(c, int) for c in v))
     else:  # Z3_AGREE
         ok = (isinstance(v, tuple) and len(v) == 2 and isinstance(v[1], int)
               and v[1] >= 0 and isinstance(v[0], tuple) and len(v[0]) == 3
               and all(isinstance(c, int) for c in v[0]))
-        if not ok:
-            raise ValueError(f"z3 vertex must be ((i,j,k), clone>=0), got {v!r}")
+    if not ok:
+        raise _bad_vertex(kind, v)
 
 
 def oracle_adjacent(kind: OracleKind, u: OracleVertex, v: OracleVertex) -> bool:
@@ -210,28 +214,32 @@ def vertex_to_json(kind: OracleKind, v: OracleVertex):
 
 
 def _from_json(data, cast):
-    # bool subclasses int, but a JSON true is neither a coordinate nor a rational.
-    if isinstance(data, bool) or cast is int and type(data) is not int:
-        want = "JSON integers" if cast is int else "rationals"
-        raise ValueError(f"oracle specs need {want} here, got {data!r}")
     # A float is already binary (0.1 is 3602879701896397/2**55), and Fraction
     # expands the exponent of a Decimal or of decimal text in full.
-    if isinstance(data, (float, Decimal)):
+    if cast is Fraction and isinstance(data, (float, Decimal)):
         raise ValueError(f"oracle rationals need decimal text, not {data!r}")
+    # bool subclasses int, but a JSON true is neither a coordinate nor a rational.
+    if isinstance(data, bool) or not isinstance(data, int if cast is int else (int, str)):
+        want = "JSON integers" if cast is int else "rationals"
+        raise ValueError(f"oracle specs need {want} here, got {data!r}")
     if isinstance(data, str) and "e" in data.lower():
         raise ValueError(f"oracle rationals take no exponent, got {data!r}")
     return cast(data)
 
 
 def vertex_from_json(kind: OracleKind, data) -> OracleVertex:
-    tag = kind.tag
-    if tag == UP_RIGHT:
+    """The vertex a JSON value spells; a value of the wrong shape gets the
+    message `oracle_window` gives for a wrong vertex."""
+    tag, pair = kind.tag, isinstance(data, list) and len(data) == 2
+    if tag == UP_RIGHT and pair:
         return (_from_json(data[0], Fraction), _from_json(data[1], Fraction))
-    if tag in (TORERO, RATIONAL_GEOMETRIC):
+    if tag in (TORERO, RATIONAL_GEOMETRIC) and not isinstance(data, (list, dict)):
         return _from_json(data, Fraction)
-    if tag == GRID_CLIQUE:
+    if tag == GRID_CLIQUE and isinstance(data, list):
         return tuple(_from_json(c, int) for c in data)
-    return (tuple(_from_json(c, int) for c in data[0]), _from_json(data[1], int))
+    if tag == Z3_AGREE and pair and isinstance(data[0], list):
+        return (tuple(_from_json(c, int) for c in data[0]), _from_json(data[1], int))
+    raise _bad_vertex(kind, data)
 
 
 def kind_from_json(data: dict) -> OracleKind:

@@ -18,13 +18,15 @@ other way.  `ordering` lists the vertices by in-degree in T + C, and
 then in the same order in both exactly when its arc is in T, that is, when
 it is an edge.
 
-`close_to_permutation` tries toggles only inside a minimal obstruction.
+`close_to_permutation` tries toggles only inside an obstruction.
 Permutation graphs are closed under induced subgraphs, so when G[S] is not
-one, no toggle of a pair without both ends in S can make G one.  S is a
-vertex mask shrunk from V in one pass, dropping each vertex whose removal
-leaves G[S] no permutation graph; no vertex of the S left can then be
-dropped.  Every test here runs `_orientations` on rows restricted to a
-mask and builds no subgraph or realizer.
+one, no toggle of a pair without both ends in S can make G one.  Gamma-chain
+lemma: whether arc ab forces arc ac or cb depends only on the adjacency
+among a, b and c, so a forcing chain from an arc to its reverse, with vertex
+set S, is also a chain in G[S], and G[S] is then no comparability graph.
+`_gamma_chain` finds one in a single breadth-first pass over the whole edge
+set (not TRO's shrinking E_i, whose membership is not local to S), in G or
+else in its complement, once `_orientations` has said no.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import (Graph, bull_graph, complete_multipartite, components_within,
+from .graphs import (Graph, _bits, bull_graph, complete_multipartite, components_within,
                      is_isomorphic, is_k_connected, path_graph)
 
 TRIVIAL_NONE = "none"
@@ -179,27 +181,67 @@ def is_permutation_graph(g: Graph) -> Optional[PermutationWitness]:
         adj[v].bit_count() - t[v].bit_count() + c[v].bit_count() for v in ordering))
 
 
+def _gamma_chain(rows) -> Optional[int]:
+    """Vertex mask of a Gamma-forcing chain from an arc to its reverse in the
+    graph with adjacency `rows`, or None when it is a comparability graph.
+
+    Implication classes grow over the whole edge set, breadth-first, so each
+    arc's chain back to its class's first arc is a shortest one; `reach`
+    maps an arc to the vertex mask of that chain."""
+    n = len(rows)
+    left = list(rows)  # the arcs of no class grown so far, as out-rows
+    for x in range(n):
+        while left[x]:
+            y = (left[x] & -left[x]).bit_length() - 1
+            cls_out, cls_in = [0] * n, [0] * n
+            cls_out[x], cls_in[y] = 1 << y, 1 << x
+            reach = {(x, y): 1 << x | 1 << y}
+            queue = [(x, y)]
+            for a, b in queue:
+                path = reach[a, b]
+                for c in _bits(rows[a] & ~rows[b] & ~(1 << b) & ~cls_out[a]):
+                    if cls_in[a] >> c & 1:  # a->c forced, c->a in the class
+                        return path | reach[c, a] | 1 << c
+                    cls_out[a] |= 1 << c
+                    cls_in[c] |= 1 << a
+                    reach[a, c] = path | 1 << c
+                    queue.append((a, c))
+                for c in _bits(rows[b] & ~rows[a] & ~(1 << a) & ~cls_in[b]):
+                    if cls_out[b] >> c & 1:  # c->b forced, b->c in the class
+                        return path | reach[b, c] | 1 << c
+                    cls_out[c] |= 1 << b
+                    cls_in[b] |= 1 << c
+                    reach[c, b] = path | 1 << c
+                    queue.append((c, b))
+            for v in range(n):  # the class and its reverse are done
+                left[v] &= ~(cls_out[v] | cls_in[v])
+    return None
+
+
 def close_to_permutation(g: Graph) -> Optional[tuple[tuple[int, int], tuple[int, int]]]:
     """Witness (edge, non-edge) when g is not a permutation graph but one
     deletion and one addition each yield permutation graphs.
 
     The witness is the first edge and the first non-edge, in `g.edges()` and
-    `g.non_edges()` order, whose toggle gives a permutation graph; only pairs
-    inside an obstruction are tried.  Permutation graphs are closed under
-    induced subgraphs, so if G[S] is not one, toggling a pair without both
-    ends in S leaves G[S], and the result is no permutation graph either.
-    S is shrunk from V in one pass, as a vertex mask, dropping v whenever
-    G[S - v] is still no permutation graph.  The result is minimal: a kept
-    v had G[S' - v] a permutation graph for some S' containing the final S,
-    and so G[S - v] is one too.  The pairs skipped fail anyway, so the
-    witness is the one a scan of every pair finds.
+    `g.non_edges()` order, whose toggle gives a permutation graph.  Only
+    pairs inside the vertex set S of a Gamma chain of G, or else of its
+    complement, are tried: forcing depends only on the three vertices of a
+    step, so G[S] is no permutation graph, and a toggle without both ends in
+    S leaves G[S] as it is.  The pairs skipped fail anyway, so the witness is
+    the one a scan of every pair finds.  When G[S] is a chordless cycle on
+    k >= 7 vertices no non-edge helps: a chord inside S leaves an induced
+    cycle on at least 5 vertices, which is no permutation graph.
     """
-    full = mask = (1 << g.n) - 1
+    full = (1 << g.n) - 1
     if _orientations(g, full) is not None:
         return None
-    for v in range(g.n):
-        if _orientations(g, mask & ~(1 << v)) is None:
-            mask &= ~(1 << v)
+    mask = _gamma_chain(g.adj)
+    if mask is None:
+        mask = _gamma_chain([(row ^ full) & ~(1 << v) for v, row in enumerate(g.adj)])
+    if (mask.bit_count() >= 7
+            and all((g.adj[v] & mask).bit_count() == 2 for v in _bits(mask))
+            and len(components_within(g, mask)) == 1):
+        return None
 
     def first_fix(pairs):
         for u, v in pairs:

@@ -275,6 +275,11 @@ def random_graph(rng, n: int, p: float = 0.5) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def random_tree(rng, n: int) -> Graph:
+    """Random recursive tree: vertex i > 0 hangs from a uniform earlier one."""
+    return Graph.from_edges(n, [(rng.randrange(i), i) for i in range(1, n)])
+
+
 def naive_gatekeeper(h: Graph, pair: tuple[int, int], kind: str) -> bool:
     """Is `pair` (an "edge" or a "nonedge" of h, per `kind`) a gatekeeper?
 

@@ -525,6 +525,18 @@ class TestInputOwners:
         code, payload = run_json(capsys, ["verify", "--g6", "P5", "--h", "P4", "--pair", "0,1"])
         assert code == EXIT_VERIFY_FAILED and payload["pair_fixed_check"]["status"] == "pass"
 
+    @pytest.mark.parametrize("kind, vertices, message", [
+        ("rational_geometric", "[[1,2]]", "vertex must be a rational, got [1, 2]"),
+        ("z3_agree", "[5]", "vertex must be ((i,j,k), clone>=0), got 5"),
+        ("z3_agree", "[[[0,0,0]]]", "vertex must be ((i,j,k), clone>=0), got [[0, 0, 0]]"),
+        ("z3_agree", "[[[0,0,0],-1]]", "vertex must be ((i,j,k), clone>=0), got ((0, 0, 0), -1)")])
+    def test_oracle_vertex_of_the_wrong_shape_names_its_form(self, capsys, kind, vertices,
+                                                             message):
+        code = main(["oracle", "--kind", kind, "--vertices", vertices])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert message in json.loads(captured.err)["error"]
+
     def test_oracle_spec_kind_stays_a_json_object(self, capsys):
         # A flag spelling inside the JSON spec is not read as one.
         code = main(["oracle", "--vertices", '{"kind": "torero", "vertices": ["1/2", "1/3"]}'])

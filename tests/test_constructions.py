@@ -181,8 +181,19 @@ class TestPriorityEnumeration:
                      if max(i, j) <= 8]
         assert sorted(positions) == list(range(64))
 
+    @pytest.mark.parametrize("i, j", [(0, 1), (1, 0), (-2, 3)])
+    def test_indices_are_1_based(self, i, j):
+        with pytest.raises(ValueError, match="1-based"):
+            priority_position(i, j)
+
 
 class TestFixPair:
+    @pytest.mark.parametrize("pair", [(0, 3), (-1, 1), (2, 2)])
+    def test_pair_outside_the_graph_is_refused(self, pair):
+        state = initial_state(path_graph(3), m=3)
+        with pytest.raises(ValueError, match="not in the current graph"):
+            fix_pair(state, pair, "twin", path_graph(4))
+
     def test_twin_duplicate_edge_gives_c4(self):
         state = initial_state(path_graph(2), m=3)
         nxt = fix_pair(state, (0, 1), "twin", path_graph(4))

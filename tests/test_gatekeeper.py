@@ -82,6 +82,10 @@ class TestCheckGatekeeper:
         with pytest.raises(ValueError):
             check_gatekeeper(cycle_graph(5), (0, 2), EDGE)  # status mismatch
 
+    def test_unknown_kind_is_refused(self):
+        with pytest.raises(ValueError, match="bad kind 'chord'"):
+            check_gatekeeper(cycle_graph(5), (0, 1), "chord")
+
     def test_matches_naive_definition(self):
         """Every pair of every 2-connected, non-complete graph on <= 6
         vertices; this pins which 2-cuts each kind of candidate meets."""

@@ -317,6 +317,11 @@ class TestFindInduced:
         with pytest.raises(ValueError):
             find_induced(host, pattern, {0: 0, 1: 2})  # adjacency mismatch
 
+    @pytest.mark.parametrize("anchors", [{0: 5}, {3: 0}, {0: -1}, {-1: 0}])
+    def test_anchor_out_of_range(self, anchors):
+        with pytest.raises(ValueError, match="out of range"):
+            find_induced(cycle_graph(5), path_graph(3), anchors)
+
     def test_anchored_extension(self):
         emb = find_induced(cycle_graph(5), path_graph(4), {0: 2})
         assert emb is not None and emb[0] == 2
@@ -621,6 +626,15 @@ class TestConnectivity:
     def test_2cuts_requires_connected(self):
         with pytest.raises(ValueError):
             enumerate_2cuts(empty_graph(4))
+
+    def test_2cuts_requires_4_vertices(self):
+        with pytest.raises(ValueError, match="n >= 4"):
+            enumerate_2cuts(path_graph(3))
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_connectivity_needs_positive_k(self, k):
+        with pytest.raises(ValueError, match="k must be positive"):
+            is_k_connected(cycle_graph(5), k)
 
     def test_long_cycles_and_paths_pack_narrow_and_stop_early(self, monkeypatch):
         # Cuts go to the packed search in chunks of at most 4,096 bits,

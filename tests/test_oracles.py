@@ -162,6 +162,15 @@ class TestWindows:
         with pytest.raises(ValueError):
             oracle_window(kind, [vertex])
 
+    @pytest.mark.parametrize("kind, vertex, message", [
+        (RATIONAL_GEOMETRIC_KIND, 1.5, "rational-geometric vertex must be a rational"),
+        (RATIONAL_GEOMETRIC_KIND, "1/2", "rational-geometric vertex must be a rational"),
+        (Z3_AGREE_KIND, ((0, 0, 0), -1), r"z3 vertex must be \(\(i,j,k\), clone>=0\)"),
+        (Z3_AGREE_KIND, ((0, 0), 0), r"z3 vertex must be \(\(i,j,k\), clone>=0\)")])
+    def test_window_names_the_vertex_form(self, kind, vertex, message):
+        with pytest.raises(ValueError, match=message):
+            oracle_window(kind, [vertex])
+
     def test_up_right_window_is_permutation_graph_seeded(self):
         from indsat.recognizers import is_permutation_graph
         from indsat.verifier import sample_window
@@ -324,6 +333,20 @@ class TestSerialization:
                 vertex_from_json(kind, data)
         assert vertex_from_json(TORERO_KIND, "0.1") == _frac(1, 10)
         assert vertex_from_json(UP_RIGHT_KIND, ["0.5", 3]) == (_frac(1, 2), 3)
+
+    @pytest.mark.parametrize("kind, data, message", [
+        (UP_RIGHT_KIND, ["1/2"], "up-and-right vertex must be a rational pair"),
+        (UP_RIGHT_KIND, [[1], 2], "need rationals here"),
+        (TORERO_KIND, ["1/2"], "torero vertex must be a rational"),
+        (TORERO_KIND, None, "need rationals here"),
+        (RATIONAL_GEOMETRIC_KIND, [1, 2], "rational-geometric vertex must be a rational"),
+        (grid_clique(2), 5, "grid vertex must be a 2-tuple of ints"),
+        (Z3_AGREE_KIND, 5, "z3 vertex must be"),
+        (Z3_AGREE_KIND, [[0, 0, 0]], "z3 vertex must be"),
+        (Z3_AGREE_KIND, [5, 0], "z3 vertex must be")])
+    def test_wrong_shapes_name_the_vertex_form(self, kind, data, message):
+        with pytest.raises(ValueError, match=message):
+            vertex_from_json(kind, data)
 
     def test_decimal_with_huge_exponent_refused_at_once(self):
         start = time.perf_counter()

@@ -23,7 +23,7 @@ from indsat.verifier import sample_window
 from gensmall import graphs_on, graphs_up_to
 from oracles_naive import (naive_close_to_permutation, naive_has_cycle,
                            naive_is_permutation_graph, naive_permutation_realizer,
-                           random_graph)
+                           random_graph, random_tree)
 
 
 class TestTrivial:
@@ -342,11 +342,14 @@ class TestCloseToPermutation:
         assert found == 526
 
     def test_toggles_stay_inside_the_obstruction(self, monkeypatch):
-        # C5 on vertices 3..7 with 0, 1 and 2 attached to it: the shrinking
-        # pass drops 0, 1 and 2, and every toggle tried has both ends in the C5.
+        # C5 on vertices 3..7 with 0, 1 and 2 attached to it.  The breadth-
+        # first chain from 0->3 to an arc and its reverse passes through
+        # 0, 3, 4, 5, 6 and 7, and every toggle tried has both ends there.
         edges = [(3, 4), (4, 5), (5, 6), (6, 7), (7, 3), (0, 3), (1, 3), (1, 4),
                  (2, 5)]
         g = Graph.from_edges(8, edges)
+        chain = 0b11111001
+        assert recognizers._gamma_chain(g.adj) == chain
         # Before recording: the reference runs the recognizer too.
         expected = naive_close_to_permutation(
             g, lambda x: is_permutation_graph(x) is not None)
@@ -360,16 +363,82 @@ class TestCloseToPermutation:
         monkeypatch.setattr(recognizers, "_orientations", recording)
         got = close_to_permutation(g)
         assert got == expected == ((3, 7), (5, 7))
-        # g itself is tested whole, then on one mask per vertex by the
-        # shrink, which drops 0, 1 and 2; every other test is a toggle of
-        # the whole graph.
-        assert [mask for x, mask in tried if x == g] == [
-            0b11111111, 0b11111110, 0b11111100, 0b11111000, 0b11110000,
-            0b11101000, 0b11011000, 0b10111000, 0b01111000]
+        # g itself is tested whole, once; every other test is a toggle of
+        # the whole graph with both ends in the chain.
+        assert [mask for x, mask in tried if x == g] == [0b11111111]
         toggles = [[v for v in range(8) if x.adj[v] != g.adj[v]]
                    for x, mask in tried if x != g and mask == 0b11111111]
-        assert len(toggles) == len(tried) - 9
-        assert toggles and all(set(pair) <= {3, 4, 5, 6, 7} for pair in toggles)
+        assert len(toggles) == len(tried) - 1
+        assert toggles and all(chain >> u & 1 and chain >> v & 1 for u, v in toggles)
+
+    @staticmethod
+    def _counting(monkeypatch):
+        calls = [0]
+        real = recognizers._orientations
+
+        def counting(x, mask):
+            calls[0] += 1
+            return real(x, mask)
+
+        monkeypatch.setattr(recognizers, "_orientations", counting)
+        return calls
+
+    def test_long_cycle_is_decided_by_its_chain(self, monkeypatch):
+        # The chain of C64 is all of C64, a chordless cycle on 64 >= 7
+        # vertices: no non-edge can fix it, so nothing is scanned.
+        calls = self._counting(monkeypatch)
+        assert close_to_permutation(cycle_graph(64)) is None
+        assert calls == [1]
+
+    def test_chain_on_a_32_vertex_tree_is_short(self, monkeypatch):
+        # A tree is a comparability graph, so the chain is in its complement.
+        # Breadth-first it has 8 vertices and the scan tests 7 toggles; a
+        # depth-first chain here has 29 vertices and the scan 28 toggles.
+        g = random_tree(random.Random(0), 32)
+        calls = self._counting(monkeypatch)
+        assert close_to_permutation(g) is None
+        assert calls == [8]
+
+    def test_chain_is_an_obstruction_on_every_stream_class(self):
+        # G[S'] is no permutation graph, by the backtracking oracle, for each
+        # of the 6,930 stream classes that are not permutation graphs.  The
+        # oracle runs once per distinct adjacency of G[S'].
+        lines, _ = stream.load()
+        obstructions = Counter()
+        for line in lines:
+            g = parse_graph6(line)
+            full = (1 << g.n) - 1
+            if recognizers._orientations(g, full) is not None:
+                continue
+            mask = recognizers._gamma_chain(g.adj)
+            if mask is None:
+                mask = recognizers._gamma_chain(
+                    [(row ^ full) & ~(1 << v) for v, row in enumerate(g.adj)])
+            obstructions[tuple(g.induced(_bits(mask)).adj)] += 1
+        assert sum(obstructions.values()) == 6930
+        for rows in obstructions:
+            assert naive_permutation_realizer(list(rows)) is None, rows
+
+    def test_matches_the_naive_scan_above_8_vertices(self):
+        # Seeded G(n, p), random trees, and graphs of random permutations
+        # with one and then two pairs toggled; 6 of the 56 have a witness.
+        rng = random.Random(1240)
+        graphs = [random_graph(rng, n, p) for n in range(12, 41, 4) for p in (0.1, 0.5, 0.9)]
+        graphs += [random_tree(rng, n) for n in range(10, 41, 2)]
+        for n in range(12, 41, 4):
+            pi = rng.sample(range(n), n)
+            near = Graph.from_edges(n, [(i, j) for i in range(n)
+                                        for j in range(i + 1, n) if pi[i] < pi[j]])
+            for _ in range(2):
+                near = near.toggled(*rng.sample(range(n), 2))
+                graphs.append(near)
+        found = 0
+        for g in graphs:
+            got = close_to_permutation(g)
+            assert got == naive_close_to_permutation(
+                g, lambda x: is_permutation_graph(x) is not None), g.adj
+            found += got is not None
+        assert (found, len(graphs)) == (6, 56)
 
     def test_cycles_match_the_naive_scan(self):
         # C_k, C_k with a pendant and C_k with three isolated vertices.  A
